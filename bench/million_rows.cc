@@ -25,6 +25,7 @@
 //   PCOR_SEED              dataset + context seed
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench/bench_json.h"
@@ -238,15 +239,17 @@ int main() {
     double probes_per_s = 0.0;
   };
   std::vector<ShardedResult> sharded_results;
+  // One injected pool of `threads` workers serves every shard tier.
+  const auto probe_pool = std::make_shared<ThreadPool>(threads);
   for (size_t shard_count : shard_tiers) {
     ShardedIndexOptions sharded_options;
     sharded_options.shard_count = shard_count;
     sharded_options.storage = IndexStorage::kCompressed;
-    sharded_options.probe_threads = threads;
+    sharded_options.pool = probe_pool;
     t0 = Now();
     const ShardedPopulationIndex sharded(dataset, sharded_options);
     ShardedResult result;
-    result.shards = sharded.shard_count();
+    result.shards = sharded.segment_count();
     result.build_s = Now() - t0;
     // Sharded equivalence gate — never relaxed: bit-identical counts at
     // every shard count or the bench fails before timing anything.

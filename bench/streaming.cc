@@ -12,9 +12,9 @@
 //   * `streaming_epsilon` — the accountant's tree-composed cumulative vs
 //     the naive T-fresh-budgets baseline and their ratio.
 //   * `streaming_seal` — seals/s at PCOR_STREAM_SEAL_EPOCHS (default 64)
-//     evenly-sized epochs, segmented vs the copy-on-seal ablation
-//     (StreamingOptions::segmented_seal false), timing SealEpoch calls
-//     only; one line per mode plus the speedup.
+//     evenly-sized epochs, segmented (default compaction) vs copy-on-seal
+//     (CompactionOptions::max_segments = 1), timing SealEpoch calls only;
+//     one line per mode plus the speedup.
 //
 // Enforced acceptance bars (exit non-zero on violation):
 //   * every sealed row lands: the final epoch equals the dataset size;
@@ -182,7 +182,8 @@ int main() {
       simd::ActiveBackendName()));
 
   // Phase 4: seal cost, segmented vs copy-on-seal. Same rows, same epoch
-  // boundaries, same everything except StreamingOptions::segmented_seal;
+  // boundaries, same everything except the compaction policy's
+  // max_segments (copy-on-seal is max_segments = 1);
   // only the SealEpoch calls are timed. The equivalence gate then demands
   // bit-identical releases from both tips — never relaxed.
   const size_t seal_epochs = std::max<size_t>(
@@ -197,7 +198,7 @@ int main() {
   uint64_t seals_done = 0;
   for (const bool segmented : {true, false}) {
     StreamingOptions mode_options;
-    mode_options.segmented_seal = segmented;
+    if (!segmented) mode_options.compaction.max_segments = 1;
     StreamingPcorEngine sealer(full.schema(), *setup->detector, mode_options);
     double seal_wall = 0.0;
     seals_done = 0;

@@ -267,25 +267,14 @@ void ThreadPool::ParallelFor(size_t n, size_t max_parallel,
 
 void ParallelFor(size_t n, size_t num_threads,
                  const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
   num_threads = std::min(num_threads, n);
   if (num_threads <= 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  std::atomic<size_t> next{0};
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads);
-  for (size_t w = 0; w < num_threads; ++w) {
-    threads.emplace_back([&next, n, &fn] {
-      while (true) {
-        size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        fn(i);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+  // A transient placement-blind pool; the caller is the last thread.
+  ThreadPool(num_threads - 1, ThreadPoolOptions{})
+      .ParallelFor(n, num_threads, fn);
 }
 
 size_t DefaultThreadCount() {

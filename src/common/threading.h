@@ -114,8 +114,9 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
-/// \brief Runs fn(i) for i in [0, n) across up to `num_threads` workers and
-/// blocks until completion. fn must be thread-safe across distinct i.
+/// \brief Runs fn(i) for i in [0, n) across up to `num_threads` threads
+/// (the caller plus a transient ThreadPool) and blocks until completion.
+/// fn must be thread-safe across distinct i.
 void ParallelFor(size_t n, size_t num_threads,
                  const std::function<void(size_t)>& fn);
 

@@ -39,31 +39,7 @@ IndexStorage DefaultIndexStorage() {
 
 // ---- PopulationProbe: value-returning helpers shared by every
 // implementation, defined over the virtual probe core so single-box and
-// sharded indexes materialize identically. ----
-
-uint32_t PopulationProbe::RowCode(uint32_t row, size_t attr) const {
-  return dataset().code(row_offset() + row, attr);
-}
-
-double PopulationProbe::RowMetric(uint32_t row) const {
-  return dataset().metric_column()[row_offset() + row];
-}
-
-void PopulationProbe::GatherMetrics(const BitVector& population,
-                                    std::vector<uint32_t>* row_ids,
-                                    std::vector<double>* metric) const {
-  row_ids->clear();
-  metric->clear();
-  const size_t count = population.Count();
-  row_ids->reserve(count);
-  metric->reserve(count);
-  const auto& column = dataset().metric_column();
-  const uint32_t offset = row_offset();
-  population.ForEachSetBit([&](uint32_t row) {
-    row_ids->push_back(row);
-    metric->push_back(column[offset + row]);
-  });
-}
+// composed indexes materialize identically. ----
 
 ContextVec PopulationProbe::ExactContextOf(uint32_t row) const {
   const Schema& s = schema();
@@ -126,23 +102,16 @@ bool PopulationProbe::MetricWithTarget(const ContextVec& c, uint32_t v_row,
   return true;
 }
 
-PopulationIndex::PopulationIndex(const Dataset& dataset, IndexStorage storage)
-    : PopulationIndex(dataset, storage, 0,
-                      static_cast<uint32_t>(dataset.num_rows())) {}
-
 PopulationIndex::PopulationIndex(const Dataset& dataset, IndexStorage storage,
                                  uint32_t row_begin, uint32_t row_end)
-    : dataset_(&dataset),
-      storage_(storage),
-      row_begin_(row_begin),
-      num_local_rows_(row_end - row_begin) {
+    : dataset_(&dataset), storage_(storage), row_begin_(row_begin) {
+  row_end = static_cast<uint32_t>(
+      std::min<size_t>(row_end, dataset.num_rows()));
+  PCOR_CHECK(row_begin <= row_end) << "row range outside dataset";
+  num_local_rows_ = row_end - row_begin;
   const Schema& schema = dataset.schema();
   PCOR_CHECK(schema.total_values() <= ContextVec::kMaxBits)
       << "schema has more attribute values than ContextVec supports";
-  PCOR_CHECK(row_begin <= row_end && row_end <= dataset.num_rows())
-      << "row range outside dataset";
-  PCOR_CHECK(row_begin % 64 == 0)
-      << "shard row ranges must start word-aligned";
   const bool compressed = storage_ == IndexStorage::kCompressed;
   bitmaps_.resize(compressed ? 0 : schema.num_attributes());
   compressed_.resize(compressed ? schema.num_attributes() : 0);
@@ -167,6 +136,21 @@ PopulationIndex::PopulationIndex(const Dataset& dataset, IndexStorage storage,
       dense.clear();
     }
   }
+}
+
+void PopulationIndex::GatherMetrics(const BitVector& population,
+                                    std::vector<uint32_t>* row_ids,
+                                    std::vector<double>* metric) const {
+  row_ids->clear();
+  metric->clear();
+  const size_t count = population.Count();
+  row_ids->reserve(count);
+  metric->reserve(count);
+  const double* column = dataset_->metric_column().data() + row_begin_;
+  population.ForEachSetBit([&](uint32_t row) {
+    row_ids->push_back(row);
+    metric->push_back(column[row]);
+  });
 }
 
 PopulationIndexStats PopulationIndex::MemoryStats() const {

@@ -72,11 +72,11 @@ class PopulationView {
 
 /// \brief Probe interface over a population store: everything the verifier,
 /// utilities and context-space algorithms need from "the index", abstracted
-/// so the single-box PopulationIndex and the row-sharded
-/// ShardedPopulationIndex interchange freely. Implementations must be
-/// bit-identical to each other on every probe — the equivalence fuzz suites
-/// enforce it; virtual dispatch costs nanoseconds against probes that walk
-/// O(rows/64) words minimum.
+/// so the single-box PopulationIndex and the composed ShardedPopulationIndex
+/// interchange freely. Implementations must be bit-identical to each other
+/// on every probe — the equivalence fuzz suites enforce it; virtual
+/// dispatch costs nanoseconds against probes that walk O(rows/64) words
+/// minimum.
 ///
 /// The value-returning helpers (PopulationOf, RowIdsOf, MetricOf,
 /// MetricWithTarget, ViewOf) are defined once here over the virtual core,
@@ -85,12 +85,12 @@ class PopulationProbe {
  public:
   virtual ~PopulationProbe() = default;
 
-  /// \brief The backing dataset. Shards report their slice through
-  /// num_rows(), never through a narrowed dataset; composed probes whose
-  /// rows live in several datasets (the streaming layer's segmented probe)
-  /// return a zero-row schema anchor instead. Callers must therefore reach
-  /// row data through RowCode / RowMetric / GatherMetrics, never through
-  /// dataset() — the anchor carries only the schema.
+  /// \brief The backing dataset. A row-range index reports its slice
+  /// through num_rows(), never through a narrowed dataset; composed probes
+  /// whose rows live in several datasets (the streaming layer's epoch
+  /// probes) return a zero-row schema anchor instead. Callers must
+  /// therefore reach row data through RowCode / RowMetric / GatherMetrics,
+  /// never through dataset() — the anchor carries only the schema.
   virtual const Dataset& dataset() const = 0;
   const Schema& schema() const { return dataset().schema(); }
   /// \brief Rows this probe spans — the local row space of its bitmaps.
@@ -124,23 +124,22 @@ class PopulationProbe {
   /// \brief Attribute code of local row `row` — the probe-level row
   /// accessor call sites use instead of dataset().code(), so probes whose
   /// rows are scattered over several datasets answer correctly.
-  virtual uint32_t RowCode(uint32_t row, size_t attr) const;
+  virtual uint32_t RowCode(uint32_t row, size_t attr) const = 0;
 
   /// \brief Metric value of local row `row` (same contract as RowCode).
-  virtual double RowMetric(uint32_t row) const;
+  virtual double RowMetric(uint32_t row) const = 0;
 
   /// \brief Replaces `*row_ids` / `*metric` with the set rows of
   /// `population` (ascending, local row space) and their metric values —
   /// the materialization primitive behind ViewOf / MetricOf /
-  /// MetricWithTarget. The default walks dataset().metric_column();
-  /// composed probes override it to resolve rows per segment.
+  /// MetricWithTarget.
   virtual void GatherMetrics(const BitVector& population,
                              std::vector<uint32_t>* row_ids,
-                             std::vector<double>* metric) const;
+                             std::vector<double>* metric) const = 0;
 
   /// \brief Shared worker pool for scatter probes, or nullptr when this
-  /// probe runs serially. The engine reuses it for the intra-release
-  /// scoring loop so one release never owns two pools.
+  /// probe runs serially. The engine runs its batch fan-out and the
+  /// intra-release scoring loop on it, so one engine never owns two pools.
   virtual ThreadPool* probe_pool() const { return nullptr; }
 
   /// \brief The exact context of local row `row` — one chosen value per
@@ -169,12 +168,6 @@ class PopulationProbe {
   bool MetricWithTarget(const ContextVec& c, uint32_t v_row,
                         std::vector<double>* metric,
                         size_t* v_position) const;
-
- protected:
-  /// \brief Offset from this probe's local row 0 into the dataset's global
-  /// row ids — nonzero only for row-range shards, where local bitmap bit i
-  /// is dataset row row_offset() + i (used for metric lookups).
-  virtual uint32_t row_offset() const { return 0; }
 };
 
 /// \brief Bitmap index mapping contexts to their populations.
@@ -202,17 +195,19 @@ class PopulationProbe {
 /// merged context.
 class PopulationIndex : public PopulationProbe {
  public:
-  explicit PopulationIndex(const Dataset& dataset,
-                           IndexStorage storage = DefaultIndexStorage());
+  /// \brief `row_end` value meaning "through the dataset's last row".
+  static constexpr uint32_t kAllRows = UINT32_MAX;
 
-  /// \brief Row-range shard constructor: indexes only dataset rows
-  /// [row_begin, row_end), stored in a local row space where bit i means
-  /// dataset row row_begin + i. All probes answer in the local row space;
-  /// ShardedPopulationIndex owns the global reassembly. `row_begin` must
-  /// be word-aligned (a multiple of 64) so shard populations concatenate
-  /// word-wise into global bitmaps.
-  PopulationIndex(const Dataset& dataset, IndexStorage storage,
-                  uint32_t row_begin, uint32_t row_end);
+  /// \brief Indexes dataset rows [row_begin, min(row_end, num_rows)),
+  /// stored in a local row space where bit i means dataset row
+  /// row_begin + i. The defaults index the whole dataset. All probes
+  /// answer in the local row space; ShardedPopulationIndex composes
+  /// row-range indexes into one global row space. The dataset is not
+  /// owned and must outlive the index.
+  explicit PopulationIndex(const Dataset& dataset,
+                           IndexStorage storage = DefaultIndexStorage(),
+                           uint32_t row_begin = 0,
+                           uint32_t row_end = kAllRows);
 
   const Dataset& dataset() const override { return *dataset_; }
   size_t num_rows() const override { return num_local_rows_; }
@@ -230,8 +225,15 @@ class PopulationIndex : public PopulationProbe {
 
   const BitVector& ValueBitmap(size_t attr, size_t value) const override;
 
- protected:
-  uint32_t row_offset() const override { return row_begin_; }
+  uint32_t RowCode(uint32_t row, size_t attr) const override {
+    return dataset_->code(row_begin_ + row, attr);
+  }
+  double RowMetric(uint32_t row) const override {
+    return dataset_->metric(row_begin_ + row);
+  }
+  void GatherMetrics(const BitVector& population,
+                     std::vector<uint32_t>* row_ids,
+                     std::vector<double>* metric) const override;
 
  private:
   void PopulationIntoDense(const ContextVec& c, BitVector* population,

@@ -1,7 +1,6 @@
 #include "src/search/pcor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "src/common/logging.h"
@@ -33,23 +32,9 @@ PcorEngine::PcorEngine(const Dataset& dataset,
                        const OutlierDetector& detector,
                        VerifierOptions verifier_options,
                        ShardedIndexOptions index_options)
-    : dataset_(&dataset),
-      probe_(std::make_shared<const ShardedPopulationIndex>(dataset,
+    : probe_(std::make_shared<const ShardedPopulationIndex>(dataset,
                                                             index_options)),
-      sharded_(static_cast<const ShardedPopulationIndex*>(probe_.get())),
       verifier_(*probe_, detector, verifier_options) {}
-
-PcorEngine::PcorEngine(const Dataset& dataset,
-                       const OutlierDetector& detector,
-                       std::shared_ptr<VerifierMemo> memo, uint64_t epoch,
-                       VerifierOptions verifier_options,
-                       ShardedIndexOptions index_options)
-    : dataset_(&dataset),
-      probe_(std::make_shared<const ShardedPopulationIndex>(dataset,
-                                                            index_options)),
-      sharded_(static_cast<const ShardedPopulationIndex*>(probe_.get())),
-      verifier_(*probe_, detector, std::move(memo), epoch,
-                verifier_options) {}
 
 namespace {
 std::shared_ptr<const PopulationProbe> CheckedProbe(
@@ -66,18 +51,6 @@ PcorEngine::PcorEngine(std::shared_ptr<const PopulationProbe> probe,
     : probe_(CheckedProbe(std::move(probe))),
       verifier_(*probe_, detector, std::move(memo), epoch,
                 verifier_options) {}
-
-const Dataset& PcorEngine::dataset() const {
-  PCOR_CHECK(dataset_ != nullptr)
-      << "probe-backed engine has no flat dataset; use probe()";
-  return *dataset_;
-}
-
-const ShardedPopulationIndex& PcorEngine::population_index() const {
-  PCOR_CHECK(sharded_ != nullptr)
-      << "probe-backed engine has no sharded index; use probe()";
-  return *sharded_;
-}
 
 Result<PcorRelease> PcorEngine::Release(uint32_t v_row,
                                         const PcorOptions& options,
@@ -205,9 +178,12 @@ BatchReleaseReport PcorEngine::ReleaseBatch(
   WallTimer timer;
   BatchReleaseReport report;
   if (num_threads == 0) num_threads = DefaultThreadCount();
-  // Never spawn more workers than entries (a 4-row batch on a 64-core box
-  // must not pay 60 useless thread start/joins).
+  // Never claim more threads than entries, nor more than the probe pool's
+  // workers plus this (participating) caller.
   report.threads = std::max<size_t>(1, std::min(num_threads, requests.size()));
+  ThreadPool* pool = report.threads > 1 ? probe_->probe_pool() : nullptr;
+  report.threads =
+      pool == nullptr ? 1 : std::min(report.threads, pool->num_threads() + 1);
   report.entries.resize(requests.size());
 
   // Batch-level counter deltas against the persistent shared verifier; its
@@ -215,14 +191,14 @@ BatchReleaseReport PcorEngine::ReleaseBatch(
   // the point of keeping it on the engine.
   const VerifierStats stats_before = verifier_.Stats();
 
-  // Each worker drains a shared index counter; entry i's Rng stream depends
-  // only on (seed, i), never on which worker claims it, so scheduling
-  // cannot perturb the released contexts. Entries carrying their own
-  // PcorOptions resolve them here — a heterogeneous batch is executed as
-  // homogeneous per-entry sub-batches on the one pool pass, with no
-  // barrier between configurations (nothing in a release depends on a
-  // sibling entry's options).
-  std::atomic<size_t> next{0};
+  // Entry i's Rng stream depends only on (seed, i), never on which thread
+  // runs it, so scheduling cannot perturb the released contexts. Entries
+  // carrying their own PcorOptions resolve them here — a heterogeneous
+  // batch is executed as homogeneous per-entry sub-batches in the one
+  // ParallelFor, with no barrier between configurations (nothing in a
+  // release depends on a sibling entry's options). ParallelFor is
+  // reentrancy-safe, so a batch issued from a worker of this same pool
+  // (or nesting probe scatters inside its releases) cannot deadlock.
   const auto run_one = [&](size_t i) {
     BatchEntry& entry = report.entries[i];
     entry.v_row = requests[i].v_row;
@@ -245,17 +221,7 @@ BatchReleaseReport PcorEngine::ReleaseBatch(
   if (report.threads <= 1) {
     for (size_t i = 0; i < requests.size(); ++i) run_one(i);
   } else {
-    ThreadPool pool(report.threads);
-    for (size_t w = 0; w < report.threads; ++w) {
-      pool.Submit([&] {
-        while (true) {
-          const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= report.entries.size()) return;
-          run_one(i);
-        }
-      });
-    }
-    pool.Wait();
+    pool->ParallelFor(requests.size(), report.threads, run_one);
   }
 
   std::vector<double> entry_seconds;

@@ -141,7 +141,7 @@ struct BatchEntry {
 /// interleave on the shared cache).
 struct BatchReleaseReport {
   std::vector<BatchEntry> entries;
-  size_t threads = 1;             ///< worker threads the batch ran on
+  size_t threads = 1;             ///< parallelism cap, caller included
   size_t failures = 0;            ///< entries whose status is not OK
   size_t total_probes = 0;        ///< candidate contexts examined
   size_t total_f_evaluations = 0; ///< detector runs (verifier cache misses)
@@ -178,7 +178,7 @@ struct BatchReleaseReport {
 class PcorEngine {
  public:
   /// \brief Builds the engine's row-sharded population index per
-  /// `index_options` (shard count, storage, probe threads). The default
+  /// `index_options` (shard count, storage, pool). The default
   /// resolves shard count from PCOR_SHARD_COUNT / DefaultShardCount(), so
   /// existing callers transparently gain sharding on large datasets while
   /// small ones stay single-shard.
@@ -186,26 +186,15 @@ class PcorEngine {
              VerifierOptions verifier_options = {},
              ShardedIndexOptions index_options = {});
 
-  /// \brief Streaming construction: the verifier memoizes into the shared
-  /// epoch-keyed `memo` under epoch id `epoch` instead of a private cache,
-  /// so per-epoch engines of one stream reuse each other's still-valid
-  /// results while stale-epoch hits stay impossible (the epoch is part of
-  /// the cache key). `memo` must not be null; see VerifierMemo for the
-  /// sharing contract. Used by StreamingPcorEngine — classic callers keep
-  /// the constructor above.
-  PcorEngine(const Dataset& dataset, const OutlierDetector& detector,
-             std::shared_ptr<VerifierMemo> memo, uint64_t epoch,
-             VerifierOptions verifier_options = {},
-             ShardedIndexOptions index_options = {});
-
   /// \brief Probe-backed streaming construction: the engine runs over an
   /// externally built PopulationProbe — the streaming layer's
-  /// SegmentedPopulationProbe over shared epoch segments — instead of
-  /// building its own index, held alive by shared ownership. Shares the
-  /// epoch-keyed `memo` like the constructor above; neither `probe` nor
-  /// `memo` may be null. dataset() / population_index() are unavailable
-  /// on a probe-backed engine (row data lives behind the probe's row
-  /// accessors); everything else behaves identically.
+  /// ShardedPopulationIndex over shared epoch segments — held alive by
+  /// shared ownership. The verifier memoizes into the shared epoch-keyed
+  /// `memo` under epoch id `epoch` instead of a private cache, so per-epoch
+  /// engines of one stream reuse each other's still-valid results while
+  /// stale-epoch hits stay impossible (the epoch is part of the cache key).
+  /// Neither `probe` nor `memo` may be null; see VerifierMemo for the
+  /// sharing contract.
   PcorEngine(std::shared_ptr<const PopulationProbe> probe,
              const OutlierDetector& detector,
              std::shared_ptr<VerifierMemo> memo, uint64_t epoch,
@@ -230,12 +219,16 @@ class PcorEngine {
                                          const UtilityFunction& utility,
                                          Rng* rng) const;
 
-  /// \brief Releases many outliers in one call, fanned out over a
-  /// ThreadPool with the shared verifier cache. Entry i draws from an
-  /// independent Rng stream derived from (seed, i), so the batch outcome
-  /// is identical for every thread count, including 1.
+  /// \brief Releases many outliers in one call, fanned out with the shared
+  /// verifier cache over the probe's pool (probe().probe_pool(); a null
+  /// pool runs the batch serially). Entry i draws from an independent Rng
+  /// stream derived from (seed, i), so the batch outcome is identical for
+  /// every thread count, including 1.
   ///
-  /// `num_threads` 0 means DefaultThreadCount(). Per-entry errors (e.g. a
+  /// `num_threads` 0 means DefaultThreadCount(); the batch runs on at most
+  /// that many threads, the caller included (report.threads says how many
+  /// it was allowed: capped by entries and pool workers + 1). May be
+  /// called from a worker of that same pool. Per-entry errors (e.g. a
   /// row with no valid context) are recorded in the entry, not returned:
   /// one bad row must not sink a 10k-row batch. Blocks until every entry
   /// completed; thread-safe for concurrent calls on one engine.
@@ -263,23 +256,12 @@ class PcorEngine {
     return SplitMix64Mix(seed + 0x9e3779b97f4a7c15ULL * (index + 1));
   }
 
-  /// \brief The backing dataset — dataset-built engines only; CHECK-fails
-  /// on a probe-backed engine (its rows live in segments, reached through
-  /// the probe's row accessors).
-  const Dataset& dataset() const;
-  /// \brief The engine-owned sharded index — dataset-built engines only;
-  /// CHECK-fails on a probe-backed engine.
-  const ShardedPopulationIndex& population_index() const;
   /// \brief The population probe every release runs against (always set).
   const PopulationProbe& probe() const { return *probe_; }
   const OutlierVerifier& verifier() const { return verifier_; }
 
  private:
-  const Dataset* dataset_ = nullptr;  // null for probe-backed engines
   std::shared_ptr<const PopulationProbe> probe_;
-  // Downcast of probe_ when this engine built its own sharded index;
-  // null for probe-backed construction.
-  const ShardedPopulationIndex* sharded_ = nullptr;
   OutlierVerifier verifier_;
 };
 

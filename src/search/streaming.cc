@@ -13,9 +13,8 @@ namespace {
 /// \brief Applies the on-seal compaction policy to `*segments`, returning
 /// the number of merges performed. Deterministic: depends only on the
 /// segment row counts, never on timing.
-uint64_t CompactSegments(
-    std::vector<std::shared_ptr<const PopulationSegment>>* segments,
-    const CompactionOptions& policy, IndexStorage storage) {
+uint64_t CompactSegments(SegmentList* segments,
+                         const CompactionOptions& policy) {
   uint64_t merges = 0;
   // Rule 1 (doubling): merge the maximal trailing run of small segments,
   // but only once its combined rows reach min_segment_rows — the merged
@@ -31,7 +30,7 @@ uint64_t CompactSegments(
     }
     if (segments->size() - run_begin >= 2 &&
         run_rows >= policy.min_segment_rows) {
-      MergeSegments(segments, run_begin, segments->size(), storage);
+      MergeSegments(segments, run_begin, segments->size());
       ++merges;
     }
   }
@@ -50,7 +49,7 @@ uint64_t CompactSegments(
           best_rows = rows;
         }
       }
-      MergeSegments(segments, best, best + 2, storage);
+      MergeSegments(segments, best, best + 2);
       ++merges;
     }
   }
@@ -59,19 +58,14 @@ uint64_t CompactSegments(
 
 }  // namespace
 
-bool DefaultSegmentedSeal() {
-  return strings::EnvSizeOr("PCOR_SEGMENTED_SEAL", 1) != 0;
-}
-
 Row EpochSnapshot::RowAt(uint32_t row) const {
   PCOR_CHECK(row < epoch) << "row outside the sealed prefix";
-  for (const auto& segment : segments) {
-    if (row < segment->row_end()) {
-      return segment->rows->GetRow(row - segment->row_begin);
-    }
+  Row out;
+  for (size_t a = 0; a < probe->schema().num_attributes(); ++a) {
+    out.codes.push_back(probe->RowCode(row, a));
   }
-  PCOR_CHECK(false) << "segments do not cover the sealed prefix";
-  return Row{};
+  out.metric = probe->RowMetric(row);
+  return out;
 }
 
 StreamingPcorEngine::StreamingPcorEngine(Schema schema,
@@ -80,7 +74,8 @@ StreamingPcorEngine::StreamingPcorEngine(Schema schema,
     : schema_(std::move(schema)),
       detector_(&detector),
       options_(options),
-      memo_(std::make_shared<VerifierMemo>(options.verifier)) {
+      memo_(std::make_shared<VerifierMemo>(options.verifier)),
+      pool_(std::make_shared<ThreadPool>(DefaultThreadCount())) {
   // Epoch 0: an empty sealed view — no segments, no probe, no engine.
   // Pin() is still total; releases fail with kFailedPrecondition.
   snapshot_ = std::make_shared<EpochSnapshot>();
@@ -151,22 +146,12 @@ uint64_t StreamingPcorEngine::SealEpoch() {
 
   auto next = std::make_shared<EpochSnapshot>();
   next->epoch = base->epoch + tail.size();
-  next->segments = base->segments;  // structural sharing: shared_ptr copies
-  next->segments.push_back(MakeSegment(static_cast<uint32_t>(base->epoch),
-                                       std::move(tail_rows),
-                                       options_.index.storage));
-  if (options_.segmented_seal) {
-    compactions_ += CompactSegments(&next->segments, options_.compaction,
-                                    options_.index.storage);
-  } else if (next->segments.size() > 1) {
-    // Copy-on-seal ablation: one flat segment over the whole sealed
-    // prefix, rebuilt every seal — O(history), the pre-segment baseline.
-    MergeSegments(&next->segments, 0, next->segments.size(),
-                  options_.index.storage);
-  }
-  next->probe = std::make_shared<const SegmentedPopulationProbe>(
-      schema_, next->segments, options_.index.storage,
-      options_.index.probe_threads);
+  // Structural sharing: the new list copies shared_ptrs, never segments.
+  SegmentList segments = base->probe ? base->probe->segments() : SegmentList{};
+  segments.push_back(MakeSegment(std::move(tail_rows), options_.storage));
+  compactions_ += CompactSegments(&segments, options_.compaction);
+  next->probe = std::make_shared<const ShardedPopulationIndex>(
+      schema_, std::move(segments), pool_);
   next->engine = std::make_shared<const PcorEngine>(
       next->probe, *detector_, memo_, next->epoch, options_.verifier);
 
@@ -271,7 +256,7 @@ StreamingStats StreamingPcorEngine::stats() const {
     stats.buffered_rows = tail_.size();
     stats.appends = appends_;
     stats.seals = seals_;
-    stats.segments = snapshot_->segments.size();
+    stats.segments = snapshot_->probe ? snapshot_->probe->segment_count() : 0;
   }
   stats.compactions = compactions_.load(std::memory_order_relaxed);
   stats.retained_epochs = retained_epochs_.load(std::memory_order_relaxed);

@@ -8,17 +8,11 @@
 #include <span>
 #include <vector>
 
-#include "src/context/segmented_population_probe.h"
+#include "src/context/sharded_population_index.h"
 #include "src/search/pcor.h"
 #include "src/search/tree_accountant.h"
 
 namespace pcor {
-
-/// \brief Segmented seals on by default; the PCOR_SEGMENTED_SEAL env var
-/// set to 0 selects the copy-on-seal ablation (every seal merges the
-/// whole sealed prefix into one segment — the O(history) baseline the
-/// seal-cost bench compares against).
-bool DefaultSegmentedSeal();
 
 /// \brief On-seal segment compaction policy. Compaction runs inside
 /// SealEpoch, outside the append lock, and only ever replaces segments in
@@ -33,7 +27,9 @@ struct CompactionOptions {
   size_t min_segment_rows = 1024;
   /// Hard bound on probe fan-out: while the list exceeds this, the
   /// adjacent pair with the fewest combined rows merges (leftmost on
-  /// ties). 0 disables the bound.
+  /// ties). 0 disables the bound; 1 is copy-on-seal — every seal rebuilds
+  /// one flat segment over the whole sealed prefix, O(history), the
+  /// baseline the seal-cost bench compares against.
   size_t max_segments = 64;
 };
 
@@ -42,11 +38,9 @@ struct StreamingOptions {
   /// Verifier memo configuration (byte budget, shards, ...). One memo is
   /// shared by every epoch's verifier, keyed by (epoch, context).
   VerifierOptions verifier;
-  /// Per-epoch index construction. `storage` and `probe_threads` apply to
-  /// every segment index / the segmented probe (PCOR_COMPRESSED_INDEX
-  /// included); `shard_count` does not apply — seal points, not computed
-  /// splits, define the segment layout.
-  ShardedIndexOptions index;
+  /// Storage of every segment index (PCOR_COMPRESSED_INDEX included). Seal
+  /// points, not computed splits, define the segment layout.
+  IndexStorage storage = DefaultIndexStorage();
   /// How many most-recent sealed epochs keep their memo entries across a
   /// seal. Sealing epoch e sweeps every entry older than the retain
   /// window (VerifierMemo::InvalidateEpochsBefore) — counted as cache
@@ -57,13 +51,7 @@ struct StreamingOptions {
   /// recompute instead of hit — so this knob trades memory for warmth,
   /// never correctness.
   size_t retain_epochs = 2;
-  /// Incremental seals (one new segment per seal, O(tail)) when true —
-  /// the default, overridable via PCOR_SEGMENTED_SEAL. False selects the
-  /// copy-on-seal ablation: every seal rebuilds one flat segment over the
-  /// whole sealed prefix, O(history), bit-identical answers.
-  bool segmented_seal = DefaultSegmentedSeal();
-  /// Segment compaction policy (ignored under copy-on-seal, which always
-  /// holds exactly one segment).
+  /// Segment compaction policy.
   CompactionOptions compaction;
 };
 
@@ -77,11 +65,10 @@ struct StreamingOptions {
 struct EpochSnapshot {
   uint64_t epoch = 0;
   /// The sealed rows, in stream order, partitioned at (compacted) seal
-  /// points. Empty iff epoch == 0.
-  std::vector<std::shared_ptr<const PopulationSegment>> segments;
-  /// Probe composing `segments` into one global row space. Null iff
-  /// epoch == 0 (nothing sealed — no data to probe, no release can run).
-  std::shared_ptr<const SegmentedPopulationProbe> probe;
+  /// points (probe->segments()) and composed into one global row space,
+  /// scattering on the stream's one pool. Null iff epoch == 0 (nothing
+  /// sealed — no data to probe, no release can run).
+  std::shared_ptr<const ShardedPopulationIndex> probe;
   /// Null iff epoch == 0.
   std::shared_ptr<const PcorEngine> engine;
 
@@ -148,10 +135,12 @@ struct ContinualRelease {
 /// immutable segment — O(tail), plus amortized O(log total) per row of
 /// on-seal compaction (CompactionOptions) that keeps probe fan-out
 /// bounded. Earlier segments are shared with the previous snapshot, never
-/// copied. The pre-segment copy-on-seal behavior (O(history) per seal)
-/// remains available as an ablation via PCOR_SEGMENTED_SEAL=0 /
-/// StreamingOptions::segmented_seal = false; the streaming_seal bench
-/// enforces the segmented path's advantage. Appends are O(1) buffered.
+/// copied. Copy-on-seal (O(history) per seal) is the compaction policy
+/// max_segments = 1; the streaming_seal bench enforces the default
+/// policy's advantage over it. Appends are O(1) buffered.
+///
+/// One ThreadPool, created with the engine, serves every epoch: each
+/// snapshot's probe scatters on it and its engine fans batches out on it.
 ///
 /// Thread-safe: appends, seals, pins and releases may race freely from
 /// any thread. The segment build runs *outside* the append lock — a seal
@@ -229,6 +218,7 @@ class StreamingPcorEngine {
   const OutlierDetector* detector_;
   StreamingOptions options_;
   std::shared_ptr<VerifierMemo> memo_;
+  std::shared_ptr<ThreadPool> pool_;
   TreeAccountant accountant_;
 
   mutable std::mutex mu_;  // guards tail_, snapshot_, appends_, seals_

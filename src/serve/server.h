@@ -86,8 +86,9 @@ struct ServeOptions {
   /// policy preserves per-tenant submission order, and neither can perturb
   /// any release — seeds are fixed at admission.
   SchedulingPolicy scheduling = SchedulingPolicy::kWeightedFair;
-  /// Largest micro-batch one dispatch executes. Bigger batches amortize
-  /// ThreadPool fan-out and keep the shared verifier cache hot.
+  /// Largest micro-batch one dispatch executes. Bigger batches give the
+  /// engine pool's entry-level fan-out more to spread and keep the shared
+  /// verifier cache hot.
   size_t max_batch = 64;
   /// After the first pending request arrives, how long the dispatcher keeps
   /// the batch open for stragglers before executing it anyway.
@@ -95,7 +96,9 @@ struct ServeOptions {
   /// Bound on requests admitted but not yet dispatched.
   size_t queue_capacity = 1024;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  /// Worker threads each micro-batch fans out over (0 = all cores).
+  /// Threads each micro-batch fans out over, the dispatcher included, on
+  /// the engine's one pool (0 = all cores; capped by the pool's workers
+  /// plus one).
   /// Trades against `release.intra_release_threads`: deep micro-batches
   /// want cores spent here (entry-level fan-out), while a shallow batch —
   /// one tenant, one huge request, the tail-latency case — wants

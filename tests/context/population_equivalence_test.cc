@@ -11,35 +11,12 @@
 #include <algorithm>
 #include <vector>
 
-#include "src/common/random.h"
 #include "src/context/population_index.h"
 #include "src/data/salary_generator.h"
 #include "tests/testing_util.h"
 
 namespace pcor {
 namespace {
-
-ContextVec RandomContext(const Schema& schema, double density, Rng* rng) {
-  ContextVec c(schema.total_values());
-  for (size_t bit = 0; bit < c.num_bits(); ++bit) {
-    if (rng->NextBernoulli(density)) c.Set(bit);
-  }
-  return c;
-}
-
-// One value chosen per attribute — the exact-context shape the search
-// frontier probes, which the compressed PopulationCount folds through
-// container intersections without materializing a population.
-ContextVec RandomSingletonContext(const Schema& schema, Rng* rng) {
-  ContextVec c(schema.total_values());
-  size_t base = 0;
-  for (size_t a = 0; a < schema.num_attributes(); ++a) {
-    const size_t domain = schema.attribute(a).domain_size();
-    c.Set(base + rng->NextBounded(domain));
-    base += domain;
-  }
-  return c;
-}
 
 void ExpectStoragesAgree(const Dataset& dataset, uint64_t seed,
                          int num_trials) {
@@ -49,21 +26,8 @@ void ExpectStoragesAgree(const Dataset& dataset, uint64_t seed,
   ASSERT_EQ(compressed.storage(), IndexStorage::kCompressed);
 
   const Schema& schema = dataset.schema();
-  Rng rng(seed);
-  std::vector<ContextVec> contexts;
-  contexts.push_back(ContextVec(schema.total_values()));  // no bits chosen
-  contexts.push_back(context_ops::FullContext(schema));
-  {
-    ContextVec one_empty_attr = context_ops::FullContext(schema);
-    const size_t domain0 = schema.attribute(0).domain_size();
-    for (size_t v = 0; v < domain0; ++v) one_empty_attr.Clear(v);
-    contexts.push_back(one_empty_attr);  // selects nothing
-  }
-  for (int t = 0; t < num_trials; ++t) {
-    contexts.push_back(RandomContext(schema, 0.5, &rng));
-    contexts.push_back(RandomContext(schema, 0.15, &rng));
-    contexts.push_back(RandomSingletonContext(schema, &rng));
-  }
+  const std::vector<ContextVec> contexts =
+      testing_util::FuzzContexts(schema, seed, num_trials);
 
   BitVector dense_bits, compressed_bits, dense_union, compressed_union;
   for (const ContextVec& c : contexts) {
@@ -94,17 +58,8 @@ TEST(PopulationEquivalenceTest, GridDatasetAgreesOnEveryProbe) {
 }
 
 TEST(PopulationEquivalenceTest, MultiChunkSalaryDatasetAgreesOnEveryProbe) {
-  // 80k rows = two compression chunks (64Ki + remainder), so chunk-boundary
-  // container logic is on every probe path.
-  SalaryDatasetSpec spec;
-  spec.num_rows = 80'000;
-  spec.num_jobs = 16;
-  spec.num_employers = 12;
-  spec.num_years = 8;
-  spec.seed = 4242;
-  auto generated = GenerateSalaryDataset(spec);
-  ASSERT_TRUE(generated.ok());
-  ExpectStoragesAgree(generated->dataset, /*seed=*/13, /*num_trials=*/12);
+  ExpectStoragesAgree(testing_util::MultiChunkSalaryDataset(), /*seed=*/13,
+                      /*num_trials=*/12);
 }
 
 TEST(PopulationEquivalenceTest, CompressedWorkingSetIsSmallerOnSparseData) {

@@ -8,6 +8,8 @@
 namespace pcor {
 namespace {
 
+using testing_util::RandomContext;
+
 // Naive reference: scan every row and apply the conjunction-of-disjunctions
 // semantics directly.
 std::vector<uint32_t> NaivePopulation(const Dataset& d, const ContextVec& c) {
@@ -18,20 +20,12 @@ std::vector<uint32_t> NaivePopulation(const Dataset& d, const ContextVec& c) {
   return rows;
 }
 
-ContextVec RandomContext(const Schema& schema, Rng* rng) {
-  ContextVec c(schema.total_values());
-  for (size_t bit = 0; bit < c.num_bits(); ++bit) {
-    if (rng->NextBernoulli(0.5)) c.Set(bit);
-  }
-  return c;
-}
-
 TEST(PopulationIndexTest, MatchesNaiveFilterOnRandomContexts) {
   auto grid = testing_util::MakeSpreadGridDataset();
   PopulationIndex index(grid.dataset);
   Rng rng(5);
   for (int trial = 0; trial < 200; ++trial) {
-    ContextVec c = RandomContext(grid.dataset.schema(), &rng);
+    ContextVec c = RandomContext(grid.dataset.schema(), 0.5, &rng);
     EXPECT_EQ(index.RowIdsOf(c), NaivePopulation(grid.dataset, c))
         << c.ToBitString();
     EXPECT_EQ(index.PopulationCount(c),
@@ -59,8 +53,8 @@ TEST(PopulationIndexTest, OverlapCountMatchesIntersection) {
   PopulationIndex index(grid.dataset);
   Rng rng(9);
   for (int trial = 0; trial < 100; ++trial) {
-    ContextVec c1 = RandomContext(grid.dataset.schema(), &rng);
-    ContextVec c2 = RandomContext(grid.dataset.schema(), &rng);
+    ContextVec c1 = RandomContext(grid.dataset.schema(), 0.5, &rng);
+    ContextVec c2 = RandomContext(grid.dataset.schema(), 0.5, &rng);
     auto r1 = NaivePopulation(grid.dataset, c1);
     auto r2 = NaivePopulation(grid.dataset, c2);
     std::vector<uint32_t> both;

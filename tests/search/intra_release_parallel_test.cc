@@ -6,11 +6,15 @@
 // probe pool, running detector code (with its per-thread scratch buffers)
 // on worker threads, and must still match serial main-thread output
 // exactly (see the scratch-discipline contract in outlier/detector.h).
+// And the one-executor contract: ReleaseBatch fans out on the engine's
+// probe pool, so batches issued from that pool's own workers and batches
+// racing each other on one engine must complete and stay bit-identical.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/threading.h"
@@ -33,6 +37,20 @@ void ExpectSameRelease(const PcorRelease& a, const PcorRelease& b) {
   EXPECT_EQ(a.probes, b.probes);
   EXPECT_DOUBLE_EQ(a.utility_score, b.utility_score);
   EXPECT_EQ(a.hit_probe_cap, b.hit_probe_cap);
+}
+
+void ExpectSameBatch(const BatchReleaseReport& want,
+                     const BatchReleaseReport& got) {
+  ASSERT_EQ(want.entries.size(), got.entries.size());
+  EXPECT_EQ(want.failures, got.failures);
+  for (size_t i = 0; i < want.entries.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(want.entries[i].rng_seed, got.entries[i].rng_seed);
+    ASSERT_EQ(want.entries[i].status.ok(), got.entries[i].status.ok());
+    if (want.entries[i].status.ok()) {
+      ExpectSameRelease(want.entries[i].release, got.entries[i].release);
+    }
+  }
 }
 
 class IntraReleaseParallelTest : public ::testing::Test {
@@ -77,7 +95,9 @@ TEST_F(IntraReleaseParallelTest, ShardedEngineMatchesDefaultEngine) {
   index_options.shard_count = 5;  // 37 rows over 5 shards: most are empty
   PcorEngine sharded_engine(grid_.dataset, detector_, VerifierOptions{},
                             index_options);
-  ASSERT_EQ(sharded_engine.population_index().shard_count(), 5u);
+  ASSERT_EQ(dynamic_cast<const ShardedPopulationIndex&>(sharded_engine.probe())
+                .segment_count(),
+            5u);
   for (SamplerKind kind :
        {SamplerKind::kDirect, SamplerKind::kUniform, SamplerKind::kRandomWalk,
         SamplerKind::kDfs, SamplerKind::kBfs}) {
@@ -149,16 +169,67 @@ TEST_F(IntraReleaseParallelTest, BatchCarriesTheKnobPerRequest) {
   const auto parallel = engine.ReleaseBatch(
       std::span<const BatchRequest>(requests), BaseOptions(), /*seed=*/55,
       /*num_threads=*/3);
-  ASSERT_EQ(serial.entries.size(), parallel.entries.size());
-  EXPECT_EQ(serial.failures, parallel.failures);
-  for (size_t i = 0; i < serial.entries.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(serial.entries[i].rng_seed, parallel.entries[i].rng_seed);
-    ASSERT_EQ(serial.entries[i].status.ok(), parallel.entries[i].status.ok());
-    if (serial.entries[i].status.ok()) {
-      ExpectSameRelease(serial.entries[i].release,
-                        parallel.entries[i].release);
-    }
+  ExpectSameBatch(serial, parallel);
+}
+
+/// \brief `n` releases of the grid outlier on `threads`, each entry nesting
+/// a 2-thread scoring loop on the engine's pool.
+BatchReleaseReport NestedBatch(const PcorEngine& engine, uint32_t v_row,
+                               PcorOptions options, size_t n, uint64_t seed,
+                               size_t threads) {
+  options.intra_release_threads = 2;
+  std::vector<BatchRequest> requests(n);
+  for (BatchRequest& request : requests) {
+    request.v_row = v_row;
+    request.options = options;
+  }
+  return engine.ReleaseBatch(std::span<const BatchRequest>(requests), options,
+                             seed, threads);
+}
+
+TEST_F(IntraReleaseParallelTest, BatchFromInsideTheProbePoolCompletes) {
+  // The batch fan-out runs on the probe pool itself, so a batch issued by
+  // one of that pool's workers nests ParallelFor inside the pool it is
+  // draining. Caller-drains keeps it deadlock-free at any pool size.
+  ShardedIndexOptions index_options;
+  index_options.shard_count = 3;
+  PcorEngine engine(grid_.dataset, detector_, VerifierOptions{},
+                    index_options);
+  const auto serial =
+      NestedBatch(engine, grid_.v_row, BaseOptions(), 12, /*seed=*/91, 1);
+  ASSERT_EQ(serial.failures, 0u);
+
+  ThreadPool* pool = engine.probe().probe_pool();
+  ASSERT_NE(pool, nullptr);
+  BatchReleaseReport from_worker;
+  pool->Submit([&] {
+    from_worker =
+        NestedBatch(engine, grid_.v_row, BaseOptions(), 12, /*seed=*/91, 4);
+  });
+  pool->Wait();
+  ExpectSameBatch(serial, from_worker);
+}
+
+TEST_F(IntraReleaseParallelTest, ConcurrentBatchesShareThePoolSafely) {
+  // Four callers fan their batches out on the one engine pool at once;
+  // each must match the 1-thread batch exactly.
+  PcorEngine engine(grid_.dataset, detector_);
+  const auto serial =
+      NestedBatch(engine, grid_.v_row, BaseOptions(), 10, /*seed=*/92, 1);
+  ASSERT_EQ(serial.failures, 0u);
+
+  std::vector<BatchReleaseReport> reports(4);
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < reports.size(); ++c) {
+    callers.emplace_back([&, c] {
+      reports[c] =
+          NestedBatch(engine, grid_.v_row, BaseOptions(), 10, /*seed=*/92, 4);
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (size_t c = 0; c < reports.size(); ++c) {
+    SCOPED_TRACE(::testing::Message() << "caller " << c);
+    ExpectSameBatch(serial, reports[c]);
   }
 }
 

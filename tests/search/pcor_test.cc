@@ -111,7 +111,7 @@ TEST_F(PcorEngineTest, ReleasedContextsFollowTheUtilityWeighting) {
   options.sampler = SamplerKind::kBfs;
   options.num_samples = 10;
   options.total_epsilon = 2.0;  // strong signal for the test
-  const auto& index = engine_.population_index();
+  const PopulationProbe& index = engine_.probe();
   ContextVec exact = context_ops::ExactContext(grid_.dataset.schema(),
                                                grid_.dataset, grid_.v_row);
   const double exact_pop = static_cast<double>(index.PopulationCount(exact));

@@ -17,22 +17,7 @@
 namespace pcor {
 namespace {
 
-// The spread-grid rows appended one by one: sealing after the first
-// `grid.dataset.num_rows()` of them reproduces the classic fixture exactly,
-// so a fresh load-once engine is available as the bit-identity oracle.
-std::vector<Row> GridRows(const Dataset& dataset) {
-  std::vector<Row> rows;
-  rows.reserve(dataset.num_rows());
-  for (size_t r = 0; r < dataset.num_rows(); ++r) {
-    Row row;
-    for (size_t a = 0; a < dataset.num_attributes(); ++a) {
-      row.codes.push_back(dataset.code(r, a));
-    }
-    row.metric = dataset.metric(r);
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
+using testing_util::RowsOf;
 
 // Release fields that must be bit-identical between an epoch-pinned
 // streaming release and a fresh load of the same rows (wall time excluded).
@@ -106,10 +91,10 @@ TEST_F(StreamingEngineTest, EpochPinnedBatchBitIdenticalToFreshLoad) {
        {IndexStorage::kDense, IndexStorage::kCompressed}) {
     SCOPED_TRACE(storage == IndexStorage::kDense ? "dense" : "compressed");
     StreamingOptions options;
-    options.index.storage = storage;
+    options.storage = storage;
     StreamingPcorEngine stream(testing_util::GridSchema(), detector_,
                                options);
-    ASSERT_TRUE(stream.AppendRows(GridRows(grid_.dataset)).ok());
+    ASSERT_TRUE(stream.AppendRows(RowsOf(grid_.dataset)).ok());
     const uint64_t epoch = stream.SealEpoch();
     ASSERT_EQ(epoch, grid_.dataset.num_rows());
     const std::shared_ptr<const EpochSnapshot> pinned = stream.Pin();
@@ -151,7 +136,7 @@ TEST_F(StreamingEngineTest, AppendsWhileBatchInFlightCannotPerturbIt) {
   // seals while readers release against their pins; every pinned release
   // must match the fresh-load oracle for its epoch.
   StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
-  ASSERT_TRUE(stream.AppendRows(GridRows(grid_.dataset)).ok());
+  ASSERT_TRUE(stream.AppendRows(RowsOf(grid_.dataset)).ok());
   ASSERT_EQ(stream.SealEpoch(), grid_.dataset.num_rows());
 
   PcorEngine fresh(grid_.dataset, detector_);
@@ -190,7 +175,7 @@ TEST_F(StreamingEngineTest, SharedMemoNeverLeaksAcrossEpochs) {
   // threads: every release must match an engine that never saw the other
   // epoch. A stale-epoch cache hit would break the comparison.
   StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
-  ASSERT_TRUE(stream.AppendRows(GridRows(grid_.dataset)).ok());
+  ASSERT_TRUE(stream.AppendRows(RowsOf(grid_.dataset)).ok());
   ASSERT_EQ(stream.SealEpoch(), grid_.dataset.num_rows());
   const std::shared_ptr<const EpochSnapshot> epoch_a = stream.Pin();
 
@@ -255,7 +240,7 @@ TEST_F(StreamingEngineTest, SealSweepsEpochsOutsideRetainWindow) {
   options.retain_epochs = 1;
   StreamingPcorEngine stream(testing_util::GridSchema(), detector_,
                              options);
-  ASSERT_TRUE(stream.AppendRows(GridRows(grid_.dataset)).ok());
+  ASSERT_TRUE(stream.AppendRows(RowsOf(grid_.dataset)).ok());
   stream.SealEpoch();
   // Warm the memo at epoch 1.
   Rng rng(3);
@@ -280,7 +265,7 @@ TEST_F(StreamingEngineTest, SealSweepsEpochsOutsideRetainWindow) {
   keep_all.retain_epochs = 0;
   StreamingPcorEngine packrat(testing_util::GridSchema(), detector_,
                               keep_all);
-  ASSERT_TRUE(packrat.AppendRows(GridRows(grid_.dataset)).ok());
+  ASSERT_TRUE(packrat.AppendRows(RowsOf(grid_.dataset)).ok());
   packrat.SealEpoch();
   Rng rng2(3);
   ASSERT_TRUE(
@@ -296,7 +281,7 @@ TEST_F(StreamingEngineTest, SealSweepsEpochsOutsideRetainWindow) {
 
 TEST_F(StreamingEngineTest, TreeAccountingBeatsNaiveAndIsDeterministic) {
   StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
-  ASSERT_TRUE(stream.AppendRows(GridRows(grid_.dataset)).ok());
+  ASSERT_TRUE(stream.AppendRows(RowsOf(grid_.dataset)).ok());
   stream.SealEpoch();
 
   // Sixteen continual releases; the acceptance bar requires the
@@ -335,7 +320,7 @@ TEST_F(StreamingEngineTest, TreeAccountingBeatsNaiveAndIsDeterministic) {
   StreamingPcorEngine one(testing_util::GridSchema(), detector_);
   StreamingPcorEngine many(testing_util::GridSchema(), detector_);
   for (StreamingPcorEngine* s : {&one, &many}) {
-    ASSERT_TRUE(s->AppendRows(GridRows(grid_.dataset)).ok());
+    ASSERT_TRUE(s->AppendRows(RowsOf(grid_.dataset)).ok());
     s->SealEpoch();
   }
   std::vector<BatchRequest> requests(12);
@@ -386,9 +371,10 @@ TEST_F(StreamingEngineTest, SegmentedSealsBitIdenticalAcrossCadences) {
   // The never-relaxed equivalence gate: for every seal cadence — one row
   // per epoch, bursty, one big seal — the segmented engine must release
   // exactly like a fresh load-once engine over the same rows, dense and
-  // compressed, with and without compaction. The cadence only changes the
-  // segment layout; answers may not move by a bit.
-  const std::vector<Row> rows = GridRows(grid_.dataset);
+  // compressed, without compaction, with it, and under copy-on-seal
+  // (max_segments = 1). The cadence only changes the segment layout;
+  // answers may not move by a bit.
+  const std::vector<Row> rows = RowsOf(grid_.dataset);
   std::vector<size_t> every_row, bursty;
   for (size_t r = 1; r <= rows.size(); ++r) every_row.push_back(r);
   bursty = {1, 2, 3, 11, 29};
@@ -408,27 +394,28 @@ TEST_F(StreamingEngineTest, SegmentedSealsBitIdenticalAcrossCadences) {
     ASSERT_EQ(want.failures, 0u);
 
     for (const auto& [cadence_name, seal_after] : cadences) {
-      for (const bool compact : {false, true}) {
+      const std::vector<std::pair<const char*, CompactionOptions>> policies =
+          {{"raw", {0, 0}},  // disabled: one segment per seal
+           {"compacted", {/*min_segment_rows=*/8, /*max_segments=*/4}},
+           {"copy_on_seal", {0, 1}}};  // one flat segment, rebuilt per seal
+      for (const auto& [policy_name, policy] : policies) {
         SCOPED_TRACE(::testing::Message()
-                     << cadence_name << (compact ? " compacted" : " raw"));
+                     << cadence_name << " " << policy_name);
         StreamingOptions options;
-        options.index.storage = storage;
-        options.segmented_seal = true;  // assertion target; ignore env pin
-        if (compact) {
-          options.compaction = {/*min_segment_rows=*/8, /*max_segments=*/4};
-        } else {
-          options.compaction = {0, 0};  // disabled: one segment per seal
-        }
+        options.storage = storage;
+        options.compaction = policy;
         StreamingPcorEngine stream(testing_util::GridSchema(), detector_,
                                    options);
         const uint64_t seals = StreamWithCadence(&stream, rows, seal_after);
         ASSERT_EQ(stream.current_epoch(), rows.size());
         const StreamingStats stats = stream.stats();
         EXPECT_EQ(stats.seals, seals);
-        if (!compact) {
+        if (policy.max_segments == 0) {
           // No compaction: the segment layout IS the seal cadence.
           EXPECT_EQ(stats.segments, seals);
           EXPECT_EQ(stats.compactions, 0u);
+        } else if (policy.max_segments == 1) {
+          EXPECT_EQ(stats.segments, 1u);
         }
         const BatchReleaseReport got = stream.Pin()->engine->ReleaseBatch(
             std::span<const uint32_t>(targets), BfsOptions(), /*seed=*/41,
@@ -447,15 +434,25 @@ TEST_F(StreamingEngineTest, CompactionBoundsFanOutWithoutChangingAnswers) {
   // Seal-per-row with an aggressive policy: the fan-out bound must hold at
   // every epoch (not just the last), compactions must actually happen, and
   // RowAt must keep materializing the original rows through any layout.
-  const std::vector<Row> rows = GridRows(grid_.dataset);
+  // One executor per stream: every epoch's probe — and so its engine's
+  // batch fan-out — runs on the pool the stream created, across seals and
+  // compactions alike.
+  const std::vector<Row> rows = RowsOf(grid_.dataset);
   StreamingOptions options;
-  options.segmented_seal = true;
   options.compaction = {/*min_segment_rows=*/4, /*max_segments=*/3};
   StreamingPcorEngine stream(testing_util::GridSchema(), detector_, options);
-  for (size_t r = 0; r < rows.size(); ++r) {
+  ThreadPool* const pool = [&] {
+    stream.Append(rows[0]).CheckOK();
+    stream.SealEpoch();
+    return stream.Pin()->probe->probe_pool();
+  }();
+  ASSERT_NE(pool, nullptr);
+  for (size_t r = 1; r < rows.size(); ++r) {
     stream.Append(rows[r]).CheckOK();
     stream.SealEpoch();
     EXPECT_LE(stream.stats().segments, 3u) << "after seal " << r + 1;
+    EXPECT_EQ(stream.Pin()->engine->probe().probe_pool(), pool)
+        << "after seal " << r + 1;
   }
   const StreamingStats stats = stream.stats();
   EXPECT_EQ(stats.epoch, rows.size());
@@ -473,9 +470,8 @@ TEST_F(StreamingEngineTest, PinnedSnapshotSurvivesLaterCompactions) {
   // Pin an epoch, then keep sealing per-row under a policy that merges
   // constantly: structural sharing means the pin's segment list — and its
   // releases — must be exactly what they were at pin time.
-  const std::vector<Row> rows = GridRows(grid_.dataset);
+  const std::vector<Row> rows = RowsOf(grid_.dataset);
   StreamingOptions options;
-  options.segmented_seal = true;
   options.compaction = {/*min_segment_rows=*/4, /*max_segments=*/2};
   StreamingPcorEngine stream(testing_util::GridSchema(), detector_, options);
   for (const Row& row : rows) {
@@ -484,7 +480,7 @@ TEST_F(StreamingEngineTest, PinnedSnapshotSurvivesLaterCompactions) {
   }
   const std::shared_ptr<const EpochSnapshot> pinned = stream.Pin();
   ASSERT_EQ(pinned->epoch, rows.size());
-  const size_t pinned_segments = pinned->segments.size();
+  const size_t pinned_segments = pinned->probe->segment_count();
   const uint64_t compactions_at_pin = stream.stats().compactions;
 
   // Every post-pin seal merges (max_segments = 2), rewriting the tip's
@@ -496,7 +492,7 @@ TEST_F(StreamingEngineTest, PinnedSnapshotSurvivesLaterCompactions) {
   ASSERT_GT(stream.stats().compactions, compactions_at_pin)
       << "fixture regression: the tail seals never compacted";
   // The pin's own layout is untouched by every later merge.
-  EXPECT_EQ(pinned->segments.size(), pinned_segments);
+  EXPECT_EQ(pinned->probe->segment_count(), pinned_segments);
   for (uint32_t r = 0; r < rows.size(); ++r) {
     EXPECT_EQ(pinned->RowAt(r).codes, rows[r].codes) << "row " << r;
   }
@@ -566,7 +562,8 @@ TEST_F(StreamingEngineTest, RetainWindowTrackingStaysBoundedAtZero) {
 
 TEST_F(StreamingEngineTest, AppendsProgressWhileLargeSealInFlight) {
   // The seal-outside-lock fix: a seal over a large sealed history (worst
-  // case: the copy-on-seal ablation rebuilding everything) must not block
+  // case: copy-on-seal, max_segments = 1, rebuilding everything) must not
+  // block
   // concurrent appends. Count appends completed strictly while the seal is
   // still running — under the old whole-seal lock this count was 0.
   SalaryDatasetSpec spec;
@@ -577,11 +574,11 @@ TEST_F(StreamingEngineTest, AppendsProgressWhileLargeSealInFlight) {
   spec.seed = 777;
   auto generated = GenerateSalaryDataset(spec);
   ASSERT_TRUE(generated.ok());
-  const std::vector<Row> rows = GridRows(generated->dataset);
+  const std::vector<Row> rows = RowsOf(generated->dataset);
 
   StreamingOptions options;
-  options.segmented_seal = false;  // O(history) seal: the slowest case
-  options.index.storage = IndexStorage::kCompressed;
+  options.compaction.max_segments = 1;  // copy-on-seal: O(history) seal
+  options.storage = IndexStorage::kCompressed;
   StreamingPcorEngine stream(generated->dataset.schema(), detector_,
                              options);
   ASSERT_TRUE(stream.AppendRows(rows).ok());

@@ -29,18 +29,7 @@
 namespace pcor {
 namespace {
 
-std::vector<Row> GridRows(const Dataset& dataset) {
-  std::vector<Row> rows;
-  for (size_t r = 0; r < dataset.num_rows(); ++r) {
-    Row row;
-    for (size_t a = 0; a < dataset.num_attributes(); ++a) {
-      row.codes.push_back(dataset.code(r, a));
-    }
-    row.metric = dataset.metric(r);
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
+using testing_util::RowsOf;
 
 class StreamingServerTest : public ::testing::Test {
  protected:
@@ -68,7 +57,7 @@ class StreamingServerTest : public ::testing::Test {
 
   // A stream sealed at exactly the classic fixture.
   void SeedStream(StreamingPcorEngine* stream) {
-    ASSERT_TRUE(stream->AppendRows(GridRows(grid_.dataset)).ok());
+    ASSERT_TRUE(stream->AppendRows(RowsOf(grid_.dataset)).ok());
     ASSERT_EQ(stream->SealEpoch(), grid_.dataset.num_rows());
   }
 
@@ -90,7 +79,7 @@ TEST_F(StreamingServerTest, AppendsSealAndServeWithEpochAnnotations) {
   PcorServer server(stream, TreeOptions());
   EXPECT_TRUE(server.streaming());
 
-  ASSERT_TRUE(server.SubmitAppends(GridRows(grid_.dataset)).ok());
+  ASSERT_TRUE(server.SubmitAppends(RowsOf(grid_.dataset)).ok());
   auto sealed = server.SealEpoch();
   ASSERT_TRUE(sealed.ok());
   EXPECT_EQ(*sealed, grid_.dataset.num_rows());

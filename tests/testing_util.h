@@ -2,7 +2,10 @@
 
 #include <vector>
 
+#include "src/common/random.h"
+#include "src/context/context.h"
 #include "src/data/dataset.h"
+#include "src/data/salary_generator.h"
 #include "src/outlier/zscore.h"
 
 namespace pcor {
@@ -77,6 +80,76 @@ inline ZscoreDetector MakeTestDetector() {
   options.threshold = 3.0;
   options.min_population = 4;
   return ZscoreDetector(options);
+}
+
+/// 80k salary rows: two compression chunks (64Ki + remainder), so
+/// chunk-boundary container logic is on every probe path, and more than
+/// the 64Ki rows at which composed probes scatter over their pool.
+inline Dataset MultiChunkSalaryDataset() {
+  SalaryDatasetSpec spec;
+  spec.num_rows = 80'000;
+  spec.num_jobs = 16;
+  spec.num_employers = 12;
+  spec.num_years = 8;
+  spec.seed = 4242;
+  return std::move(GenerateSalaryDataset(spec).value().dataset);
+}
+
+/// Every row of `dataset`, in order: the append stream that, once sealed,
+/// rebuilds the dataset exactly (a fresh load-once engine is the oracle).
+inline std::vector<Row> RowsOf(const Dataset& dataset) {
+  std::vector<Row> rows;
+  rows.reserve(dataset.num_rows());
+  for (size_t r = 0; r < dataset.num_rows(); ++r) {
+    rows.push_back(dataset.GetRow(r));
+  }
+  return rows;
+}
+
+inline ContextVec RandomContext(const Schema& schema, double density,
+                                Rng* rng) {
+  ContextVec c(schema.total_values());
+  for (size_t bit = 0; bit < c.num_bits(); ++bit) {
+    if (rng->NextBernoulli(density)) c.Set(bit);
+  }
+  return c;
+}
+
+/// One value chosen per attribute — the exact-context shape the search
+/// frontier probes, which the compressed PopulationCount folds through
+/// container intersections without materializing a population.
+inline ContextVec RandomSingletonContext(const Schema& schema, Rng* rng) {
+  ContextVec c(schema.total_values());
+  size_t base = 0;
+  for (size_t a = 0; a < schema.num_attributes(); ++a) {
+    const size_t domain = schema.attribute(a).domain_size();
+    c.Set(base + rng->NextBounded(domain));
+    base += domain;
+  }
+  return c;
+}
+
+/// The equivalence fuzzes' context set: the degenerate shapes (empty
+/// context, full context, one empty attribute) followed by `num_trials`
+/// rounds of dense random, sparse random and all-singleton contexts.
+inline std::vector<ContextVec> FuzzContexts(const Schema& schema,
+                                            uint64_t seed, int num_trials) {
+  Rng rng(seed);
+  std::vector<ContextVec> contexts;
+  contexts.push_back(ContextVec(schema.total_values()));  // no bits chosen
+  contexts.push_back(context_ops::FullContext(schema));
+  {
+    ContextVec one_empty_attr = context_ops::FullContext(schema);
+    const size_t domain0 = schema.attribute(0).domain_size();
+    for (size_t v = 0; v < domain0; ++v) one_empty_attr.Clear(v);
+    contexts.push_back(one_empty_attr);  // selects nothing
+  }
+  for (int t = 0; t < num_trials; ++t) {
+    contexts.push_back(RandomContext(schema, 0.5, &rng));
+    contexts.push_back(RandomContext(schema, 0.15, &rng));
+    contexts.push_back(RandomSingletonContext(schema, &rng));
+  }
+  return contexts;
 }
 
 }  // namespace testing_util
