@@ -25,7 +25,8 @@ namespace pcor {
 /// Scratch discipline under nested parallelism: every built-in detector
 /// keeps thread_local work buffers (grubbs' sorted copy + position array,
 /// the histogram's bin counts + rare-bin table, iqr's sorted copy, lof's
-/// five k-NN vectors) so steady-state probes allocate nothing. Detector
+/// radix keys + sorted positions + window starts + sorted values,
+/// k-distances and lrds) so steady-state probes allocate nothing. Detector
 /// code now also runs *on pool workers* — the engine's intra-release
 /// scoring loop and the sharded index's probes dispatch through
 /// ThreadPool::ParallelFor, and a verifier cache miss inside either runs

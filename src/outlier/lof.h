@@ -20,16 +20,21 @@ struct LofOptions {
 /// distance-based detector.
 ///
 /// The metric attribute is one-dimensional, so exact k-nearest neighbors
-/// can be found on the sorted order with a two-pointer window — O(n log n)
-/// overall instead of the naive O(n^2). Scores follow the standard
-/// definitions: k-distance, reachability distance, local reachability
-/// density (lrd) and LOF = mean(lrd of neighbors) / lrd(point).
+/// are a window of k+1 consecutive points in sorted order. The order comes
+/// from a stable LSD radix sort of 32-bit positions keyed by an
+/// order-preserving 64-bit image of each value, one pass per byte of the
+/// key range; the windows come from one pointer that slides right as the
+/// point moves right. Both are O(n), and the scores below add O(nk): the
+/// naive version is O(n^2). Scores follow the standard definitions:
+/// k-distance, reachability distance, local reachability density (lrd) and
+/// LOF = mean(lrd of neighbors) / lrd(point).
 ///
-/// Determinism notes (required by the paper's Definition 3.1): neighbor
-/// sets are exactly k points chosen by expanding toward the nearer side,
-/// breaking distance ties toward smaller values; duplicate-heavy
-/// neighborhoods with zero reachability sum get lrd = +inf and LOF ratios
-/// involving two infinities resolve to 1 (dense duplicates are inliers).
+/// Determinism notes (required by the paper's Definition 3.1): the order
+/// is by (value, position), with -0.0 tying +0.0; neighbor sets are exactly
+/// k points chosen by expanding toward the nearer side, breaking distance
+/// ties toward smaller values; duplicate-heavy neighborhoods with zero
+/// reachability sum get lrd = +inf and LOF ratios involving two infinities
+/// resolve to 1 (dense duplicates are inliers).
 class LofDetector : public OutlierDetector {
  public:
   explicit LofDetector(LofOptions options = {});

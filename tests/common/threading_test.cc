@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
 #include <numeric>
 
 namespace pcor {
@@ -209,19 +210,24 @@ TEST(ThreadPoolTest, PinnedWorkersRoundRobinAcrossNodes) {
     EXPECT_EQ(pool.worker_node(i), i % 2) << "worker " << i;
   }
   // Each worker observes the node it was placed on, which is what routes
-  // it to the node-local cache shard group.
+  // it to the node-local cache shard group. Every task holds its worker
+  // until all four workers hold one, so each worker runs exactly one task
+  // and both nodes must be seen however the scheduler orders the wake-ups.
   std::mutex mu;
   std::vector<size_t> seen_nodes;
-  for (int task = 0; task < 32; ++task) {
+  std::latch all_running(4);
+  for (int task = 0; task < 4; ++task) {
     pool.Submit([&] {
-      std::lock_guard<std::mutex> lock(mu);
-      seen_nodes.push_back(CurrentNumaNode());
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        seen_nodes.push_back(CurrentNumaNode());
+      }
+      all_running.arrive_and_wait();
     });
   }
   pool.Wait();
-  for (size_t node : seen_nodes) EXPECT_LT(node, 2u);
-  EXPECT_TRUE(std::any_of(seen_nodes.begin(), seen_nodes.end(),
-                          [](size_t n) { return n == 0; }));
+  std::sort(seen_nodes.begin(), seen_nodes.end());
+  EXPECT_EQ(seen_nodes, (std::vector<size_t>{0, 0, 1, 1}));
 }
 
 TEST(ThreadPoolTest, UnpinnedPoolKeepsEveryWorkerOnNodeZero) {

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <numeric>
 
 #include "src/common/random.h"
+#include "src/common/simd.h"
+#include "src/data/salary_generator.h"
 
 namespace pcor {
 namespace {
@@ -62,6 +68,108 @@ std::vector<double> NaiveLofScores(const std::vector<double>& values,
   return scores;
 }
 
+// The comparison-sort kernel LofDetector::Scores used before its linear-time
+// rewrite, kept verbatim as the bit-identity oracle: positions sorted by
+// (value, index), then a k-step expansion toward the nearer side per point.
+std::vector<double> SeedLofScores(std::span<const double> values, size_t k) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto lrd_ratio = [](double numer, double denom) {
+    if (std::isinf(denom)) return std::isinf(numer) ? 1.0 : 0.0;
+    return numer / denom;
+  };
+  const size_t n = values.size();
+  std::vector<double> scores(n, 1.0);
+  if (n <= k + 1) return scores;
+
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (values[a] != values[b]) return values[a] < values[b];
+    return a < b;
+  });
+  std::vector<double> x(n);
+  for (size_t i = 0; i < n; ++i) x[i] = values[order[i]];
+
+  std::vector<size_t> win_lo(n), win_hi(n);
+  std::vector<double> kdist(n);
+  for (size_t i = 0; i < n; ++i) {
+    size_t lo = i, hi = i;
+    for (size_t step = 0; step < k; ++step) {
+      const bool can_left = lo > 0;
+      const bool can_right = hi + 1 < n;
+      if (can_left &&
+          (!can_right || x[i] - x[lo - 1] <= x[hi + 1] - x[i])) {
+        --lo;
+      } else {
+        ++hi;
+      }
+    }
+    win_lo[i] = lo;
+    win_hi[i] = hi;
+    kdist[i] = std::max(x[i] - x[lo], x[hi] - x[i]);
+  }
+
+  std::vector<double> lrd(n);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t len = win_hi[i] - win_lo[i] + 1;
+    const double reach_sum =
+        simd::ReachSum(std::span<const double>(x).subspan(win_lo[i], len),
+                       std::span<const double>(kdist).subspan(win_lo[i], len),
+                       x[i]) -
+        kdist[i];
+    lrd[i] = reach_sum > 0.0 ? static_cast<double>(k) / reach_sum : kInf;
+  }
+
+  for (size_t i = 0; i < n; ++i) {
+    double acc = 0.0;
+    for (size_t j = win_lo[i]; j <= win_hi[i]; ++j) {
+      if (j == i) continue;
+      acc += lrd_ratio(lrd[j], lrd[i]);
+    }
+    scores[order[i]] = acc / static_cast<double>(k);
+  }
+  return scores;
+}
+
+// Bit-for-bit equality, except that any NaN matches any NaN.
+bool SameBits(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Scores and flagged sets of `detector` must equal the seed kernel's.
+void ExpectMatchesSeedKernel(const LofDetector& detector,
+                             std::span<const double> values,
+                             const std::string& label) {
+  const std::vector<double> expected =
+      SeedLofScores(values, detector.options().k);
+  const std::vector<double> actual = detector.Scores(values);
+  ASSERT_EQ(actual.size(), expected.size()) << label;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_TRUE(SameBits(actual[i], expected[i]))
+        << label << " i=" << i << " got " << actual[i] << " want "
+        << expected[i];
+  }
+  std::vector<size_t> expected_flagged;
+  simd::ScanAbove(expected, detector.options().score_threshold,
+                  &expected_flagged);
+  ASSERT_EQ(detector.Detect(values), expected_flagged) << label;
+}
+
+// Duplicate-heavy fuzz values: a small palette with signed zeros,
+// infinities, values whose differences overflow, and negatives, so most
+// k-NN windows meet distance ties.
+double FuzzValue(Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  static constexpr double kPalette[] = {0.0,  -0.0, kInf, -kInf, 1e308,
+                                        -1e308, -7.0, -1.0, 1.0,  2.0,
+                                        2.5,  3.0,  1e-300};
+  if (rng.NextBernoulli(0.75)) {
+    return kPalette[rng.NextBounded(std::size(kPalette))];
+  }
+  return std::round(rng.NextGaussian() * 8.0) / 2.0;
+}
+
 LofOptions SmallOptions() {
   LofOptions options;
   options.k = 3;
@@ -108,6 +216,38 @@ TEST(LofTest, MatchesNaiveReferenceOnDistinctValues) {
       EXPECT_NEAR(fast[i], naive[i], 1e-9) << "k=" << k << " i=" << i;
     }
   }
+}
+
+TEST(LofTest, MatchesSeedKernelBitForBit) {
+  Rng rng(4051);
+  for (size_t k : {1ul, 3ul, 10ul}) {
+    LofOptions options = SmallOptions();
+    options.k = k;
+    options.min_population = 1;
+    const LofDetector detector(options);
+    for (size_t n = k + 2; n <= 64; ++n) {
+      for (int trial = 0; trial < 40; ++trial) {
+        std::vector<double> values(n);
+        for (double& v : values) v = FuzzValue(rng);
+        // Half the arrays also get a run of one value longer than 2k, so
+        // whole windows fall inside a tie.
+        if (trial % 2 == 1 && n > 2 * k + 1) {
+          const size_t len = 2 * k + 1 + rng.NextBounded(n - 2 * k);
+          const size_t begin = rng.NextBounded(n - len + 1);
+          std::fill_n(values.begin() + begin, len, FuzzValue(rng));
+        }
+        ExpectMatchesSeedKernel(
+            detector, values,
+            "k=" + std::to_string(k) + " n=" + std::to_string(n) +
+                " trial=" + std::to_string(trial));
+      }
+    }
+  }
+  // The paper's reduced salary workload, whole metric column.
+  const Dataset salary =
+      std::move(GenerateSalaryDataset(ReducedSalarySpec()).value().dataset);
+  ASSERT_EQ(salary.num_rows(), 11000u);
+  ExpectMatchesSeedKernel(LofDetector(), salary.metric_column(), "salary");
 }
 
 TEST(LofTest, DuplicateHeavyDataDoesNotBlowUp) {
