@@ -1,16 +1,14 @@
-// Streaming PCOR bench: epoch-snapshotted appends plus tree-aggregated
-// continual release over the reduced salary workload.
+// Streaming PCOR bench: epoch-snapshotted appends plus continual release
+// over the reduced salary workload.
 //
-// Four phases, one BENCH_JSON line each (two for streaming_seal):
+// Three phases, one BENCH_JSON line each (two for streaming_seal):
 //   * `streaming_append` — stream the whole dataset through Append,
 //     sealing every PCOR_STREAM_SEAL_EVERY rows; appends/s INCLUDES the
 //     periodic incremental (segmented) seals — the honest cost of the
 //     default seal path (see docs/streaming.md).
 //   * `streaming_release` — T = PCOR_STREAM_RELEASES continual releases
-//     against the sealed tip via ReleaseAsOfNow, reporting releases/s and
-//     the memo invalidation count.
-//   * `streaming_epsilon` — the accountant's tree-composed cumulative vs
-//     the naive T-fresh-budgets baseline and their ratio.
+//     against the sealed tip via ReleaseAsOfNow, reporting releases/s,
+//     the memo invalidation count and the stream's epsilon spent.
 //   * `streaming_seal` — seals/s at PCOR_STREAM_SEAL_EPOCHS (default 64)
 //     evenly-sized epochs, segmented (default compaction) vs copy-on-seal
 //     (CompactionOptions::max_segments = 1), timing SealEpoch calls only;
@@ -26,13 +24,14 @@
 //   * NEVER RELAXED: both seal modes release bit-identically from their
 //     tips under the same seed — the segment layout may never move an
 //     answer;
-//   * NEVER RELAXED: for T >= 4 the tree-composed epsilon is strictly
-//     below the naive per-release sum, and matches
-//     TreeAccountant::CumulativeFor to within summation ulp (the
-//     accountant adds marginals one release at a time). Only the seals/s
-//     bar is timing; the equivalence and arithmetic bars always hold.
+//   * NEVER RELAXED: the stream's StreamingStats::epsilon_spent equals the
+//     sum of the releases' own epsilon_spent to within summation ulp —
+//     releases compose sequentially, and the engine must charge every one
+//     in full. Only the seals/s bar is timing; the equivalence and
+//     arithmetic bars always hold.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "bench/bench_json.h"
@@ -47,8 +46,8 @@ using namespace pcor::bench;
 int main() {
   BenchEnv env = ReadBenchEnv(/*default_scale=*/0.2);
   PrintEnv(env,
-           "streaming PCOR: epoch-snapshotted appends + tree-aggregated "
-           "continual release (BFS, eps=0.2, n=20, lof detector)");
+           "streaming PCOR: epoch-snapshotted appends + continual release "
+           "(BFS, eps=0.2, n=20, lof detector)");
 
   auto setup = MakeSalarySetup(env, "lof");
   if (!setup) return 1;
@@ -110,7 +109,7 @@ int main() {
   // Phase 2: continual releases against the sealed tip.
   WallTimer release_timer;
   size_t failures = 0;
-  double eps_per_release = 0.0;
+  double eps_sum = 0.0;
   for (size_t t = 0; t < releases_target; ++t) {
     const uint32_t v_row = setup->outliers[t % setup->outliers.size()];
     Rng rng(env.seed + t);
@@ -119,69 +118,46 @@ int main() {
       ++failures;
       continue;
     }
-    eps_per_release = released->release.epsilon_spent;
+    eps_sum += released->epsilon_spent;
   }
   const double release_wall = release_timer.ElapsedSeconds();
   const StreamingStats stats = stream.stats();
   const double releases_per_s =
       static_cast<double>(stats.releases) / std::max(release_wall, 1e-9);
-  report::SectionHeader("continual release (as-of-now, tree-charged)");
+  report::SectionHeader(
+      "continual release (as-of-now, sequentially composed)");
   std::printf("%llu releases in %.3fs (%.1f releases/s), %zu failures, "
-              "%zu memo invalidations across seals\n",
+              "%zu memo invalidations across seals, epsilon spent %.4f\n",
               static_cast<unsigned long long>(stats.releases), release_wall,
-              releases_per_s, failures, stats.cache_invalidations);
+              releases_per_s, failures, stats.cache_invalidations,
+              stats.epsilon_spent);
   if (failures != 0) {
     std::printf("ERROR: %zu continual releases failed (planted outliers "
                 "must verify at the tip epoch)\n",
                 failures);
     ok = false;
   }
+  // Never relaxed: both sides add the same releases in the same order, so
+  // anything beyond summation ulp is a lost or discounted charge.
+  const double ulp_bound = static_cast<double>(stats.releases) *
+                           std::numeric_limits<double>::epsilon() * eps_sum;
+  if (std::fabs(stats.epsilon_spent - eps_sum) > ulp_bound) {
+    std::printf("ERROR: stream epsilon_spent %.12f != sum of release "
+                "epsilons %.12f (never relaxed)\n",
+                stats.epsilon_spent, eps_sum);
+    ok = false;
+  }
   emitter.Emit(strings::Format(
       "{\"bench\":\"streaming_release\",\"releases\":%llu,\"failures\":%zu,"
       "\"wall_s\":%.6f,\"releases_per_s\":%.2f,\"epoch\":%llu,"
-      "\"cache_invalidations\":%zu,\"kernel_backend\":\"%s\"}",
+      "\"cache_invalidations\":%zu,\"epsilon_spent\":%.4f,"
+      "\"kernel_backend\":\"%s\"}",
       static_cast<unsigned long long>(stats.releases), failures, release_wall,
       releases_per_s, static_cast<unsigned long long>(stats.epoch),
-      stats.cache_invalidations, simd::ActiveBackendName()));
-
-  // Phase 3: the O(log T) accounting win. Never relaxed.
-  const uint64_t T = stats.releases;
-  const double eps_tree = stats.cumulative_epsilon;
-  const double eps_naive = stats.naive_epsilon;
-  const double ratio = eps_naive > 0.0 ? eps_tree / eps_naive : 1.0;
-  report::SectionHeader("epsilon accounting (tree vs naive)");
-  std::printf("T=%llu releases at eps=%.3g: tree %.4f vs naive %.4f "
-              "(ratio %.4f, %llu levels)\n",
-              static_cast<unsigned long long>(T), eps_per_release, eps_tree,
-              eps_naive, ratio,
-              static_cast<unsigned long long>(TreeAccountant::LevelsFor(T)));
-  if (T >= 4) {
-    if (!(eps_tree < eps_naive)) {
-      std::printf("ERROR: tree-composed epsilon %.6f must be strictly below "
-                  "naive %.6f for T >= 4 (never relaxed)\n",
-                  eps_tree, eps_naive);
-      ok = false;
-    }
-    // The accountant sums marginals one release at a time while
-    // CumulativeFor multiplies levels * eps — ulp drift, not slack.
-    const double expected = TreeAccountant::CumulativeFor(T, eps_per_release);
-    if (std::fabs(eps_tree - expected) > 1e-9 * std::max(1.0, expected)) {
-      std::printf("ERROR: accountant cumulative %.12f != CumulativeFor(%llu) "
-                  "= %.12f\n",
-                  eps_tree, static_cast<unsigned long long>(T), expected);
-      ok = false;
-    }
-  }
-  emitter.Emit(strings::Format(
-      "{\"bench\":\"streaming_epsilon\",\"releases\":%llu,"
-      "\"eps_per_release\":%.4f,\"eps_tree\":%.4f,\"eps_naive\":%.4f,"
-      "\"ratio\":%.4f,\"levels\":%llu,\"kernel_backend\":\"%s\"}",
-      static_cast<unsigned long long>(T), eps_per_release, eps_tree,
-      eps_naive, ratio,
-      static_cast<unsigned long long>(TreeAccountant::LevelsFor(T)),
+      stats.cache_invalidations, stats.epsilon_spent,
       simd::ActiveBackendName()));
 
-  // Phase 4: seal cost, segmented vs copy-on-seal. Same rows, same epoch
+  // Phase 3: seal cost, segmented vs copy-on-seal. Same rows, same epoch
   // boundaries, same everything except the compaction policy's
   // max_segments (copy-on-seal is max_segments = 1);
   // only the SealEpoch calls are timed. The equivalence gate then demands

@@ -125,7 +125,6 @@ uint64_t DigestBatchEntry(const BatchEntry& entry) {
     h = Fold(h, DoubleBits(r.utility_score));
     h = Fold(h, r.epoch);
     h = Fold(h, r.stream_release_index);
-    h = Fold(h, DoubleBits(r.stream_epsilon_charged));
     h = Fold(h, r.hit_probe_cap ? 1 : 0);
   }
   return h;

@@ -82,16 +82,10 @@ struct PcorRelease {
   /// release was pinned to (see src/search/streaming.h).
   uint64_t epoch = 0;
   /// Continual-release metadata, zero outside streaming mode: the 1-based
-  /// position of this release in its stream, and the epsilon actually
-  /// charged to the ledger for it. Served releases charge per
-  /// ServeOptions::streaming_charge — the full effective epsilon under
-  /// kPerRelease (the default), or the tree-schedule marginal under
-  /// kTreeSchedule (0 for releases that reuse already-paid tree levels,
-  /// level_price times the levels opened otherwise). The engine-level
-  /// ReleaseAsOfNow path always stamps the tree marginal (its accountant
-  /// is the schedule meter; see src/search/tree_accountant.h).
+  /// position of this release in its stream (the engine's charge order,
+  /// or the tenant's submission order on a served stream). A streamed
+  /// release costs its epsilon_spent, exactly like a classic one.
   uint64_t stream_release_index = 0;
-  double stream_epsilon_charged = 0.0;
 };
 
 /// \brief One unit of work for ReleaseBatch: a query outlier plus an
@@ -163,9 +157,6 @@ struct BatchReleaseReport {
   /// Epoch every entry of this batch executed against (batches never
   /// straddle epochs — the streaming layer pins one snapshot per batch).
   uint64_t epoch = 0;
-  /// Sum of the entries' marginal tree charges; 0 outside streaming mode
-  /// (filled by the continual-release layer, which owns the accountant).
-  double total_stream_epsilon_charged = 0.0;
 
   size_t num_released() const { return entries.size() - failures; }
 };

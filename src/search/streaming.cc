@@ -182,22 +182,13 @@ std::shared_ptr<const EpochSnapshot> StreamingPcorEngine::Pin() const {
   return snapshot_;
 }
 
-ContinualRelease StreamingPcorEngine::ChargeAndAnnotate(
-    PcorRelease release) {
-  const TreeAccountant::Charge charge =
-      accountant_.ChargeNextRelease(release.epsilon_spent);
-  release.stream_release_index = charge.release_index;
-  release.stream_epsilon_charged = charge.marginal;
-  ContinualRelease continual;
-  continual.cumulative_epsilon = charge.cumulative;
-  continual.naive_cumulative_epsilon = charge.naive_cumulative;
-  continual.nodes_summed =
-      TreeAccountant::NodesSummedAt(charge.release_index);
-  continual.release = std::move(release);
-  return continual;
+void StreamingPcorEngine::Charge(PcorRelease* release) {
+  std::lock_guard<std::mutex> lock(mu_);
+  release->stream_release_index = ++releases_;
+  epsilon_spent_ += release->epsilon_spent;
 }
 
-Result<ContinualRelease> StreamingPcorEngine::ReleaseAsOfNow(
+Result<PcorRelease> StreamingPcorEngine::ReleaseAsOfNow(
     uint32_t v_row, const PcorOptions& options, Rng* rng) {
   const std::shared_ptr<const EpochSnapshot> snapshot = Pin();
   if (snapshot->engine == nullptr) {
@@ -206,7 +197,8 @@ Result<ContinualRelease> StreamingPcorEngine::ReleaseAsOfNow(
   }
   PCOR_ASSIGN_OR_RETURN(PcorRelease release,
                         snapshot->engine->Release(v_row, options, rng));
-  return ChargeAndAnnotate(std::move(release));
+  Charge(&release);
+  return release;
 }
 
 BatchReleaseReport StreamingPcorEngine::ReleaseBatchAsOfNow(
@@ -226,14 +218,10 @@ BatchReleaseReport StreamingPcorEngine::ReleaseBatchAsOfNow(
   }
   BatchReleaseReport report =
       snapshot->engine->ReleaseBatch(requests, options, seed, num_threads);
-  // Charge in entry order, after the parallel section: stream positions —
-  // and therefore every marginal — are identical for any thread count.
+  // Charge in entry order, after the parallel section: stream positions
+  // are identical for any thread count.
   for (BatchEntry& entry : report.entries) {
-    if (!entry.status.ok()) continue;
-    ContinualRelease continual = ChargeAndAnnotate(std::move(entry.release));
-    entry.release = std::move(continual.release);
-    report.total_stream_epsilon_charged +=
-        entry.release.stream_epsilon_charged;
+    if (entry.status.ok()) Charge(&entry.release);
   }
   return report;
 }
@@ -257,12 +245,11 @@ StreamingStats StreamingPcorEngine::stats() const {
     stats.appends = appends_;
     stats.seals = seals_;
     stats.segments = snapshot_->probe ? snapshot_->probe->segment_count() : 0;
+    stats.releases = releases_;
+    stats.epsilon_spent = epsilon_spent_;
   }
   stats.compactions = compactions_.load(std::memory_order_relaxed);
   stats.retained_epochs = retained_epochs_.load(std::memory_order_relaxed);
-  stats.releases = accountant_.releases();
-  stats.cumulative_epsilon = accountant_.cumulative_epsilon();
-  stats.naive_epsilon = accountant_.naive_epsilon();
   stats.cache_invalidations = memo_->CacheStats().invalidations;
   return stats;
 }

@@ -10,7 +10,6 @@
 
 #include "src/context/sharded_population_index.h"
 #include "src/search/pcor.h"
-#include "src/search/tree_accountant.h"
 
 namespace pcor {
 
@@ -88,26 +87,15 @@ struct StreamingStats {
   uint64_t compactions = 0;    ///< segment merges performed at seals
   size_t retained_epochs = 0;  ///< epochs currently inside the retain window
   uint64_t releases = 0;       ///< continual releases charged so far
-  double cumulative_epsilon = 0.0;  ///< tree-composed total
-  double naive_epsilon = 0.0;       ///< T-fresh-budgets baseline
-  size_t cache_invalidations = 0;   ///< memo entries swept at seals
-};
-
-/// \brief One "outliers as of now" release plus its continual-release
-/// accounting. `release.stream_release_index` / `stream_epsilon_charged`
-/// carry the per-release tree charge; the fields here add the stream-level
-/// cumulative view.
-struct ContinualRelease {
-  PcorRelease release;
-  double cumulative_epsilon = 0.0;        ///< tree-composed, after this one
-  double naive_cumulative_epsilon = 0.0;  ///< what T * eps would have cost
-  uint64_t nodes_summed = 0;  ///< popcount(t) partial-sum nodes (telemetry)
+  /// Sum of the charged releases' epsilon_spent: sequential composition.
+  double epsilon_spent = 0.0;
+  size_t cache_invalidations = 0;  ///< memo entries swept at seals
 };
 
 /// \brief PCOR over data that arrives forever: appends land in a mutable
 /// tail, SealEpoch turns the accumulated tail into a new immutable epoch
 /// snapshot, and "as of now" releases run against the latest sealed
-/// snapshot with tree-composed epsilon accounting.
+/// snapshot, each charged its full epsilon.
 ///
 /// Contracts (tested, see tests/search/streaming_engine_test.cc):
 ///   - **Snapshot consistency.** A release (or batch) pinned to epoch k is
@@ -123,13 +111,13 @@ struct ContinualRelease {
 ///     entry by (epoch, context); a query at epoch e can only see entries
 ///     computed at epoch e. Epoch retirement (retain_epochs) is storage
 ///     reclamation, not a correctness mechanism.
-///   - **Accounting.** Each release is charged by the binary-tree
-///     schedule (TreeAccountant): cumulative epsilon after T releases is
-///     O(log T) levels instead of T fresh budgets. The engine-level
-///     accountant charges successful releases in completion order; the
-///     serving front-end instead charges per tenant at admission (see
-///     PcorServer streaming mode), which is the authoritative ledger in
-///     multi-tenant deployments.
+///   - **Accounting.** Every successful release re-runs the sampler and
+///     the exponential mechanism, so it is charged its own epsilon_spent
+///     and releases compose sequentially: stats().epsilon_spent is the
+///     plain sum. The engine charges in completion order (entry order
+///     within a batch); the serving front-end instead charges per tenant
+///     at admission (see PcorServer streaming mode), which is the
+///     authoritative ledger in multi-tenant deployments.
 ///
 /// Costs, stated plainly: SealEpoch indexes only the tail rows into a new
 /// immutable segment — O(tail), plus amortized O(log total) per row of
@@ -181,19 +169,17 @@ class StreamingPcorEngine {
   std::shared_ptr<const EpochSnapshot> Pin() const;
 
   /// \brief Releases a private valid context for `v_row` (a sealed row
-  /// id) "as of now": against the latest sealed snapshot, charged by the
-  /// tree accountant. kFailedPrecondition before the first seal; other
+  /// id) "as of now": against the latest sealed snapshot, charged its
+  /// epsilon_spent. kFailedPrecondition before the first seal; other
   /// errors as PcorEngine::Release. Only successful releases are charged.
-  Result<ContinualRelease> ReleaseAsOfNow(uint32_t v_row,
-                                          const PcorOptions& options,
-                                          Rng* rng);
+  Result<PcorRelease> ReleaseAsOfNow(uint32_t v_row,
+                                     const PcorOptions& options, Rng* rng);
 
   /// \brief Batch variant: pins one snapshot for the whole batch (batches
   /// never straddle epochs), executes PcorEngine::ReleaseBatch, then
   /// charges successful entries in entry order — deterministic for any
-  /// thread count. Entries carry epoch/stream fields;
-  /// `report.total_stream_epsilon_charged` sums the marginals. Before the
-  /// first seal every entry fails with kFailedPrecondition.
+  /// thread count. Entries carry epoch and stream_release_index. Before
+  /// the first seal every entry fails with kFailedPrecondition.
   BatchReleaseReport ReleaseBatchAsOfNow(
       std::span<const BatchRequest> requests, const PcorOptions& options,
       uint64_t seed, size_t num_threads = 0);
@@ -204,28 +190,27 @@ class StreamingPcorEngine {
 
   /// \brief The shared epoch-keyed memo (for stats and tests).
   const std::shared_ptr<VerifierMemo>& memo() const { return memo_; }
-  /// \brief The stream-level tree accountant (see class comment for how
-  /// it relates to the serving front-end's per-tenant ledgers).
-  const TreeAccountant& accountant() const { return accountant_; }
 
  private:
   /// \brief Schema validation shared by Append and AppendRows.
   Status ValidateRow(const std::vector<uint32_t>& codes) const;
-  /// \brief Annotates a successful release with its tree charge.
-  ContinualRelease ChargeAndAnnotate(PcorRelease release);
+  /// \brief Charges a successful release and stamps its stream position.
+  void Charge(PcorRelease* release);
 
   Schema schema_;
   const OutlierDetector* detector_;
   StreamingOptions options_;
   std::shared_ptr<VerifierMemo> memo_;
   std::shared_ptr<ThreadPool> pool_;
-  TreeAccountant accountant_;
 
-  mutable std::mutex mu_;  // guards tail_, snapshot_, appends_, seals_
+  // Guards the tail, the current snapshot and the four counters below.
+  mutable std::mutex mu_;
   std::vector<Row> tail_;
   std::shared_ptr<const EpochSnapshot> snapshot_;
   uint64_t appends_ = 0;
   uint64_t seals_ = 0;
+  uint64_t releases_ = 0;
+  double epsilon_spent_ = 0.0;
 
   // Serializes SealEpoch calls and guards sealed_epochs_. Held across the
   // whole (lock-free for appenders) segment build; never taken by the

@@ -17,13 +17,6 @@ Status ValidateTenantConfig(const TenantConfig& config) {
         "tenant epsilon_cap must be non-negative, got %g",
         *config.epsilon_cap));
   }
-  if (config.stream_level_epsilon.has_value() &&
-      (!std::isfinite(*config.stream_level_epsilon) ||
-       *config.stream_level_epsilon <= 0.0)) {
-    return Status::InvalidArgument(strings::Format(
-        "tenant stream_level_epsilon must be finite and positive, got %g",
-        *config.stream_level_epsilon));
-  }
   return Status::OK();
 }
 

@@ -53,21 +53,10 @@ struct TenantConfig {
   /// Per-tenant override of ServeOptions::per_client_epsilon_cap; nullopt
   /// inherits the server-wide default.
   std::optional<double> epsilon_cap;
-  /// Streaming tree-schedule mode only
-  /// (StreamingChargePolicy::kTreeSchedule): this tenant's *level price*
-  /// — the epsilon one opened tree level costs, and the ceiling on the
-  /// effective per-request epsilon the tenant may submit (a request
-  /// priced above the paid level would void the schedule's composition
-  /// bound, so admission rejects it with kInvalidArgument). nullopt
-  /// inherits the server default, `ServeOptions::release.total_epsilon`.
-  /// Must be finite and positive when set. Ignored outside tree-schedule
-  /// streaming mode.
-  std::optional<double> stream_level_epsilon;
 };
 
-/// \brief Rejects non-finite/non-positive weights, negative epsilon caps,
-/// and non-finite/non-positive level prices with kInvalidArgument; OK
-/// otherwise.
+/// \brief Rejects non-finite/non-positive weights and negative/NaN epsilon
+/// caps with kInvalidArgument; OK otherwise.
 Status ValidateTenantConfig(const TenantConfig& config);
 
 /// \brief Bounded multi-producer single-consumer admission queue with

@@ -57,15 +57,6 @@ Status PcorServer::RegisterTenant(std::string_view tenant_id,
   } else {
     accountant_.ClearCap(tenant_id);
   }
-  {
-    std::unique_lock<std::mutex> lock(state_mu_);
-    if (config.stream_level_epsilon.has_value()) {
-      level_price_[std::string(tenant_id)] = *config.stream_level_epsilon;
-    } else {
-      auto it = level_price_.find(tenant_id);
-      if (it != level_price_.end()) level_price_.erase(it);
-    }
-  }
   return Status::OK();
 }
 
@@ -84,58 +75,18 @@ Result<Future<BatchEntry>> PcorServer::SubmitAsync(
   }
   const double eps = request.options ? request.options->total_epsilon
                                      : options_.release.total_epsilon;
-  {
-    std::unique_lock<std::mutex> lock(state_mu_);
-    if (shutting_down_) {
-      std::unique_lock<std::mutex> stats_lock(stats_mu_);
-      ++stats_.rejected_queue;
-      return Status::Unavailable("server is shutting down");
-    }
-  }
-
   Pending pending;
   pending.client_id = std::string(client_id);
   pending.request = request;
   pending.request.use_explicit_seed = true;
+  pending.cost = eps;
   uint64_t my_seq = 0;
-  uint64_t prev_levels = 0;
-  double cost = eps;
-  const bool tree_charged =
-      stream_ != nullptr &&
-      options_.streaming_charge == StreamingChargePolicy::kTreeSchedule;
-  if (stream_ == nullptr) {
-    // Classic mode: charge the full per-release epsilon, then claim the
-    // client's next stream slot.
-    Status charged = accountant_.Charge(client_id, cost);
-    if (!charged.ok()) {
-      std::unique_lock<std::mutex> stats_lock(stats_mu_);
-      ++stats_.rejected_budget;
-      return charged;
-    }
-    pending.cost = cost;
-    std::unique_lock<std::mutex> lock(state_mu_);
-    if (shutting_down_) {
-      lock.unlock();
-      accountant_.Refund(client_id, cost);
-      std::unique_lock<std::mutex> stats_lock(stats_mu_);
-      ++stats_.rejected_queue;
-      return Status::Unavailable("server is shutting down");
-    }
-    auto it = clients_.find(client_id);
-    if (it == clients_.end()) {
-      it = clients_.emplace(pending.client_id, StreamState{}).first;
-    }
-    my_seq = it->second.seq;
-    pending.request.rng_seed = RequestSeed(options_.seed, client_id, my_seq);
-    ++it->second.seq;
-  } else {
-    // Streaming mode: the charge depends on the tenant's stream position
-    // (under kTreeSchedule) and on its paid tree levels, so the slot
-    // claim and the ledger charge happen atomically under state_mu_ — a
-    // refused charge hands the slot straight back, and no concurrent
-    // submission for this client can have claimed a later slot in
-    // between. The accountant's mutex is a leaf; taking it under
-    // state_mu_ cannot invert any lock order.
+  {
+    // One admission path for both modes: every release, classic or
+    // streamed, costs its full effective epsilon. Charge and slot claim
+    // happen together under state_mu_, so a refused charge never consumes
+    // a slot and a shutdown cannot slip in between. The accountant's mutex
+    // is a leaf; taking it under state_mu_ cannot invert any lock order.
     std::unique_lock<std::mutex> lock(state_mu_);
     if (shutting_down_) {
       lock.unlock();
@@ -143,71 +94,24 @@ Result<Future<BatchEntry>> PcorServer::SubmitAsync(
       ++stats_.rejected_queue;
       return Status::Unavailable("server is shutting down");
     }
-    auto it = clients_.find(client_id);
-    if (it == clients_.end()) {
-      it = clients_.emplace(pending.client_id, StreamState{}).first;
-    }
-    StreamState& state = it->second;
-    if (state.seq == 0 && state.levels_paid == 0) {
-      // Stream start: pin this stream's level price. One stream buys all
-      // its levels at one price — later re-registrations cannot re-price
-      // levels already bought.
-      auto price_it = level_price_.find(client_id);
-      state.level_price = price_it != level_price_.end()
-                              ? price_it->second
-                              : options_.release.total_epsilon;
-    }
-    if (tree_charged && eps > state.level_price * (1.0 + 1e-12)) {
-      // The tree schedule prices LEVELS, not requests: a release more
-      // expensive than the paid level would ride levels that never
-      // covered it, voiding the schedule's composition bound. Reject
-      // before anything is charged or sequenced.
-      lock.unlock();
-      std::unique_lock<std::mutex> stats_lock(stats_mu_);
-      ++stats_.rejected_invalid;
-      return Status::InvalidArgument(
-          "streaming tree-schedule admission requires the request's "
-          "effective total_epsilon to be at most the tenant's level "
-          "price (TenantConfig::stream_level_epsilon, default "
-          "ServeOptions::release.total_epsilon); submit a cheaper "
-          "request, raise the level price, or use "
-          "StreamingChargePolicy::kPerRelease");
-    }
-    my_seq = state.seq;
-    const uint64_t position = my_seq + 1;
-    const uint64_t needed = TreeAccountant::LevelsFor(position);
-    prev_levels = state.levels_paid;
-    // The tree marginal is priced off the levels the ledger actually
-    // holds, not off the position's power-of-two-ness: a burned
-    // level-opening slot keeps its levels paid, and a refunded one gives
-    // them back, so the marginal can never discount a level nobody paid
-    // for.
-    const double marginal =
-        needed > prev_levels
-            ? static_cast<double>(needed - prev_levels) * state.level_price
-            : 0.0;
-    cost = tree_charged ? marginal : eps;
-    Status charged = accountant_.Charge(client_id, cost);
+    Status charged = accountant_.Charge(client_id, eps);
     if (!charged.ok()) {
       lock.unlock();
       std::unique_lock<std::mutex> stats_lock(stats_mu_);
       ++stats_.rejected_budget;
       return charged;
     }
-    state.seq = position;
-    if (needed > state.levels_paid) state.levels_paid = needed;
-    pending.request.rng_seed = RequestSeed(options_.seed, client_id, my_seq);
-    pending.cost = cost;
-    pending.stream_index = position;
-    pending.naive_cost = eps;
+    auto it = seq_.find(client_id);
+    if (it == seq_.end()) it = seq_.emplace(pending.client_id, 0).first;
+    my_seq = it->second++;
   }
+  pending.request.rng_seed = RequestSeed(options_.seed, client_id, my_seq);
+  pending.stream_index = my_seq + 1;
   Future<BatchEntry> future = pending.promise.GetFuture();
 
-  // The DRR charge is the request's PER-RELEASE epsilon (not the tree
-  // marginal, which is zero for most kTreeSchedule admissions), so a
-  // tenant's fair share holds in work per second: one expensive release
-  // costs as many scheduling credits as many cheap ones. In classic mode
-  // and under kPerRelease, eps and the ledger charge coincide.
+  // The DRR charge is the request's epsilon, so a tenant's fair share
+  // holds in privacy budget per second: one expensive release costs as
+  // many scheduling credits as many cheap ones.
   QueueOp pushed =
       options_.backpressure == BackpressurePolicy::kBlock
           ? queue_.Push(client_id, std::move(pending), eps)
@@ -218,23 +122,14 @@ Result<Future<BatchEntry>> PcorServer::SubmitAsync(
     // submission for this client may have claimed a later slot; the slot
     // is returned only when none did — an unconditional decrement could
     // hand an already-admitted request's seed to the next submission, and
-    // two releases must never share an Rng stream. A slot that cannot be
-    // reclaimed is burned, and under kTreeSchedule a burned slot KEEPS
-    // its charge and its paid levels: concurrent submissions priced
-    // their marginals off those levels, so refunding would let them ride
-    // a level nobody paid for. Per-release charges (classic mode,
-    // kPerRelease) are position-independent and always refunded.
-    bool slot_returned = false;
+    // two releases must never share an Rng stream. The charge does not
+    // depend on the slot, so it is always refunded.
     {
       std::unique_lock<std::mutex> lock(state_mu_);
-      auto it = clients_.find(client_id);
-      if (it != clients_.end() && it->second.seq == my_seq + 1) {
-        --it->second.seq;
-        if (stream_ != nullptr) it->second.levels_paid = prev_levels;
-        slot_returned = true;
-      }
+      auto it = seq_.find(client_id);
+      if (it != seq_.end() && it->second == my_seq + 1) --it->second;
     }
-    if (!tree_charged || slot_returned) accountant_.Refund(client_id, cost);
+    accountant_.Refund(client_id, eps);
     std::unique_lock<std::mutex> stats_lock(stats_mu_);
     if (pushed == QueueOp::kTenantFull) {
       ++stats_.rejected_depth;
@@ -255,7 +150,6 @@ Result<Future<BatchEntry>> PcorServer::SubmitAsync(
   {
     std::unique_lock<std::mutex> stats_lock(stats_mu_);
     ++stats_.submitted;
-    if (stream_ != nullptr) stats_.naive_epsilon_spent += eps;
   }
   return future;
 }
@@ -348,23 +242,16 @@ void PcorServer::DispatcherLoop() {
     if (abort_pending_.load(std::memory_order_relaxed)) {
       // Abort-mode shutdown: complete undispatched work with a typed
       // kUnavailable entry and return the untouched budget charges.
-      // (Tree-mode paid levels are not rolled back here — the server is
-      // shutting down, so no later admission can ride them; the refund
-      // only makes ServerStats::tree_epsilon_spent an over-estimate of
-      // the final ledger, the safe direction.)
-      double naive_refunded = 0.0;
       for (Pending& pending : batch) {
         BatchEntry entry;
         entry.v_row = pending.request.v_row;
         entry.rng_seed = pending.request.rng_seed;
         entry.status = Status::Unavailable("server shut down before dispatch");
         accountant_.Refund(pending.client_id, pending.cost);
-        naive_refunded += pending.naive_cost;
         pending.promise.Set(std::move(entry));
       }
       std::unique_lock<std::mutex> stats_lock(stats_mu_);
       stats_.failed += batch.size();
-      stats_.naive_epsilon_spent -= naive_refunded;
       continue;
     }
     ExecuteBatch(std::move(batch));
@@ -380,8 +267,8 @@ void PcorServer::ExecuteBatch(std::vector<Pending> batch) {
   // never straddles epochs — and execute against its engine. The pin keeps
   // the epoch's dataset and index alive however many appends/seals race
   // this dispatch. Before the first seal there is nothing to release
-  // against: entries fail typed and keep their admission charge (the slot
-  // is burned; see the class comment).
+  // against: entries fail typed and keep their admission charge (see the
+  // class comment).
   std::shared_ptr<const EpochSnapshot> snapshot;
   const PcorEngine* engine = engine_;
   if (stream_ != nullptr) {
@@ -413,15 +300,13 @@ void PcorServer::ExecuteBatch(std::vector<Pending> batch) {
         std::span<const BatchRequest>(requests), options_.release,
         options_.seed, options_.release_threads);
     if (stream_ != nullptr) {
-      // Annotate entries with the epsilon admission actually charged —
-      // the full effective epsilon under kPerRelease, the tree marginal
-      // under kTreeSchedule (the engine stamped the epoch already).
-      // Failed entries carry no release to annotate.
+      // Annotate entries with their stream position (the engine stamped
+      // the epoch already). Failed entries carry no release to annotate.
       for (size_t i = 0; i < batch.size(); ++i) {
         BatchEntry& entry = report.entries[i];
-        if (!entry.status.ok()) continue;
-        entry.release.stream_release_index = batch[i].stream_index;
-        entry.release.stream_epsilon_charged = batch[i].cost;
+        if (entry.status.ok()) {
+          entry.release.stream_release_index = batch[i].stream_index;
+        }
       }
     }
     {
@@ -470,18 +355,7 @@ ServerStats PcorServer::stats() const {
   snapshot.queue_high_water =
       queue_high_water_.load(std::memory_order_relaxed);
   snapshot.epsilon_spent = accountant_.TotalSpent();
-  if (stream_ != nullptr) {
-    snapshot.epoch = stream_->current_epoch();
-    // The tree schedule's position: paid levels times the stream's
-    // pinned price, summed over tenants. Under kTreeSchedule this equals
-    // the streaming admissions' ledger charges; under kPerRelease it is
-    // the advisory what-the-tree-would-have-charged number.
-    std::unique_lock<std::mutex> lock(state_mu_);
-    for (const auto& [id, state] : clients_) {
-      snapshot.tree_epsilon_spent +=
-          static_cast<double>(state.levels_paid) * state.level_price;
-    }
-  }
+  if (stream_ != nullptr) snapshot.epoch = stream_->current_epoch();
   return snapshot;
 }
 

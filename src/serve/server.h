@@ -18,7 +18,6 @@
 #include "src/common/result.h"
 #include "src/search/pcor.h"
 #include "src/search/streaming.h"
-#include "src/search/tree_accountant.h"
 #include "src/serve/budget_accountant.h"
 #include "src/serve/scheduler.h"
 
@@ -47,34 +46,6 @@ class ServeError : public std::exception {
 enum class BackpressurePolicy {
   kBlock,   ///< block the submitting thread until space frees up
   kReject,  ///< fail fast with a typed kResourceExhausted status
-};
-
-/// \brief How streaming-mode admission charges the tenant's epsilon
-/// ledger. Classic servers always charge per release; this knob only
-/// exists because continual release offers a cheaper schedule whose DP
-/// guarantee for PCOR is not yet proven end to end.
-enum class StreamingChargePolicy {
-  /// Default, and the sound choice: every continual release charges its
-  /// full effective epsilon, exactly like classic mode, so
-  /// `per_client_epsilon_cap` bounds the tenant's actual privacy loss
-  /// under plain sequential composition. The binary-tree schedule is
-  /// still computed and reported (ServerStats::tree_epsilon_spent) as
-  /// advisory telemetry — what the tree ledger *would* hold.
-  kPerRelease,
-  /// Opt-in: charge the binary-tree continual-observation schedule
-  /// instead — a tenant's ledger after T releases holds
-  /// LevelsFor(T) * level_price, O(log T). The level price is pinned per
-  /// tenant (`TenantConfig::stream_level_epsilon`, defaulting to
-  /// `ServeOptions::release.total_epsilon`), and admission rejects any
-  /// request whose effective epsilon exceeds it with kInvalidArgument —
-  /// otherwise a tenant could open levels cheaply and ride expensive
-  /// releases on them for free. Under this policy the cap bounds the
-  /// TREE ledger, not sequential composition: PCOR's releases re-run the
-  /// mechanism per release rather than reading once-perturbed partial-sum
-  /// nodes, and the full continual-observation OCDP proof is future work
-  /// (docs/privacy.md). Opting in is an explicit statement that the
-  /// deployment accepts the schedule as its budgeting policy.
-  kTreeSchedule,
 };
 
 /// \brief Serving front-end configuration.
@@ -112,10 +83,6 @@ struct ServeOptions {
   uint64_t seed = 2021;
   /// Per-client cumulative epsilon cap (infinity = unlimited).
   double per_client_epsilon_cap = std::numeric_limits<double>::infinity();
-  /// Streaming mode only: what the cap meters — full per-release epsilon
-  /// (default; sequential composition) or the opt-in binary-tree
-  /// schedule. See StreamingChargePolicy for exactly what each bounds.
-  StreamingChargePolicy streaming_charge = StreamingChargePolicy::kPerRelease;
   /// Test/instrumentation hook run by the dispatcher immediately before
   /// each micro-batch executes. An exception thrown here propagates to
   /// every future in that batch as a ServeError carrying the original
@@ -146,17 +113,6 @@ struct ServerStats {
   size_t appends = 0;          ///< rows accepted by SubmitAppend
   size_t epochs_sealed = 0;    ///< SealEpoch calls accepted
   uint64_t epoch = 0;          ///< current sealed epoch of the stream
-  /// What the ledgers would hold under classic per-release charging.
-  /// Under StreamingChargePolicy::kPerRelease this equals the streaming
-  /// portion of `epsilon_spent`; under kTreeSchedule the schedule's
-  /// savings are `naive_epsilon_spent - epsilon_spent`.
-  double naive_epsilon_spent = 0.0;
-  /// What the binary-tree schedule charges: the sum over tenants of
-  /// paid-levels times level price. Under kTreeSchedule this IS the
-  /// streaming portion of `epsilon_spent`; under kPerRelease it is
-  /// advisory telemetry — what opting into the tree schedule would have
-  /// cost.
-  double tree_epsilon_spent = 0.0;
 };
 
 /// \brief Asynchronous multi-tenant serving front-end over
@@ -188,31 +144,20 @@ struct ServerStats {
 /// Streaming mode (construct over a StreamingPcorEngine): SubmitAppend /
 /// SealEpoch grow the stream, and every dispatched micro-batch pins ONE
 /// epoch snapshot — a batch never straddles epochs, so its entries all
-/// report the same PcorRelease::epoch. What admission charges is set by
-/// ServeOptions::streaming_charge: under the default kPerRelease every
-/// release pays its full effective epsilon (the cap bounds sequential
-/// composition, same as classic mode, with the tree schedule reported as
-/// telemetry); under the opt-in kTreeSchedule the tenant's k-th
-/// submission sits at stream position t = k + 1 and pays
-/// (LevelsFor(t) - levels already paid) * level_price, where the level
-/// price is pinned per tenant (TenantConfig::stream_level_epsilon,
-/// defaulting to ServeOptions::release.total_epsilon) and requests whose
-/// effective epsilon exceeds it are rejected with kInvalidArgument — so
-/// a tenant's ledger after T admissions holds LevelsFor(T) * price,
-/// O(log T), and a fixed cap admits exponentially more continual
-/// releases than per-release charging (docs/streaming.md works the
-/// arithmetic; docs/privacy.md states what each policy's cap bounds).
-/// The stream position doubles as the Rng stream index, so determinism
-/// is unchanged: identical append/seal/submit interleavings at epoch
-/// granularity are bit-identical at any thread count. A budget rejection
-/// hands the slot straight back (slot claim and charge are atomic); a
-/// door rejection after admission (queue full, tenant depth) returns the
-/// slot and refunds only when no later submission of the same tenant has
-/// claimed the next slot — a slot that cannot be returned is burned and
-/// KEEPS any level charge tied to it, so later positions never ride on
-/// an unpaid level (over-charging is the safe direction). Once
-/// dispatched, charges stick — including entries failed for lack of a
-/// sealed epoch.
+/// report the same PcorRelease::epoch. Admission is the same path as in
+/// classic mode: every release is charged its full effective epsilon and
+/// the cap bounds sequential composition. The tenant's k-th submission
+/// sits at stream position k + 1 (PcorRelease::stream_release_index),
+/// which doubles as its Rng stream index, so identical
+/// append/seal/submit interleavings at epoch granularity are
+/// bit-identical at any thread count. Once dispatched, charges stick —
+/// including entries failed for lack of a sealed epoch.
+///
+/// Admission rollback (both modes): a door rejection after the charge
+/// (queue full, tenant depth) always refunds, and returns the slot only
+/// when no later submission of the same tenant has claimed the next one;
+/// a slot that cannot be returned is burned, so two releases never share
+/// an Rng stream.
 ///
 /// Thread-safety: every public method may be called concurrently from any
 /// thread. SubmitAsync blocks only under BackpressurePolicy::kBlock with a
@@ -224,11 +169,10 @@ class PcorServer {
 
   /// \brief Streaming mode: serve continual releases over an evolving
   /// stream. The streaming engine must outlive the server. The server
-  /// charges tenants at admission per ServeOptions::streaming_charge and
-  /// is then the authoritative ledger — it drives
-  /// PcorEngine::ReleaseBatch on pinned snapshots directly and does NOT
-  /// also run the engine-level StreamingPcorEngine accountant (which
-  /// meters the single-owner ReleaseAsOfNow path).
+  /// charges tenants at admission and is then the authoritative ledger —
+  /// it drives PcorEngine::ReleaseBatch on pinned snapshots directly and
+  /// does NOT also charge the engine-level StreamingStats::epsilon_spent
+  /// (which meters the single-owner ReleaseAsOfNow path).
   PcorServer(StreamingPcorEngine& stream, ServeOptions options);
 
   /// \brief Drains and stops (Shutdown(true)).
@@ -238,21 +182,14 @@ class PcorServer {
   PcorServer& operator=(const PcorServer&) = delete;
 
   /// \brief Creates or updates tenant `tenant_id`'s QoS configuration:
-  /// scheduling weight, queue-depth bound, the per-tenant epsilon cap
-  /// override on the BudgetAccountant, and (streaming tree-schedule mode)
-  /// the tenant's level price. Each call upserts the whole config: an
-  /// unset epsilon_cap / stream_level_epsilon restores inheritance of the
-  /// server-wide default (it never keeps an earlier registration's
-  /// override). May be called before or after the tenant's first
-  /// submission, from any thread; weight/depth apply from the next
-  /// scheduling decision, the cap from the next admission. The level
-  /// price is pinned when the tenant's stream starts (its first
-  /// admission): re-registering re-prices only a stream that has not
-  /// started yet — a started stream keeps the price its paid levels were
-  /// bought at, so registration can never cheapen levels retroactively.
-  /// Returns kInvalidArgument for a non-positive or non-finite weight, a
-  /// negative/NaN epsilon cap, or a non-positive/non-finite level price.
-  /// Never blocks.
+  /// scheduling weight, queue-depth bound, and the per-tenant epsilon cap
+  /// override on the BudgetAccountant. Each call upserts the whole config:
+  /// an unset epsilon_cap restores inheritance of the server-wide default
+  /// (it never keeps an earlier registration's override). May be called
+  /// before or after the tenant's first submission, from any thread;
+  /// weight/depth apply from the next scheduling decision, the cap from
+  /// the next admission. Returns kInvalidArgument for a non-positive or
+  /// non-finite weight or a negative/NaN epsilon cap. Never blocks.
   Status RegisterTenant(std::string_view tenant_id,
                         const TenantConfig& config);
 
@@ -319,30 +256,9 @@ class PcorServer {
     Promise<BatchEntry> promise;
     std::string client_id;  // for the abort-path refund
     double cost = 0.0;      // epsilon charged at admission (refund amount)
-    // Streaming mode: the tenant's 1-based stream position (0 on a classic
-    // server) and the classic per-release epsilon (for
-    // ServerStats::naive_epsilon_spent bookkeeping; equals `cost` under
-    // StreamingChargePolicy::kPerRelease).
+    // The tenant's 1-based submission position; streaming mode stamps it
+    // on the release as stream_release_index.
     uint64_t stream_index = 0;
-    double naive_cost = 0.0;
-  };
-
-  /// Per-tenant admission state. `seq` counts admitted submissions (the
-  /// next submission takes stream position seq + 1 and Rng stream index
-  /// seq). `levels_paid` is streaming-mode tree-schedule state: the tree
-  /// levels whose price the tenant's ledger currently holds under
-  /// kTreeSchedule, or would hold under kPerRelease (telemetry). It can
-  /// exceed LevelsFor(seq) after a burned level-opening slot — by design:
-  /// the burned slot kept its charge, so the level stays paid.
-  /// `level_price` is pinned from level_price_ / the server default when
-  /// the tenant's stream starts (first admission, or first after a full
-  /// roll-back to zero), so one stream's levels are all priced alike: a
-  /// re-registration can never cheapen or retroactively re-price levels
-  /// already bought.
-  struct StreamState {
-    uint64_t seq = 0;
-    uint64_t levels_paid = 0;
-    double level_price = 0.0;
   };
 
   void DispatcherLoop();
@@ -359,11 +275,9 @@ class PcorServer {
   WeightedFairQueue<Pending> queue_;
 
   mutable std::mutex state_mu_;
-  ClientMap<StreamState> clients_;
-  /// Streaming mode: per-tenant level-price overrides
-  /// (TenantConfig::stream_level_epsilon); tenants without one pay the
-  /// server default, options_.release.total_epsilon.
-  ClientMap<double> level_price_;
+  /// Per-tenant count of admitted submissions: the next submission takes
+  /// Rng stream index seq and, in streaming mode, stream position seq + 1.
+  ClientMap<uint64_t> seq_;
   bool shutting_down_ = false;
   std::atomic<bool> abort_pending_{false};
   std::mutex shutdown_mu_;  // serializes Shutdown callers

@@ -1,21 +1,19 @@
 // Streaming-mode serving: SubmitAppend/SealEpoch grow the stream while
 // continual-release requests ride the classic admission pipeline. The
-// contracts under test: the default StreamingChargePolicy::kPerRelease
-// charges full per-release epsilon (the cap bounds sequential
-// composition) with the tree schedule as telemetry; the opt-in
-// kTreeSchedule charges pinned-price tree levels (requests above the
-// level price are rejected, burned slots keep their level charges, and a
-// fixed tenant cap admits strictly more continual releases than classic
-// charging); the determinism guarantee survives streaming (identical
-// append/seal/submit interleavings at epoch granularity are bit-identical
-// at any thread count); and no micro-batch straddles epochs.
+// contracts under test: streaming admission charges exactly like classic
+// admission — the full effective epsilon per release, so the cap bounds
+// sequential composition — on one path that keeps the ledger equal to the
+// admitted releases and never hands two releases the same seed; the
+// determinism guarantee survives streaming (identical append/seal/submit
+// interleavings at epoch granularity are bit-identical at any thread
+// count); and no micro-batch straddles epochs.
 #include "src/serve/server.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,14 +45,6 @@ class StreamingServerTest : public ::testing::Test {
     return options;
   }
 
-  // The opt-in tree-schedule variant; tests asserting tree arithmetic on
-  // the LEDGER use this, everything else runs under the sound default.
-  ServeOptions TreeOptions() const {
-    ServeOptions options = Options();
-    options.streaming_charge = StreamingChargePolicy::kTreeSchedule;
-    return options;
-  }
-
   // A stream sealed at exactly the classic fixture.
   void SeedStream(StreamingPcorEngine* stream) {
     ASSERT_TRUE(stream->AppendRows(RowsOf(grid_.dataset)).ok());
@@ -76,7 +66,7 @@ TEST_F(StreamingServerTest, ClassicServerRejectsStreamingCalls) {
 
 TEST_F(StreamingServerTest, AppendsSealAndServeWithEpochAnnotations) {
   StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
-  PcorServer server(stream, TreeOptions());
+  PcorServer server(stream, Options());
   EXPECT_TRUE(server.streaming());
 
   ASSERT_TRUE(server.SubmitAppends(RowsOf(grid_.dataset)).ok());
@@ -98,135 +88,46 @@ TEST_F(StreamingServerTest, AppendsSealAndServeWithEpochAnnotations) {
     ASSERT_TRUE(entry.status.ok()) << entry.status.ToString();
     EXPECT_EQ(entry.release.epoch, grid_.dataset.num_rows());
     EXPECT_EQ(entry.release.stream_release_index, k + 1);
-    EXPECT_DOUBLE_EQ(entry.release.stream_epsilon_charged,
-                     TreeAccountant::MarginalFor(k + 1, 0.4));
   }
-  // The tenant ledger holds the tree-composed total, not 9 fresh budgets.
-  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("tenant"),
-                   TreeAccountant::CumulativeFor(9, 0.4));
+  // Nine releases, nine full charges.
+  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("tenant"), 9 * 0.4);
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.appends, grid_.dataset.num_rows());
   EXPECT_EQ(stats.epochs_sealed, 1u);
   EXPECT_EQ(stats.epoch, grid_.dataset.num_rows());
   EXPECT_EQ(stats.released, 9u);
-  EXPECT_DOUBLE_EQ(stats.naive_epsilon_spent, 9 * 0.4);
-  EXPECT_LT(stats.epsilon_spent, stats.naive_epsilon_spent);
-  // Under kTreeSchedule the tree telemetry IS the ledger.
-  EXPECT_DOUBLE_EQ(stats.tree_epsilon_spent, stats.epsilon_spent);
+  EXPECT_DOUBLE_EQ(stats.epsilon_spent, 9 * 0.4);
 }
 
 TEST_F(StreamingServerTest, DefaultPolicyChargesFullEpsilonPerRelease) {
-  // The default streaming_charge is kPerRelease: the ledger grows by the
-  // full effective epsilon per release — exactly classic sequential
-  // composition, so per_client_epsilon_cap bounds actual DP loss — while
-  // the tree schedule is reported as advisory telemetry.
+  // The ledger grows by each release's full effective epsilon — exactly
+  // classic sequential composition, so per_client_epsilon_cap bounds
+  // actual DP loss. A cheap first release must not discount the
+  // expensive ones after it.
   StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
-  ServeOptions options = Options();
-  ASSERT_EQ(options.streaming_charge, StreamingChargePolicy::kPerRelease);
-  PcorServer server(stream, options);
+  PcorServer server(stream, Options());
   SeedStream(&stream);
 
-  BatchRequest request;
-  request.v_row = grid_.v_row;
+  const double budgets[] = {0.05, 0.4, 0.4, 0.4, 0.2};
+  double spent = 0.0;
   for (size_t k = 0; k < 5; ++k) {
+    BatchRequest request;
+    request.v_row = grid_.v_row;
+    request.options = Options().release;
+    request.options->total_epsilon = budgets[k];
     auto submitted = server.SubmitAsync(request, "tenant");
     ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
     const BatchEntry entry = submitted->Get();
     ASSERT_TRUE(entry.status.ok()) << entry.status.ToString();
     EXPECT_EQ(entry.release.stream_release_index, k + 1);
-    // Every release paid full price — including non-power-of-two slots.
-    EXPECT_DOUBLE_EQ(entry.release.stream_epsilon_charged, 0.4);
+    spent += budgets[k];
+    EXPECT_DOUBLE_EQ(server.accountant().SpentBy("tenant"), spent);
   }
-  const ServerStats stats = server.stats();
-  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("tenant"), 5 * 0.4);
-  EXPECT_DOUBLE_EQ(stats.epsilon_spent, stats.naive_epsilon_spent);
-  EXPECT_DOUBLE_EQ(stats.tree_epsilon_spent,
-                   TreeAccountant::CumulativeFor(5, 0.4));
-  EXPECT_LT(stats.tree_epsilon_spent, stats.epsilon_spent);
-
-  // And the cap means what it says: 5 * 0.4 spent, a 2.0 cap is full.
-  ServeOptions capped = Options();
-  capped.per_client_epsilon_cap = 2.0;
-  PcorServer capped_server(stream, capped);
-  size_t admitted = 0;
-  for (size_t k = 0; k < 8; ++k) {
-    auto submitted = capped_server.SubmitAsync(request, "tenant");
-    if (!submitted.ok()) {
-      EXPECT_TRUE(submitted.status().IsPrivacyBudgetExceeded());
-      break;
-    }
-    ++admitted;
-    submitted->Get();
-  }
-  EXPECT_EQ(admitted, 5u);
-}
-
-TEST_F(StreamingServerTest, TreeScheduleRejectsRequestsAboveLevelPrice) {
-  // The tree schedule prices levels, not requests: without the ceiling a
-  // tenant could open levels with tiny-eps requests and ride arbitrarily
-  // expensive releases at marginal 0. Over-price requests must be
-  // rejected before anything is charged or sequenced.
-  StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
-  PcorServer server(stream, TreeOptions());
-  SeedStream(&stream);
-
-  BatchRequest cheap;
-  cheap.v_row = grid_.v_row;
-  cheap.options = TreeOptions().release;
-  cheap.options->total_epsilon = 0.05;  // below the 0.4 level price
-
-  BatchRequest expensive = cheap;
-  expensive.options->total_epsilon = 3.0;  // way above the level price
-
-  // A cheap request may open the level, but the level still costs its
-  // full pinned price — cheap openers cannot discount later releases.
-  auto opened = server.SubmitAsync(cheap, "t");
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  opened->Get();
-  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("t"), 0.4);
-
-  // The expensive request is rejected at any position, charged nothing,
-  // and consumes no stream slot.
-  auto rejected = server.SubmitAsync(expensive, "t");
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_TRUE(rejected.status().IsInvalidArgument())
-      << rejected.status().ToString();
-  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("t"), 0.4);
-  EXPECT_EQ(server.stats().rejected_invalid, 1u);
-  auto next = server.SubmitAsync(cheap, "t");
-  ASSERT_TRUE(next.ok());
-  EXPECT_EQ(next->Get().release.stream_release_index, 2u);
-
-  // A tenant registered with a higher level price may submit up to it —
-  // and pays levels at that price. The price pins at stream start, so
-  // register BEFORE the tenant's first submission.
-  TenantConfig config;
-  config.stream_level_epsilon = 3.0;
-  ASSERT_TRUE(server.RegisterTenant("vip", config).ok());
-  auto vip = server.SubmitAsync(expensive, "vip");
-  ASSERT_TRUE(vip.ok()) << vip.status().ToString();
-  vip->Get();
-  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("vip"), 3.0);
-
-  // Re-registering with a cheaper price cannot re-price a started
-  // stream: "t" already bought levels at 0.4 and its next level still
-  // costs 0.4.
-  TenantConfig cheaper;
-  cheaper.stream_level_epsilon = 0.01;
-  ASSERT_TRUE(server.RegisterTenant("t", cheaper).ok());
-  auto second_level = server.SubmitAsync(cheap, "t");  // position 3
-  ASSERT_TRUE(second_level.ok());
-  auto third_level = server.SubmitAsync(cheap, "t");  // position 4: level 3
-  ASSERT_TRUE(third_level.ok());
-  second_level->Get();
-  third_level->Get();
-  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("t"),
-                   TreeAccountant::CumulativeFor(4, 0.4));
 }
 
 TEST_F(StreamingServerTest, RequestsBeforeFirstSealFailTypedAndCharged) {
   StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
-  PcorServer server(stream, TreeOptions());
+  PcorServer server(stream, Options());
   BatchRequest request;
   request.v_row = 0;
   auto submitted = server.SubmitAsync(request, "early");
@@ -234,63 +135,51 @@ TEST_F(StreamingServerTest, RequestsBeforeFirstSealFailTypedAndCharged) {
   const BatchEntry entry = submitted->Get();
   EXPECT_TRUE(entry.status.IsFailedPrecondition())
       << entry.status.ToString();
-  // Dispatched work keeps its admission charge (the slot is burned;
-  // over-charging is the safe direction).
-  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("early"),
-                   TreeAccountant::MarginalFor(1, 0.4));
+  // Dispatched work keeps its admission charge (over-charging is the
+  // safe direction).
+  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("early"), 0.4);
 }
 
-TEST_F(StreamingServerTest, TreeCapAdmitsExponentiallyMoreThanNaive) {
-  // Cap of 1.3 at eps 0.4 per release: classic charging admits 3 requests
-  // (3 * 0.4 = 1.2 <= 1.3 < 1.6). The tree schedule pays only when a level
-  // opens — positions 1, 2, 4 charge 0.4 each (cumulative 1.2) and
-  // positions 3, 5, 6, 7 ride free, so admission first fails at t = 8
-  // (the 4th level would push the ledger to 1.6 > 1.3): 7 admissions.
-  StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
-  ServeOptions options = TreeOptions();
+TEST_F(StreamingServerTest, CapAdmitsTheSameReleasesAsClassic) {
+  // Cap of 1.3 at eps 0.4 per release: 3 * 0.4 = 1.2 <= 1.3 < 1.6, so
+  // exactly three admissions — on a streaming server as on a classic one.
+  ServeOptions options = Options();
   options.per_client_epsilon_cap = 1.3;
-  PcorServer server(stream, options);
-  SeedStream(&stream);
-
   BatchRequest request;
   request.v_row = grid_.v_row;
-  size_t admitted = 0;
-  Status first_rejection = Status::OK();
-  for (size_t k = 0; k < 16; ++k) {
-    auto submitted = server.SubmitAsync(request, "capped");
-    if (!submitted.ok()) {
-      first_rejection = submitted.status();
-      break;
+  auto admit_until_rejected = [&](PcorServer& server) {
+    size_t admitted = 0;
+    for (size_t k = 0; k < 16; ++k) {
+      auto submitted = server.SubmitAsync(request, "capped");
+      if (!submitted.ok()) {
+        EXPECT_TRUE(submitted.status().IsPrivacyBudgetExceeded())
+            << submitted.status().ToString();
+        break;
+      }
+      ++admitted;
+      // Drain each future so rejections can't be queue artifacts.
+      submitted->Get();
     }
-    ++admitted;
-    // Drain each future so rejections can't be queue artifacts.
-    submitted->Get();
-  }
-  EXPECT_EQ(admitted, 7u);
-  EXPECT_TRUE(first_rejection.IsPrivacyBudgetExceeded())
-      << first_rejection.ToString();
+    return admitted;
+  };
 
-  // Classic mode under the same cap stops at 3.
+  StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
+  PcorServer streaming(stream, options);
+  SeedStream(&stream);
+  EXPECT_EQ(admit_until_rejected(streaming), 3u);
+
   PcorEngine engine(grid_.dataset, detector_);
   PcorServer classic(engine, options);
-  size_t classic_admitted = 0;
-  for (size_t k = 0; k < 16; ++k) {
-    auto submitted = classic.SubmitAsync(request, "capped");
-    if (!submitted.ok()) break;
-    ++classic_admitted;
-    submitted->Get();
-  }
-  EXPECT_EQ(classic_admitted, 3u);
-  EXPECT_GT(admitted, classic_admitted);
+  EXPECT_EQ(admit_until_rejected(classic), 3u);
 }
 
 TEST_F(StreamingServerTest, BudgetRejectionReturnsTheStreamSlot) {
   // A rejected charge must hand the slot back: the next admitted request
-  // reuses position t (and its seed), so seeds stay dense and the tree
-  // schedule stays aligned with actual admissions.
+  // reuses position t (and its seed), so seeds and stream positions stay
+  // dense.
   StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
-  ServeOptions options = TreeOptions();
-  options.per_client_epsilon_cap = 0.4;  // one level only
+  ServeOptions options = Options();
+  options.per_client_epsilon_cap = 0.4;  // one release only
   PcorServer server(stream, options);
   SeedStream(&stream);
 
@@ -300,11 +189,13 @@ TEST_F(StreamingServerTest, BudgetRejectionReturnsTheStreamSlot) {
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->Get().release.stream_release_index, 1u);
 
-  // Position 2 opens level 2: rejected at the 0.4 cap, slot returned.
+  // Position 2 would spend 0.8: rejected at the 0.4 cap, slot returned,
+  // nothing charged.
   auto rejected = server.SubmitAsync(request, "t");
   ASSERT_FALSE(rejected.ok());
   EXPECT_TRUE(rejected.status().IsPrivacyBudgetExceeded());
   EXPECT_EQ(server.stats().rejected_budget, 1u);
+  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("t"), 0.4);
 
   // Raising the tenant cap admits the retry at position 2 — the same
   // stream position the rejection briefly claimed.
@@ -318,59 +209,68 @@ TEST_F(StreamingServerTest, BudgetRejectionReturnsTheStreamSlot) {
   EXPECT_EQ(entry.release.stream_release_index, 2u);
   EXPECT_EQ(entry.rng_seed,
             PcorServer::RequestSeed(options.seed, "t", 1));
+  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("t"), 2 * 0.4);
 }
 
-TEST_F(StreamingServerTest, BurnedSlotsNeverDiscountUnpaidLevels) {
+TEST_F(StreamingServerTest, ConcurrentAdmissionsChargeEachReleaseOnce) {
   // Hammer admissions for ONE tenant from several threads against a tiny
   // rejecting queue: door rejections race later slot claims, so some
-  // slots burn. The invariant that must survive (the under-charge fix):
-  // the tenant's ledger always equals paid-levels times level price —
-  // every marginal-0 admission rode a level somebody actually paid for,
-  // because burned level-opening slots keep their charges and returned
-  // ones give both the charge and the levels back.
-  StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
-  ServeOptions options = TreeOptions();
+  // slots burn. The one admission path must still leave the ledger at
+  // exactly 0.4 per admitted release (every door rejection refunded) and
+  // never hand two admitted releases the same Rng stream — on a classic
+  // and on a streaming server alike.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 40;
+  ServeOptions options = Options();
   options.queue_capacity = 2;
   options.max_batch = 2;
   options.backpressure = BackpressurePolicy::kReject;
   options.pre_batch_hook = [](std::span<const BatchRequest>) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   };
-  PcorServer server(stream, options);
-  SeedStream(&stream);
-
   BatchRequest request;
   request.v_row = grid_.v_row;
-  std::atomic<size_t> admitted{0};
-  std::mutex futures_mu;
-  std::vector<Future<BatchEntry>> futures;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int k = 0; k < 40; ++k) {
-        auto submitted = server.SubmitAsync(request, "hammer");
-        if (!submitted.ok()) continue;
-        ++admitted;
-        std::lock_guard<std::mutex> lock(futures_mu);
-        futures.push_back(std::move(submitted).value());
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  ASSERT_GT(admitted.load(), 0u);
-  uint64_t max_index = 0;
-  for (auto& future : futures) {
-    const BatchEntry entry = future.Get();
-    if (entry.status.ok()) {
-      max_index = std::max(max_index, entry.release.stream_release_index);
+  auto hammer = [&](PcorServer& server) {
+    std::mutex futures_mu;
+    std::vector<Future<BatchEntry>> futures;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        for (int k = 0; k < kPerThread; ++k) {
+          auto submitted = server.SubmitAsync(request, "hammer");
+          if (!submitted.ok()) continue;
+          std::lock_guard<std::mutex> lock(futures_mu);
+          futures.push_back(std::move(submitted).value());
+        }
+      });
     }
-  }
-  server.Shutdown(/*drain=*/true);
+    for (auto& thread : threads) thread.join();
+    ASSERT_GT(futures.size(), 0u);
+    std::set<uint64_t> seeds;
+    for (auto& future : futures) {
+      const BatchEntry entry = future.Get();
+      EXPECT_TRUE(entry.status.ok()) << entry.status.ToString();
+      seeds.insert(entry.rng_seed);
+    }
+    server.Shutdown(/*drain=*/true);
 
-  const ServerStats stats = server.stats();
-  const double spent = server.accountant().SpentBy("hammer");
-  EXPECT_NEAR(spent, stats.tree_epsilon_spent, 1e-9);
-  EXPECT_GE(spent + 1e-9, TreeAccountant::CumulativeFor(max_index, 0.4));
+    EXPECT_EQ(seeds.size(), futures.size());
+    EXPECT_NEAR(server.accountant().SpentBy("hammer"),
+                0.4 * static_cast<double>(futures.size()), 1e-9);
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.submitted, futures.size());
+    EXPECT_EQ(stats.submitted + stats.rejected_queue + stats.rejected_depth,
+              static_cast<size_t>(kThreads * kPerThread));
+  };
+
+  StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
+  PcorServer streaming(stream, options);
+  SeedStream(&stream);
+  hammer(streaming);
+
+  PcorEngine engine(grid_.dataset, detector_);
+  PcorServer classic(engine, options);
+  hammer(classic);
 }
 
 TEST_F(StreamingServerTest, InterleavingsAreBitIdenticalAcrossThreadCounts) {
@@ -441,8 +341,6 @@ TEST_F(StreamingServerTest, InterleavingsAreBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.release.probes, b.release.probes);
     EXPECT_EQ(a.release.epoch, b.release.epoch);
     EXPECT_EQ(a.release.stream_release_index, b.release.stream_release_index);
-    EXPECT_DOUBLE_EQ(a.release.stream_epsilon_charged,
-                     b.release.stream_epsilon_charged);
   }
 }
 
