@@ -1,6 +1,6 @@
 // Million-row hot-path benchmark: a 1M-row x 160-value salary dataset
 // probed with ~1000 contexts through the compressed population index, with
-// machine-readable BENCH_JSON lines and three enforced bars:
+// machine-readable BENCH_JSON lines and four enforced bars:
 //
 //   - compressed-index working set must be <= 50% of the dense index on
 //     this sparse-context workload (deterministic; always enforced);
@@ -9,7 +9,9 @@
 //   - sharded scatter-gather speedup: single-caller probes/s through
 //     ShardedPopulationIndex at shard_count = ncores must be >= 1.5x the
 //     1-shard baseline on multi-core hosts (>= 4 cores; warned elsewhere),
-//     relaxable with PCOR_RELAX_MILLION=1.
+//     relaxable with PCOR_RELAX_MILLION=1;
+//   - verifier memo: every context probed a second time must be a memo hit
+//     (deterministic; never relaxed).
 //
 // Before timing anything, every context's population count is
 // cross-checked dense-vs-compressed — a mismatch is an immediate non-zero
@@ -167,8 +169,7 @@ int main() {
               contexts.size());
 
   // Timed hot path: PopulationCount over the context set, fanned across a
-  // (NUMA-aware when PCOR_PIN_THREADS=1) thread pool, repeated until the
-  // run is long enough to time.
+  // thread pool, repeated until the run is long enough to time.
   size_t passes = 1;
   double elapsed = 0.0;
   while (true) {
@@ -189,7 +190,7 @@ int main() {
               elapsed, probes_per_s);
 
   // Verifier-cache hit rate over a double-probed prefix of the context
-  // set: second probes must be memo hits.
+  // set: second probes must be memo hits (gated below).
   const OutlierDetector* detector = nullptr;
   auto zscore = MakeDetector("zscore");
   if (!zscore.ok()) {
@@ -197,10 +198,7 @@ int main() {
     return 1;
   }
   detector = zscore->get();
-  VerifierOptions verifier_options;
-  verifier_options.numa_aware = true;
-  verifier_options.adaptive_budget = true;
-  OutlierVerifier verifier(compressed, *detector, verifier_options);
+  OutlierVerifier verifier(compressed, *detector, VerifierOptions{});
   const size_t cache_probes = std::min<size_t>(contexts.size(), 200);
   for (int round = 0; round < 2; ++round) {
     for (size_t i = 0; i < cache_probes; ++i) {
@@ -339,6 +337,14 @@ int main() {
   // compressed index is cutting the sparse working set at least in half.
   if (ratio > 0.5) {
     std::printf("FAILED: compressed/dense memory ratio %.3f > 0.50\n", ratio);
+    failed = true;
+  }
+  // Memo bar: deterministic, never relaxed. The default budget holds every
+  // probed context, so each second-round probe must be answered from the
+  // memo.
+  if (cache_stats.cache_hits != cache_probes) {
+    std::printf("FAILED: verifier memo served %zu hits for %zu re-probes\n",
+                cache_stats.cache_hits, cache_probes);
     failed = true;
   }
   if (probes_per_s < floor_probes_per_s) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -9,8 +8,6 @@
 #include <unordered_map>
 #include <utility>
 #include <vector>
-
-#include "src/common/threading.h"
 
 namespace pcor {
 
@@ -30,26 +27,6 @@ struct LruCacheOptions {
   /// entries one by one from the cold end. With num_shards = 1 this is
   /// exactly the old single-map wholesale clear.
   bool wholesale_clear = false;
-  /// Route each thread to a node-local shard group: the cache keeps one
-  /// full set of `num_shards` shards per NUMA node and a thread only ever
-  /// touches its own node's group, so hot cache lines never bounce across
-  /// sockets. A key answered on one node may be recomputed on another —
-  /// answer-invariant because the cache is a pure memo — while the global
-  /// byte/entry budgets still cover all groups together. No-op on
-  /// single-node hosts.
-  bool numa_aware = false;
-  /// Resize the global byte budget from observed pressure: every
-  /// adapt_interval inserts (or an explicit AdaptBudget() call) the cache
-  /// inspects the hit/eviction counters it already maintains. Evictions
-  /// with a useful hit rate mean the working set is being squeezed — the
-  /// budget doubles (up to adapt_max_bytes); a cold window with no
-  /// eviction pressure halves it (down to adapt_min_bytes), returning
-  /// memory the workload is not using. max_bytes is the starting point.
-  bool adaptive_budget = false;
-  size_t adapt_interval = 1024;
-  size_t adapt_min_bytes = size_t{1} << 20;
-  /// 0 = 4 * max_bytes.
-  size_t adapt_max_bytes = 0;
 };
 
 /// \brief Counter snapshot; taken with Stats() (locks each shard briefly).
@@ -78,20 +55,13 @@ template <typename K, typename V, typename Hash = std::hash<K>>
 class ShardedLruCache {
  public:
   explicit ShardedLruCache(LruCacheOptions options = {})
-      : options_(options),
-        num_groups_(options.numa_aware
-                        ? std::max<size_t>(SystemTopology().num_nodes, 1)
-                        : 1),
-        shards_per_group_(ResolveShardCount(options.num_shards)),
-        shards_(num_groups_ * shards_per_group_) {
-    shard_mask_ = shards_per_group_ - 1;
-    current_max_bytes_.store(options_.max_bytes, std::memory_order_relaxed);
+      : options_(options), shards_(ResolveShardCount(options.num_shards)) {
+    const size_t n = shards_.size();
+    shard_mask_ = n - 1;
     // Per-shard slices of the global budgets (rounded up so tiny budgets
     // still admit at least something per shard).
-    const size_t n = shards_.size();
-    shard_max_bytes_.store(
-        options_.max_bytes == 0 ? 0 : (options_.max_bytes + n - 1) / n,
-        std::memory_order_relaxed);
+    shard_max_bytes_ =
+        options_.max_bytes == 0 ? 0 : (options_.max_bytes + n - 1) / n;
     shard_max_entries_ =
         options_.max_entries == 0 ? 0 : (options_.max_entries + n - 1) / n;
   }
@@ -138,59 +108,6 @@ class ShardedLruCache {
       shard.bytes += charged;
     }
     EnforceBudget(&shard);
-    if (options_.adaptive_budget && options_.adapt_interval != 0 &&
-        (put_ops_.fetch_add(1, std::memory_order_relaxed) + 1) %
-                options_.adapt_interval ==
-            0) {
-      AdaptBudget();
-    }
-  }
-
-  /// rief One adaptation step over the counter window since the last
-  /// call (see LruCacheOptions::adaptive_budget). Runs automatically every
-  /// adapt_interval inserts; public so tests and benches can step the
-  /// controller deterministically.
-  void AdaptBudget() {
-    if (options_.max_bytes == 0) return;
-    std::lock_guard<std::mutex> lock(adapt_mu_);
-    const size_t hits = hits_.load(std::memory_order_relaxed);
-    const size_t misses = misses_.load(std::memory_order_relaxed);
-    const size_t evictions = evictions_.load(std::memory_order_relaxed);
-    const size_t window_hits = hits - last_hits_;
-    const size_t window_misses = misses - last_misses_;
-    const size_t window_evictions = evictions - last_evictions_;
-    last_hits_ = hits;
-    last_misses_ = misses;
-    last_evictions_ = evictions;
-    const size_t window = window_hits + window_misses;
-    if (window == 0) return;
-    const double hit_rate =
-        static_cast<double>(window_hits) / static_cast<double>(window);
-    const size_t floor_bytes = options_.adapt_min_bytes;
-    const size_t ceiling_bytes = options_.adapt_max_bytes != 0
-                                     ? options_.adapt_max_bytes
-                                     : options_.max_bytes * 4;
-    size_t budget = current_max_bytes_.load(std::memory_order_relaxed);
-    if (window_evictions > 0 && hit_rate >= 0.10) {
-      // Useful entries are being squeezed out: grow toward the ceiling.
-      budget = std::min(budget * 2, ceiling_bytes);
-    } else if (window_evictions == 0 && hit_rate <= 0.01 &&
-               budget > floor_bytes) {
-      // Cold window with headroom to spare: hand memory back.
-      budget = std::max(budget / 2, floor_bytes);
-    } else {
-      return;
-    }
-    current_max_bytes_.store(budget, std::memory_order_relaxed);
-    const size_t n = shards_.size();
-    shard_max_bytes_.store((budget + n - 1) / n, std::memory_order_relaxed);
-    // Shards above the shrunk slice converge lazily on their next insert.
-  }
-
-  /// rief The byte budget the adaptive controller currently enforces
-  /// (equals options().max_bytes when adaptation is off or idle).
-  size_t current_max_bytes() const {
-    return current_max_bytes_.load(std::memory_order_relaxed);
   }
 
   /// \brief Erases every resident entry whose key satisfies `pred`,
@@ -260,8 +177,6 @@ class ShardedLruCache {
   }
 
   size_t num_shards() const { return shards_.size(); }
-  /// rief Shard groups (NUMA nodes covered); 1 unless numa_aware.
-  size_t num_shard_groups() const { return num_groups_; }
   const LruCacheOptions& options() const { return options_; }
 
  private:
@@ -306,12 +221,7 @@ class ShardedLruCache {
     // independent even for weak hashes.
     const uint64_t h =
         static_cast<uint64_t>(Hash{}(key)) * 0x9e3779b97f4a7c15ULL;
-    const size_t within_group = (h >> 48) & shard_mask_;
-    if (num_groups_ == 1) return shards_[within_group];
-    // Node-local routing: the calling thread only touches its own node's
-    // shard group (see LruCacheOptions::numa_aware).
-    const size_t group = CurrentNumaNode() % num_groups_;
-    return shards_[group * shards_per_group_ + within_group];
+    return shards_[(h >> 48) & shard_mask_];
   }
 
   void LinkFront(Shard* shard, Node* node) {
@@ -343,9 +253,7 @@ class ShardedLruCache {
   }
 
   bool OverBudget(const Shard& shard) const {
-    const size_t max_bytes =
-        shard_max_bytes_.load(std::memory_order_relaxed);
-    if (max_bytes != 0 && shard.bytes > max_bytes) return true;
+    if (shard_max_bytes_ != 0 && shard.bytes > shard_max_bytes_) return true;
     if (shard_max_entries_ != 0 && shard.map.size() > shard_max_entries_) {
       return true;
     }
@@ -392,24 +300,14 @@ class ShardedLruCache {
   }
 
   LruCacheOptions options_;
-  size_t num_groups_ = 1;
-  size_t shards_per_group_ = 1;
   std::vector<Shard> shards_;
   size_t shard_mask_ = 0;
-  std::atomic<size_t> shard_max_bytes_{0};
+  size_t shard_max_bytes_ = 0;
   size_t shard_max_entries_ = 0;
   std::atomic<size_t> hits_{0};
   std::atomic<size_t> misses_{0};
   std::atomic<size_t> evictions_{0};
   std::atomic<size_t> invalidations_{0};
-  // Adaptive-budget controller state (all guarded by adapt_mu_ except the
-  // published budgets above).
-  std::mutex adapt_mu_;
-  std::atomic<size_t> put_ops_{0};
-  std::atomic<size_t> current_max_bytes_{0};
-  size_t last_hits_ = 0;     // guarded by adapt_mu_
-  size_t last_misses_ = 0;   // guarded by adapt_mu_
-  size_t last_evictions_ = 0;  // guarded by adapt_mu_
 };
 
 }  // namespace pcor

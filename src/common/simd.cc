@@ -771,12 +771,8 @@ std::optional<Backend> ParseBackendName(std::string_view name) {
 
 std::optional<Backend> ForcedBackendFromEnv() {
   const std::string forced = strings::EnvStringOr("PCOR_FORCE_SIMD", "");
-  if (!forced.empty()) return ParseBackendName(forced);
-  // Legacy alias: any nonzero PCOR_FORCE_SCALAR pins the scalar path.
-  if (strings::EnvSizeOr("PCOR_FORCE_SCALAR", 0) != 0) {
-    return Backend::kScalar;
-  }
-  return std::nullopt;
+  if (forced.empty()) return std::nullopt;
+  return ParseBackendName(forced);
 }
 
 Backend ActiveBackend() {

@@ -44,8 +44,7 @@ Backend BestSupportedBackend();
 
 /// \brief The backend all kernels dispatch to. Resolved once on first use:
 /// PCOR_FORCE_SIMD=scalar|sse2|avx2|avx512 pins a tier (clamped to
-/// BestSupportedBackend), PCOR_FORCE_SCALAR=1 is the legacy alias for
-/// PCOR_FORCE_SIMD=scalar, otherwise BestSupportedBackend() wins.
+/// BestSupportedBackend), otherwise BestSupportedBackend() wins.
 /// Thread-safe.
 Backend ActiveBackend();
 
@@ -59,9 +58,9 @@ Backend SetBackendForTest(Backend backend);
 /// nullopt for anything else.
 std::optional<Backend> ParseBackendName(std::string_view name);
 
-/// \brief The tier requested via PCOR_FORCE_SIMD / PCOR_FORCE_SCALAR,
-/// *before* clamping to hardware support — nullopt when neither var is set
-/// (or the value is unparseable). Lets the forced-tier ctest entries skip
+/// \brief The tier requested via PCOR_FORCE_SIMD, *before* clamping to
+/// hardware support — nullopt when the var is unset (or the value is
+/// unparseable). Lets the forced-tier ctest entries skip
 /// cleanly when the requested tier exceeds the host's.
 std::optional<Backend> ForcedBackendFromEnv();
 

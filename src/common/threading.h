@@ -10,55 +10,11 @@
 
 namespace pcor {
 
-/// \brief CPU-to-NUMA-node mapping, parsed once from
-/// /sys/devices/system/node (no libnuma dependency). On machines without
-/// the sysfs tree (or non-Linux) it degrades to a single node owning every
-/// CPU, which makes all NUMA-aware behavior a no-op.
-struct CpuTopology {
-  size_t num_nodes = 1;
-  /// cpus_of_node[node] = CPU ids belonging to that node, ascending.
-  std::vector<std::vector<int>> cpus_of_node;
-};
-
-/// \brief The host's topology (parsed once, cached). Thread-safe.
-const CpuTopology& SystemTopology();
-
-/// \brief Replaces the cached topology — lets tests exercise multi-node
-/// placement logic on single-node hosts. Pass a default-constructed
-/// CpuTopology with num_nodes == 0 to restore the real host topology.
-void SetTopologyForTest(CpuTopology topology);
-
-/// \brief The NUMA node the calling thread is associated with: the node a
-/// NUMA-aware ThreadPool pinned it to, else the node of the CPU it is
-/// currently running on (0 on single-node hosts). Used by ShardedLruCache
-/// to route a thread to its node-local shard group.
-size_t CurrentNumaNode();
-
-/// \brief Overrides CurrentNumaNode for the calling thread. ThreadPool
-/// workers call this after pinning; tests use it to simulate placement.
-/// A negative value clears the override.
-void SetCurrentThreadNumaNode(int node);
-
-/// \brief Placement policy for ThreadPool workers.
-struct ThreadPoolOptions {
-  /// Pin each worker to one NUMA node's CPU set, distributing workers
-  /// round-robin across nodes (worker i → node i % num_nodes). Workers may
-  /// migrate between CPUs of their node but never across nodes, so their
-  /// allocations and the cache shards they touch stay node-local. No-op on
-  /// single-node hosts and on platforms without sched_setaffinity.
-  bool pin_to_numa_nodes = false;
-};
-
-/// \brief Options picked by the PCOR_PIN_THREADS env var (nonzero → pin);
-/// the default keeps the placement-blind behavior.
-ThreadPoolOptions DefaultThreadPoolOptions();
-
 /// \brief Fixed-size worker pool for embarrassingly parallel experiment
 /// trials (the paper repeats every configuration 200 times).
 class ThreadPool {
  public:
-  explicit ThreadPool(size_t num_threads,
-                      ThreadPoolOptions options = DefaultThreadPoolOptions());
+  explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -97,15 +53,10 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// \brief The NUMA node worker `i` is associated with (0 when pinning is
-  /// off or the host has one node).
-  size_t worker_node(size_t i) const { return worker_nodes_[i]; }
-
  private:
-  void WorkerLoop(size_t worker_index);
+  void WorkerLoop();
 
   std::vector<std::thread> workers_;
-  std::vector<size_t> worker_nodes_;
   std::queue<std::function<void()>> tasks_;
   std::mutex mu_;
   std::condition_variable task_available_;

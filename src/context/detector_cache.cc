@@ -13,8 +13,6 @@ LruCacheOptions ToCacheOptions(const VerifierOptions& options) {
   cache_options.max_entries = options.max_cache_entries;
   cache_options.num_shards = options.num_shards;
   cache_options.wholesale_clear = options.wholesale_clear;
-  cache_options.numa_aware = options.numa_aware;
-  cache_options.adaptive_budget = options.adaptive_budget;
   return cache_options;
 }
 

@@ -30,15 +30,6 @@ struct VerifierOptions {
   bool wholesale_clear = false;
   /// Disable memoization entirely (for ablation benchmarks).
   bool enable_cache = true;
-  /// Keep one shard group per NUMA node and route each probe thread to its
-  /// own node's group (see LruCacheOptions::numa_aware). Pair with a
-  /// NUMA-pinned ThreadPool (PCOR_PIN_THREADS) so sampler threads only
-  /// touch node-local cache lines. No-op on single-node hosts.
-  bool numa_aware = false;
-  /// Let the cache resize its own byte budget from the hit/eviction
-  /// counters (see LruCacheOptions::adaptive_budget); max_cache_bytes
-  /// becomes the starting point instead of a fixed ceiling.
-  bool adaptive_budget = false;
 };
 
 /// \brief Counter snapshot of the verifier and its cache.

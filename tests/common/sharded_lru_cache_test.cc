@@ -249,126 +249,5 @@ TEST(ShardedLruCacheTest, ConcurrentHammerKeepsValuesConsistent) {
             static_cast<size_t>(8) * kOpsPerThread);
 }
 
-// Restores the real host topology and clears the calling thread's node
-// override when a NUMA test ends.
-class TopologyGuard {
- public:
-  ~TopologyGuard() {
-    SetCurrentThreadNumaNode(-1);
-    SetTopologyForTest(CpuTopology{0, {}});
-  }
-};
-
-TEST(ShardedLruCacheTest, NumaAwareKeepsOneShardGroupPerNode) {
-  TopologyGuard guard;
-  CpuTopology topology;
-  topology.num_nodes = 2;
-  topology.cpus_of_node = {{0}, {1}};
-  SetTopologyForTest(topology);
-
-  LruCacheOptions options;
-  options.num_shards = 4;
-  options.numa_aware = true;
-  IntCache cache(options);
-  EXPECT_EQ(cache.num_shard_groups(), 2u);
-  EXPECT_EQ(cache.num_shards(), 8u);  // 4 per group
-
-  // A key inserted from node 0 lives only in node 0's group: node 1
-  // misses it (and may cache its own copy — duplication, never staleness).
-  SetCurrentThreadNumaNode(0);
-  cache.Put(42, 420, 8);
-  int value = 0;
-  ASSERT_TRUE(cache.Get(42, &value));
-  EXPECT_EQ(value, 420);
-  SetCurrentThreadNumaNode(1);
-  EXPECT_FALSE(cache.Get(42, &value));
-  cache.Put(42, 420, 8);
-  ASSERT_TRUE(cache.Get(42, &value));
-  // Back on node 0 the original entry is still served.
-  SetCurrentThreadNumaNode(0);
-  ASSERT_TRUE(cache.Get(42, &value));
-  EXPECT_EQ(cache.Stats().resident_entries, 2u);  // one copy per group
-}
-
-TEST(ShardedLruCacheTest, NumaAwareIsNoopOnSingleNodeHosts) {
-  TopologyGuard guard;
-  CpuTopology topology;
-  topology.num_nodes = 1;
-  topology.cpus_of_node = {{0}};
-  SetTopologyForTest(topology);
-  LruCacheOptions options;
-  options.num_shards = 4;
-  options.numa_aware = true;
-  IntCache cache(options);
-  EXPECT_EQ(cache.num_shard_groups(), 1u);
-  EXPECT_EQ(cache.num_shards(), 4u);
-}
-
-LruCacheOptions AdaptiveOptions() {
-  LruCacheOptions options = SingleShard(/*max_bytes=*/1024);
-  options.adaptive_budget = true;
-  options.adapt_interval = 0;  // tests step AdaptBudget() by hand
-  options.adapt_min_bytes = 256;
-  options.adapt_max_bytes = 8192;
-  return options;
-}
-
-TEST(ShardedLruCacheTest, AdaptiveBudgetGrowsUnderEvictionPressure) {
-  IntCache cache(AdaptiveOptions());
-  EXPECT_EQ(cache.current_max_bytes(), 1024u);
-  // Each window shows a useful hit alongside eviction churn — a squeezed
-  // working set — so every step doubles the budget until the ceiling.
-  int filler = 1000;
-  for (int round = 0; round < 3; ++round) {
-    cache.Put(1, 10, 8);
-    int value = 0;
-    ASSERT_TRUE(cache.Get(1, &value));
-    // 8 × ~800 bytes against at most a 4 KiB budget: guaranteed evictions.
-    for (int k = 0; k < 8; ++k) cache.Put(++filler, 0, 800);
-    cache.AdaptBudget();
-  }
-  EXPECT_EQ(cache.current_max_bytes(), 8192u);
-}
-
-TEST(ShardedLruCacheTest, AdaptiveBudgetShrinksWhenCold) {
-  IntCache cache(AdaptiveOptions());
-  // All-miss traffic with no evictions: the cache is not earning its
-  // budget, so each step halves it down to the floor.
-  int key = 0;
-  for (int round = 0; round < 4; ++round) {
-    int value = 0;
-    cache.Get(++key, &value);  // miss
-    cache.AdaptBudget();
-  }
-  EXPECT_EQ(cache.current_max_bytes(), 256u);
-}
-
-TEST(ShardedLruCacheTest, AdaptiveBudgetHoldsOnQuietOrHealthyWindows) {
-  IntCache cache(AdaptiveOptions());
-  cache.AdaptBudget();  // empty window: no counters moved
-  EXPECT_EQ(cache.current_max_bytes(), 1024u);
-  cache.Put(1, 10, 8);
-  int value = 0;
-  ASSERT_TRUE(cache.Get(1, &value));
-  cache.AdaptBudget();  // healthy: hits, no evictions → no change
-  EXPECT_EQ(cache.current_max_bytes(), 1024u);
-}
-
-TEST(ShardedLruCacheTest, AdaptiveBudgetStepsAutomaticallyOnInterval) {
-  LruCacheOptions options = AdaptiveOptions();
-  options.adapt_interval = 8;
-  IntCache cache(options);
-  // Every 8th Put runs an adaptation step; a hot key hit each iteration
-  // plus oversized fillers keep every window in the grow regime, so the
-  // budget rises without any manual AdaptBudget call.
-  for (int i = 0; i < 32; ++i) {
-    cache.Put(1, 10, 8);
-    int value = 0;
-    ASSERT_TRUE(cache.Get(1, &value));
-    cache.Put(1000 + i, 0, 800);
-  }
-  EXPECT_GT(cache.current_max_bytes(), 1024u);
-}
-
 }  // namespace
 }  // namespace pcor

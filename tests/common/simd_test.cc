@@ -38,7 +38,7 @@ std::vector<simd::Backend> AvailableBackends() {
 }
 
 // Restores the backend the dispatcher resolved at startup (which honors
-// PCOR_FORCE_SCALAR) when a test scope ends, so test order cannot leak a
+// PCOR_FORCE_SIMD) when a test scope ends, so test order cannot leak a
 // forced backend into other suites.
 class BackendGuard {
  public:

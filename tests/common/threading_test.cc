@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <latch>
 #include <numeric>
 
 namespace pcor {
@@ -154,104 +152,6 @@ TEST(PoolParallelForTest, WorkerInitiatedLoopCompletes) {
   pool.Wait();
   EXPECT_TRUE(done.load());
   EXPECT_EQ(counter.load(), 500);
-}
-
-// Restores the real host topology when a test that injected a fake one
-// ends, whatever its outcome.
-class TopologyGuard {
- public:
-  ~TopologyGuard() { SetTopologyForTest(CpuTopology{0, {}}); }
-};
-
-CpuTopology TwoNodeTopology() {
-  CpuTopology topology;
-  topology.num_nodes = 2;
-  topology.cpus_of_node = {{0, 1}, {2, 3}};
-  return topology;
-}
-
-TEST(CpuTopologyTest, SystemTopologyIsSane) {
-  const CpuTopology& topology = SystemTopology();
-  EXPECT_GE(topology.num_nodes, 1u);
-  EXPECT_EQ(topology.cpus_of_node.size(), topology.num_nodes);
-  for (const auto& cpus : topology.cpus_of_node) {
-    EXPECT_FALSE(cpus.empty());
-    EXPECT_TRUE(std::is_sorted(cpus.begin(), cpus.end()));
-  }
-  EXPECT_LT(CurrentNumaNode(), topology.num_nodes);
-}
-
-TEST(CpuTopologyTest, TestTopologyInjectsAndRestores) {
-  {
-    TopologyGuard guard;
-    SetTopologyForTest(TwoNodeTopology());
-    EXPECT_EQ(SystemTopology().num_nodes, 2u);
-  }
-  // Guard restored the probe: back to the real host.
-  EXPECT_GE(SystemTopology().num_nodes, 1u);
-}
-
-TEST(CpuTopologyTest, ThreadNodeOverrideWinsAndClears) {
-  TopologyGuard guard;
-  SetTopologyForTest(TwoNodeTopology());
-  SetCurrentThreadNumaNode(1);
-  EXPECT_EQ(CurrentNumaNode(), 1u);
-  SetCurrentThreadNumaNode(-1);  // back to CPU-derived (node < num_nodes)
-  EXPECT_LT(CurrentNumaNode(), 2u);
-}
-
-TEST(ThreadPoolTest, PinnedWorkersRoundRobinAcrossNodes) {
-  TopologyGuard guard;
-  SetTopologyForTest(TwoNodeTopology());
-  ThreadPoolOptions options;
-  options.pin_to_numa_nodes = true;
-  ThreadPool pool(4, options);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(pool.worker_node(i), i % 2) << "worker " << i;
-  }
-  // Each worker observes the node it was placed on, which is what routes
-  // it to the node-local cache shard group. Every task holds its worker
-  // until all four workers hold one, so each worker runs exactly one task
-  // and both nodes must be seen however the scheduler orders the wake-ups.
-  std::mutex mu;
-  std::vector<size_t> seen_nodes;
-  std::latch all_running(4);
-  for (int task = 0; task < 4; ++task) {
-    pool.Submit([&] {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        seen_nodes.push_back(CurrentNumaNode());
-      }
-      all_running.arrive_and_wait();
-    });
-  }
-  pool.Wait();
-  std::sort(seen_nodes.begin(), seen_nodes.end());
-  EXPECT_EQ(seen_nodes, (std::vector<size_t>{0, 0, 1, 1}));
-}
-
-TEST(ThreadPoolTest, UnpinnedPoolKeepsEveryWorkerOnNodeZero) {
-  TopologyGuard guard;
-  SetTopologyForTest(TwoNodeTopology());
-  ThreadPoolOptions options;
-  options.pin_to_numa_nodes = false;
-  ThreadPool pool(4, options);
-  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(pool.worker_node(i), 0u);
-}
-
-TEST(ThreadPoolTest, PinnedPoolStillRunsAllTasks) {
-  // On the real host topology (possibly one node, possibly restricted
-  // affinity masks) pinning must never lose work — placement is
-  // best-effort, completion is not.
-  ThreadPoolOptions options;
-  options.pin_to_numa_nodes = true;
-  ThreadPool pool(4, options);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 200);
 }
 
 }  // namespace

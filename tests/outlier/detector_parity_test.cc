@@ -9,9 +9,8 @@
 // On hosts without SIMD support the dispatched path *is* the scalar path
 // and the tests pass trivially; the ctest registration in
 // tests/CMakeLists.txt additionally re-runs this binary under
-// PCOR_FORCE_SIMD=scalar|sse2|avx2|avx512 (plus the legacy
-// PCOR_FORCE_SCALAR=1 alias) so every kernel tier gets explicit — and
-// sanitizer — coverage. A forced tier above the host's degrades in the
+// PCOR_FORCE_SIMD=scalar|sse2|avx2|avx512 so every kernel tier gets
+// explicit — and sanitizer — coverage. A forced tier above the host's degrades in the
 // dispatcher; the env-override test below detects that and skips instead
 // of asserting the pin.
 #include <gtest/gtest.h>
@@ -28,7 +27,7 @@ namespace pcor {
 namespace {
 
 // The backend the dispatcher resolved at startup — honoring
-// PCOR_FORCE_SIMD / PCOR_FORCE_SCALAR — captured before any test calls
+// PCOR_FORCE_SIMD — captured before any test calls
 // SetBackendForTest. Under a forced-tier ctest entry this is the pinned
 // tier, so the "dispatched" half of every parity check below really runs
 // that tier's kernels (and the env-override path itself gets asserted in
@@ -104,9 +103,8 @@ std::vector<NamedInput> ParityInputs() {
 }
 
 TEST(SimdEnvOverrideTest, ForcedTierEnvPinsTheBackend) {
-  // Same resolution the dispatcher uses: PCOR_FORCE_SIMD wins, the legacy
-  // PCOR_FORCE_SCALAR alias is honored, and an unset/unparseable pin means
-  // the best supported tier dispatches.
+  // Same resolution the dispatcher uses: PCOR_FORCE_SIMD pins a tier, and
+  // an unset/unparseable pin means the best supported tier dispatches.
   const std::optional<simd::Backend> forced = simd::ForcedBackendFromEnv();
   if (!forced.has_value()) {
     EXPECT_EQ(kDispatched, simd::BestSupportedBackend());
@@ -120,7 +118,7 @@ TEST(SimdEnvOverrideTest, ForcedTierEnvPinsTheBackend) {
                  << "); the parity tests still ran against that tier";
   }
   EXPECT_EQ(kDispatched, *forced)
-      << "PCOR_FORCE_SIMD/PCOR_FORCE_SCALAR must pin the requested tier";
+      << "PCOR_FORCE_SIMD must pin the requested tier";
 }
 
 class DetectorParityTest : public ::testing::TestWithParam<std::string> {
