@@ -4,6 +4,9 @@
 // and compare it to the unconstrained-DP bound e^eps. The paper found no
 // violation at eps = 0.2 across 200 outlier samples and three detectors;
 // this bench reports the measured maxima.
+//
+// Gate, never relaxed: on f-neighbors (equal COE sets) Theorem 4.1 bounds
+// the ratio by e^eps, so any viol(eq) > 0 is a bug and exits 1.
 #include <cmath>
 
 #include "bench/bench_util.h"
@@ -30,6 +33,7 @@ int main() {
   TableRenderer table({"Detector", "pairs", "coe-equal", "max ratio",
                        "bound e^0.2", "viol(eq)", "viol(noneq)"});
 
+  size_t total_violations_equal = 0;
   for (const char* detector_name : {"grubbs", "lof", "histogram"}) {
     auto detector = MakeDetector(detector_name);
     detector.status().CheckOK();
@@ -69,6 +73,7 @@ int main() {
         }
       }
     }
+    total_violations_equal += violations_equal;
     table.AddRow({detector_name, strings::Format("%zu", pairs),
                   strings::Format("%.0f%%",
                                   pairs ? 100.0 * equal / pairs : 0.0),
@@ -89,5 +94,11 @@ int main() {
       "the paper observed none on its datasets; a non-zero count here "
       "quantifies how far the OCDP relaxation can stretch on synthetic "
       "data when a high-utility context enters/leaves COE");
-  return 0;
+  const bool failed = total_violations_equal > 0;
+  if (failed) {
+    std::printf("FAILED: %zu f-neighbor pairs exceed e^eps (Theorem 4.1)\n",
+                total_violations_equal);
+  }
+  std::printf("%s\n", failed ? "RESULT: FAIL" : "RESULT: OK");
+  return failed ? 1 : 0;
 }

@@ -72,6 +72,14 @@ class ShardedLruCache {
   /// \brief Looks up `key`; on a hit copies the value into `*value`,
   /// refreshes the entry's recency, and returns true.
   bool Get(const K& key, V* value) {
+    return Visit(key, [value](const V& cached) { *value = cached; });
+  }
+
+  /// \brief Like Get, but calls `fn(const V&)` on the resident value under
+  /// the shard lock instead of copying it out — for values that are large
+  /// or move-only. `fn` must not touch this cache.
+  template <typename Fn>
+  bool Visit(const K& key, Fn&& fn) {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
@@ -81,7 +89,7 @@ class ShardedLruCache {
     }
     hits_.fetch_add(1, std::memory_order_relaxed);
     MoveToFront(&shard, &it->second);
-    *value = it->second.value;
+    fn(static_cast<const V&>(it->second.value));
     return true;
   }
 

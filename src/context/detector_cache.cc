@@ -1,6 +1,7 @@
 #include "src/context/detector_cache.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 namespace pcor {
@@ -16,12 +17,10 @@ LruCacheOptions ToCacheOptions(const VerifierOptions& options) {
   return cache_options;
 }
 
-// Approximate footprint of one memoized result: the outlier row ids plus
-// the shared_ptr control block. The cache adds its own per-entry overhead
-// (key + node + hash-table bookkeeping) on top.
-size_t ApproxResultBytes(const std::vector<uint32_t>& outliers) {
-  return sizeof(std::vector<uint32_t>) +
-         outliers.capacity() * sizeof(uint32_t) + 2 * sizeof(void*);
+// Approximate heap footprint of one memoized result beyond its cache node
+// (which holds the entry itself and is charged by the cache): the id array.
+size_t ApproxResultBytes(const VerifierEntry& entry) {
+  return entry.num_outliers * sizeof(uint32_t);
 }
 
 }  // namespace
@@ -51,41 +50,69 @@ OutlierVerifier::OutlierVerifier(const PopulationProbe& index,
       memo_(std::move(memo)),
       epoch_(epoch) {}
 
+template <typename Read>
+auto OutlierVerifier::ReadEntry(const ContextVec& c, Read read) const {
+  if (!options_.enable_cache) return read(Compute(c));
+  const VerifierCacheKey key{epoch_, c};
+  std::invoke_result_t<Read&, const VerifierEntry&> result{};
+  if (memo_->cache_.Visit(
+          key, [&](const VerifierEntry& entry) { result = read(entry); })) {
+    return result;
+  }
+  VerifierEntry computed = Compute(c);
+  result = read(computed);
+  const size_t bytes = ApproxResultBytes(computed);
+  memo_->cache_.Put(key, std::move(computed), bytes);
+  return result;
+}
+
 bool OutlierVerifier::IsOutlierInContext(const ContextVec& c,
                                          uint32_t v_row) const {
+  return OutlierPopulation(c, v_row).has_value();
+}
+
+std::optional<size_t> OutlierVerifier::OutlierPopulation(
+    const ContextVec& c, uint32_t v_row) const {
   // Fast precheck: V must belong to D_C at all (one bit test per attribute).
-  if (!index_->ContextContainsRow(c, v_row)) return false;
-  auto outliers = OutliersInContext(c);
-  return std::binary_search(outliers->begin(), outliers->end(), v_row);
+  if (!index_->ContextContainsRow(c, v_row)) return std::nullopt;
+  return ReadEntry(c, [v_row](const VerifierEntry& entry) {
+    const std::span<const uint32_t> ids = entry.outlier_ids();
+    return std::binary_search(ids.begin(), ids.end(), v_row)
+               ? std::optional<size_t>(entry.population)
+               : std::nullopt;
+  });
 }
 
 std::shared_ptr<const std::vector<uint32_t>>
 OutlierVerifier::OutliersInContext(const ContextVec& c) const {
-  if (!options_.enable_cache) return Compute(c);
-  const VerifierCacheKey key{epoch_, c};
-  ResultPtr cached;
-  if (memo_->cache_.Get(key, &cached)) return cached;
-  ResultPtr computed = Compute(c);
-  memo_->cache_.Put(key, computed, ApproxResultBytes(*computed));
-  return computed;
+  return ReadEntry(c, [](const VerifierEntry& entry) {
+    const std::span<const uint32_t> ids = entry.outlier_ids();
+    return std::make_shared<const std::vector<uint32_t>>(ids.begin(),
+                                                         ids.end());
+  });
 }
 
-std::shared_ptr<const std::vector<uint32_t>> OutlierVerifier::Compute(
-    const ContextVec& c) const {
+VerifierEntry OutlierVerifier::Compute(const ContextVec& c) const {
   memo_->evaluations_.fetch_add(1, std::memory_order_relaxed);
-  // Per-thread scratch: a probe in steady state allocates only the result
-  // vector it may cache, never population buffers.
+  // Per-thread scratch: a probe in steady state allocates only the id
+  // array it may cache, never population buffers.
   thread_local PopulationScratch scratch;
   thread_local std::vector<size_t> flagged;
-  auto result = std::make_shared<std::vector<uint32_t>>();
   const PopulationView view = index_->ViewOf(c, &scratch);
-  if (view.size() < detector_->min_population()) return result;
+  VerifierEntry entry;
+  // |D_C| is kept below min_population too: the entry is always complete.
+  entry.population = static_cast<uint32_t>(view.size());
+  if (view.size() < detector_->min_population()) return entry;
   detector_->Detect(view.metric(), &flagged);
-  result->reserve(flagged.size());
-  // Detect returns ascending positions; row ids are ascending, so the
-  // result is already sorted for binary_search.
-  for (size_t pos : flagged) result->push_back(view.row_ids()[pos]);
-  return result;
+  if (flagged.empty()) return entry;
+  entry.num_outliers = static_cast<uint32_t>(flagged.size());
+  entry.outliers = std::make_unique_for_overwrite<uint32_t[]>(flagged.size());
+  // Detect returns ascending positions; row ids are ascending, so the ids
+  // are already sorted for binary_search.
+  for (size_t i = 0; i < flagged.size(); ++i) {
+    entry.outliers[i] = view.row_ids()[flagged[i]];
+  }
+  return entry;
 }
 
 VerifierStats OutlierVerifier::Stats() const {

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "src/common/random.h"
@@ -75,6 +77,21 @@ struct VerifierCacheKeyHash {
   }
 };
 
+/// \brief One memoized f_M result: everything a single detector run over
+/// D_C learns. Immutable once cached. The memo holds it by value and reads
+/// it under the cache's shard lock, so an entry is one id array and no
+/// shared ownership. Row ids are 32-bit, so both counts fit in uint32_t.
+struct VerifierEntry {
+  std::unique_ptr<uint32_t[]> outliers;  ///< null when nothing is flagged
+  uint32_t num_outliers = 0;
+  uint32_t population = 0;  ///< |D_C|, set even below min_population
+
+  /// \brief The flagged row ids, ascending.
+  std::span<const uint32_t> outlier_ids() const {
+    return {outliers.get(), num_outliers};
+  }
+};
+
 /// \brief The shared, epoch-keyed memo store behind one or more
 /// OutlierVerifiers.
 ///
@@ -112,9 +129,9 @@ class VerifierMemo {
 
  private:
   friend class OutlierVerifier;
-  using ResultPtr = std::shared_ptr<const std::vector<uint32_t>>;
 
-  mutable ShardedLruCache<VerifierCacheKey, ResultPtr, VerifierCacheKeyHash>
+  mutable ShardedLruCache<VerifierCacheKey, VerifierEntry,
+                          VerifierCacheKeyHash>
       cache_;
   std::atomic<size_t> evaluations_{0};
 };
@@ -124,8 +141,9 @@ class VerifierMemo {
 /// Given a context C, the verifier filters the dataset through the
 /// population index (into per-thread scratch buffers — zero allocations in
 /// steady state), runs the detector on the population's contiguous metric
-/// span once, converts flagged positions to row ids, and caches the result
-/// — every later f_M(D_C, ·) query on the same context is a lookup. The
+/// span once, converts flagged positions to row ids, and caches them
+/// together with |D_C| — every later f_M(D_C, ·) query on the same context,
+/// and the population-size utility that scores it, is a lookup. The
 /// graph-search samplers revisit contexts constantly (each vertex has t
 /// neighbors), so this memoization is the practical analogue of the paper's
 /// precomputed reference file.
@@ -160,7 +178,13 @@ class OutlierVerifier {
   /// flags it there. Rows outside the population are never outliers in it.
   bool IsOutlierInContext(const ContextVec& c, uint32_t v_row) const;
 
-  /// \brief Row ids of all outliers in D_C, ascending (shared, immutable).
+  /// \brief |D_C| when f_M(D_C, V) holds, std::nullopt otherwise — the
+  /// population-size utility in one memo lookup, with no population probe.
+  std::optional<size_t> OutlierPopulation(const ContextVec& c,
+                                          uint32_t v_row) const;
+
+  /// \brief Row ids of all outliers in D_C, ascending: a copy of the memo
+  /// entry's ids (tests and benches; releases never call it).
   std::shared_ptr<const std::vector<uint32_t>> OutliersInContext(
       const ContextVec& c) const;
 
@@ -191,9 +215,11 @@ class OutlierVerifier {
   void ClearCache() const;
 
  private:
-  using ResultPtr = std::shared_ptr<const std::vector<uint32_t>>;
-
-  ResultPtr Compute(const ContextVec& c) const;
+  /// \brief Returns `read(entry)` for the memo entry of `c`, computing and
+  /// memoizing the entry on a miss.
+  template <typename Read>
+  auto ReadEntry(const ContextVec& c, Read read) const;
+  VerifierEntry Compute(const ContextVec& c) const;
 
   const PopulationProbe* index_;
   const OutlierDetector* detector_;

@@ -1,5 +1,7 @@
 #include "src/context/max_context.h"
 
+#include <optional>
+
 #include "src/context/starting_context.h"
 
 namespace pcor {
@@ -19,12 +21,11 @@ MaxContextResult Climb(const OutlierVerifier& verifier, uint32_t v_row,
     ContextVec neighbor = current;
     for (size_t bit = 0; bit < t; ++bit) {
       neighbor.Flip(bit);
-      if (verifier.IsOutlierInContext(neighbor, v_row)) {
-        const size_t pop = verifier.index().PopulationCount(neighbor);
-        if (pop > best_pop) {
-          best_pop = pop;
-          best_neighbor = neighbor;
-        }
+      const std::optional<size_t> pop =
+          verifier.OutlierPopulation(neighbor, v_row);
+      if (pop && *pop > best_pop) {
+        best_pop = *pop;
+        best_neighbor = neighbor;
       }
       neighbor.Flip(bit);
     }

@@ -32,7 +32,7 @@ ContextVec MergeContexts(const ContextVec& c1, const ContextVec& c2) {
 }  // namespace
 
 IndexStorage DefaultIndexStorage() {
-  return strings::EnvSizeOr("PCOR_COMPRESSED_INDEX", 1) != 0
+  return strings::EnvSizeOr("PCOR_COMPRESSED_INDEX", 0) != 0
              ? IndexStorage::kCompressed
              : IndexStorage::kDense;
 }

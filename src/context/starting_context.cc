@@ -1,5 +1,7 @@
 #include "src/context/starting_context.h"
 
+#include <optional>
+
 namespace pcor {
 
 namespace {
@@ -74,10 +76,10 @@ bool TryBestOfRandom(const OutlierVerifier& verifier, uint32_t v_row,
   size_t best_pop = 0;
   for (size_t i = 0; i < tries; ++i) {
     ContextVec c = RandomContainingContext(verifier, v_row, rng);
-    if (!verifier.IsOutlierInContext(c, v_row)) continue;
-    const size_t pop = verifier.index().PopulationCount(c);
-    if (!found || pop > best_pop) {
-      best_pop = pop;
+    const std::optional<size_t> pop = verifier.OutlierPopulation(c, v_row);
+    if (!pop) continue;
+    if (!found || *pop > best_pop) {
+      best_pop = *pop;
       *out = c;
       found = true;
     }

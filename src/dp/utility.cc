@@ -1,6 +1,7 @@
 #include "src/dp/utility.h"
 
 #include <limits>
+#include <optional>
 
 namespace pcor {
 
@@ -13,8 +14,10 @@ PopulationSizeUtility::PopulationSizeUtility(const OutlierVerifier& verifier)
 
 double PopulationSizeUtility::Score(const ContextVec& c,
                                     uint32_t v_row) const {
-  if (!verifier_->IsOutlierInContext(c, v_row)) return kNegInf;
-  return static_cast<double>(verifier_->index().PopulationCount(c));
+  // f_M already measured |D_C|: the verifier returns it with the verdict.
+  const std::optional<size_t> population =
+      verifier_->OutlierPopulation(c, v_row);
+  return population ? static_cast<double>(*population) : kNegInf;
 }
 
 OverlapUtility::OverlapUtility(const OutlierVerifier& verifier,

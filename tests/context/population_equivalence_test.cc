@@ -87,7 +87,8 @@ TEST(PopulationEquivalenceTest, CompressedWorkingSetIsSmallerOnSparseData) {
 }
 
 TEST(PopulationEquivalenceTest, DefaultStorageHonorsEnvToggle) {
-  // PCOR_COMPRESSED_INDEX defaults on; the ablation toggle is exercised by
+  // Dense is the default; PCOR_COMPRESSED_INDEX=1 selects compressed (the
+  // *_forced_compressed ctest reruns). Both storages are exercised by
   // constructing with an explicit storage above, so here we only pin the
   // default's type to whatever the env resolves to.
   auto grid = testing_util::MakeGridDataset();

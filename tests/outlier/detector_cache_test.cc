@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "src/common/threading.h"
 #include "src/search/pcor.h"
+#include "src/search/streaming.h"
 #include "tests/testing_util.h"
 
 namespace pcor {
@@ -293,6 +297,135 @@ TEST_F(VerifierTest, CacheBudgetEvictionUnderConcurrentReleases) {
     }
   });
   EXPECT_EQ(mismatches.load(), 0u);
+}
+
+// The population-size utility reads |D_C| from the memo entry instead of
+// probing the index. These tests pin that stored count to the probe's.
+
+// A loose z-score (threshold 1) flags the 99s and 103s of every tight
+// cluster, so most fuzzed contexts have outliers whose |D_C| is reported.
+ZscoreDetector LooseDetector(size_t min_population = 4) {
+  ZscoreOptions options;
+  options.threshold = 1.0;
+  options.min_population = min_population;
+  return ZscoreDetector(options);
+}
+
+// For every fuzzed context and every row: OutlierPopulation is |D_C| from
+// the probe exactly when the row is a flagged outlier of D_C, else nullopt.
+// Returns how many (context, row) pairs reported a population.
+size_t ExpectPopulationMatchesProbe(const OutlierVerifier& verifier,
+                                    const std::vector<ContextVec>& contexts,
+                                    uint32_t num_rows) {
+  size_t reported = 0;
+  for (const ContextVec& c : contexts) {
+    const size_t expected = verifier.index().PopulationCount(c);
+    const auto outliers = verifier.OutliersInContext(c);
+    for (uint32_t row = 0; row < num_rows; ++row) {
+      const std::optional<size_t> population =
+          verifier.OutlierPopulation(c, row);
+      const bool flagged =
+          std::binary_search(outliers->begin(), outliers->end(), row);
+      EXPECT_EQ(population.has_value(), flagged) << "row " << row;
+      EXPECT_EQ(verifier.IsOutlierInContext(c, row), flagged);
+      if (population) {
+        EXPECT_EQ(*population, expected) << "row " << row;
+        ++reported;
+      }
+    }
+  }
+  return reported;
+}
+
+TEST_F(VerifierTest, StoredPopulationMatchesProbeOnFuzzedContexts) {
+  const ZscoreDetector loose = LooseDetector();
+  const auto contexts =
+      testing_util::FuzzContexts(grid_.dataset.schema(), 61, 24);
+  const auto num_rows = static_cast<uint32_t>(grid_.dataset.num_rows());
+  for (IndexStorage storage :
+       {IndexStorage::kDense, IndexStorage::kCompressed}) {
+    const PopulationIndex index(grid_.dataset, storage);
+    for (bool enable_cache : {true, false}) {
+      SCOPED_TRACE(testing::Message()
+                   << "compressed=" << (storage == IndexStorage::kCompressed)
+                   << " cache=" << enable_cache);
+      VerifierOptions options;
+      options.enable_cache = enable_cache;
+      OutlierVerifier verifier(index, loose, options);
+      // Twice: the second pass answers from the memo when it is on.
+      EXPECT_GT(ExpectPopulationMatchesProbe(verifier, contexts, num_rows),
+                0u);
+      EXPECT_GT(ExpectPopulationMatchesProbe(verifier, contexts, num_rows),
+                0u);
+      EXPECT_EQ(verifier.cache_hits() > 0, enable_cache);
+    }
+  }
+}
+
+TEST_F(VerifierTest, StoredPopulationBelowMinPopulationReportsNo) {
+  // V's exact context holds 13 rows; a min_population of 14 gates it.
+  const ZscoreDetector gated = LooseDetector(/*min_population=*/14);
+  OutlierVerifier verifier(index_, gated);
+  const ContextVec exact = index_.ExactContextOf(grid_.v_row);
+  ASSERT_EQ(index_.PopulationCount(exact), 13u);
+  for (uint32_t row : index_.RowIdsOf(exact)) {
+    EXPECT_FALSE(verifier.OutlierPopulation(exact, row).has_value());
+  }
+  EXPECT_EQ(verifier.evaluations(), 1u);  // computed once, then memoized
+  EXPECT_TRUE(verifier.OutliersInContext(exact)->empty());
+  // A population above the gate still reports its size.
+  const auto outliers = verifier.OutliersInContext(FullCtx());
+  ASSERT_FALSE(outliers->empty());
+  EXPECT_EQ(verifier.OutlierPopulation(FullCtx(), outliers->front()),
+            index_.PopulationCount(FullCtx()));
+}
+
+TEST_F(VerifierTest, SharedStreamingMemoReportsEachEpochsPopulation) {
+  // Metrics 99..103 only, so the loose detector flags rows in both epochs.
+  const auto grid = testing_util::MakeGridDataset(12, /*v_metric=*/103.0);
+  const auto rows = testing_util::RowsOf(grid.dataset);
+  const ZscoreDetector loose = LooseDetector();
+  const auto contexts =
+      testing_util::FuzzContexts(grid.dataset.schema(), 62, 16);
+  for (IndexStorage storage :
+       {IndexStorage::kDense, IndexStorage::kCompressed}) {
+    SCOPED_TRACE(storage == IndexStorage::kCompressed ? "compressed"
+                                                      : "dense");
+    StreamingOptions options;
+    options.storage = storage;
+    StreamingPcorEngine stream(grid.dataset.schema(), loose, options);
+    const uint32_t half = static_cast<uint32_t>(rows.size() / 2);
+    ASSERT_TRUE(
+        stream.AppendRows(std::span<const Row>(rows).first(half)).ok());
+    stream.SealEpoch();
+    const auto early = stream.Pin();
+    ASSERT_TRUE(
+        stream.AppendRows(std::span<const Row>(rows).subspan(half)).ok());
+    stream.SealEpoch();
+    const auto late = stream.Pin();
+    const OutlierVerifier& v_early = early->engine->verifier();
+    const OutlierVerifier& v_late = late->engine->verifier();
+    ASSERT_EQ(v_early.memo(), v_late.memo());
+    ASSERT_NE(v_early.epoch(), v_late.epoch());
+
+    // Early, late, then early again: the third pass hits entries the first
+    // left in the shared memo, after the late epoch filled its own.
+    for (const OutlierVerifier* verifier : {&v_early, &v_late, &v_early}) {
+      EXPECT_GT(ExpectPopulationMatchesProbe(*verifier, contexts, half), 0u);
+    }
+    EXPECT_GT(stream.memo()->CacheStats().hits, 0u);
+    // One context, one row, two epochs: each reports its own |D_C|.
+    size_t differing = 0;
+    for (const ContextVec& c : contexts) {
+      for (uint32_t row = 0; row < half; ++row) {
+        const std::optional<size_t> early_pop =
+            v_early.OutlierPopulation(c, row);
+        const std::optional<size_t> late_pop = v_late.OutlierPopulation(c, row);
+        if (early_pop && late_pop && *early_pop != *late_pop) ++differing;
+      }
+    }
+    EXPECT_GT(differing, 0u);
+  }
 }
 
 }  // namespace
