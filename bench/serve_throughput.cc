@@ -84,7 +84,6 @@ int main() {
         std::max<size_t>(8, total_requests / clients);
     config.serve.release = release;
     config.serve.max_batch = 32;
-    config.serve.max_delay_us = 100;
     config.serve.queue_capacity = 256;
     config.serve.seed = env.seed;
     auto result = RunServingWorkload(*setup->engine, setup->outliers, config);
@@ -130,9 +129,9 @@ int main() {
   report::SectionHeader("PcorServer scaling (closed-loop clients)");
   std::printf("%s", table.Render().c_str());
   report::Note(
-      "p50/p99 are submit-to-completion latencies; coalescing trades a "
-      "bounded delay (max_delay_us) for batched execution on the shared "
-      "verifier cache");
+      "p50/p99 are submit-to-completion latencies; dispatch never waits "
+      "for stragglers, so a batch is whatever queued while the previous "
+      "one ran (up to max_batch) and shares the verifier cache");
 
   // Bar 1: > 1 release/sec/core on the synthetic workload.
   const double per_core = peak_releases_per_s / static_cast<double>(cores);
@@ -192,7 +191,6 @@ int main() {
     config.serve.release = release;
     config.serve.scheduling = SchedulingPolicy::kWeightedFair;
     config.serve.max_batch = 32;
-    config.serve.max_delay_us = 100;
     config.serve.queue_capacity = 1024;
     config.serve.seed = env.seed + 2;
 

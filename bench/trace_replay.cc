@@ -157,7 +157,6 @@ int main() {
     ServeOptions serve;
     serve.release = release;
     serve.max_batch = 16;
-    serve.max_delay_us = 100;
     // Small queue + blocking backpressure: the flood fills the queue, the
     // dispatch loop blocks in SubmitAsync, and every event scheduled
     // behind the burst goes out late — which is exactly what the
@@ -224,7 +223,6 @@ int main() {
     ServeOptions serve;
     serve.release = release;
     serve.max_batch = 32;
-    serve.max_delay_us = 100;
     serve.queue_capacity = 256;
     serve.seed = env.seed;
     PcorServer server(*setup->engine, serve);
@@ -259,7 +257,6 @@ int main() {
     ServeOptions serve;
     serve.release = release;
     serve.max_batch = 16;
-    serve.max_delay_us = 100;
     serve.queue_capacity = 256;
     serve.per_client_epsilon_cap = 1.0;
     serve.seed = env.seed;
@@ -332,7 +329,6 @@ int main() {
       serve.release.num_samples = 8;
       serve.release.total_epsilon = 0.4;
       serve.max_batch = 16;
-      serve.max_delay_us = 100;
       serve.queue_capacity = 256;
       serve.seed = env.seed;
       PcorServer server(stream, serve);

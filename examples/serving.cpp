@@ -46,16 +46,15 @@ int main() {
   PcorEngine engine(dataset, detector);
 
   // Server: BFS releases at eps=0.2 each by default, micro-batches of up
-  // to 16 held open 500us for stragglers, weighted-fair scheduling, and a
-  // default per-tenant budget cap of eps=1.0 — five releases per tenant,
-  // then typed rejections.
+  // to 16 (whatever is queued when the dispatcher frees up), weighted-fair
+  // scheduling, and a default per-tenant budget cap of eps=1.0 — five
+  // releases per tenant, then typed rejections.
   ServeOptions options;
   options.release.sampler = SamplerKind::kBfs;
   options.release.num_samples = 8;
   options.release.total_epsilon = 0.2;
   options.scheduling = SchedulingPolicy::kWeightedFair;
   options.max_batch = 16;
-  options.max_delay_us = 500;
   options.per_client_epsilon_cap = 1.0;
   options.seed = 2021;
   PcorServer server(engine, options);

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -19,16 +18,15 @@ enum class QueueOp {
   kFull,       ///< TryPush on a queue at capacity
   kEmpty,      ///< TryPop on an empty (but open) queue
   kClosed,     ///< Push after Close(), or Pop after Close() drained everything
-  kTimedOut,   ///< PopFor expired before an element arrived
   kTenantFull, ///< push past a per-tenant depth bound (WeightedFairQueue)
 };
 
 /// \brief Bounded multi-producer multi-consumer FIFO queue.
 ///
-/// The admission spine of the serving front-end: many client threads push,
-/// the dispatcher pops. Blocking, non-blocking and timed variants cover the
-/// two backpressure policies (block vs. reject) and the dispatcher's
-/// bounded-delay coalescing wait.
+/// Many threads push and pop (the trace driver's completion queue is one).
+/// Blocking and non-blocking variants cover the two backpressure policies
+/// (block vs. reject); the serving admission queue, WeightedFairQueue,
+/// mirrors these semantics.
 ///
 /// Close() semantics follow Go channels: after Close() every push fails
 /// with kClosed, but pops continue to drain already-accepted elements and
@@ -80,17 +78,6 @@ class BoundedMpmcQueue {
   QueueOp TryPop(T* out) {
     std::unique_lock<std::mutex> lock(mu_);
     if (items_.empty()) return closed_ ? QueueOp::kClosed : QueueOp::kEmpty;
-    return PopLocked(out, &lock);
-  }
-
-  /// \brief Pop waiting up to `timeout`; kTimedOut when nothing arrived.
-  /// The dispatcher's coalescing loop uses this as its bounded-delay wait.
-  template <typename Rep, typename Period>
-  QueueOp PopFor(T* out, std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock<std::mutex> lock(mu_);
-    const bool got = not_empty_.wait_for(
-        lock, timeout, [this] { return closed_ || !items_.empty(); });
-    if (!got) return QueueOp::kTimedOut;
     return PopLocked(out, &lock);
   }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <deque>
@@ -152,13 +151,11 @@ class WeightedFairQueue {
     return PopLocked(out, &lock);
   }
 
-  /// \brief Pop waiting up to `timeout`; kTimedOut when nothing arrived.
-  template <typename Rep, typename Period>
-  QueueOp PopFor(T* out, std::chrono::duration<Rep, Period> timeout) {
+  /// \brief Non-blocking pop in the same pick order as Pop: kEmpty on an
+  /// open empty queue, kClosed once closed and drained.
+  QueueOp TryPop(T* out) {
     std::unique_lock<std::mutex> lock(mu_);
-    const bool got = not_empty_.wait_for(
-        lock, timeout, [this] { return closed_ || size_ > 0; });
-    if (!got) return QueueOp::kTimedOut;
+    if (size_ == 0) return closed_ ? QueueOp::kClosed : QueueOp::kEmpty;
     return PopLocked(out, &lock);
   }
 
@@ -178,6 +175,13 @@ class WeightedFairQueue {
     return size_;
   }
   size_t capacity() const { return capacity_; }
+  /// \brief Peak number of queued elements since construction, recorded
+  /// under the queue mutex at each push, so it is exact and never exceeds
+  /// capacity().
+  size_t high_water() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    return high_water_;
+  }
   bool closed() const {
     std::unique_lock<std::mutex> lock(mu_);
     return closed_;
@@ -215,7 +219,7 @@ class WeightedFairQueue {
 
   void PushLocked(Tenant* tenant, T item, double cost) {
     tenant->items.push_back(Entry{std::move(item), cost});
-    ++size_;
+    high_water_ = std::max(high_water_, ++size_);
     if (policy_ == SchedulingPolicy::kFifo) {
       arrival_.push_back(tenant);
     } else if (!tenant->active) {
@@ -314,6 +318,7 @@ class WeightedFairQueue {
   std::deque<Tenant*> arrival_;  ///< global arrival order (kFifo)
   std::deque<Tenant*> active_;   ///< tenants with pending items (kWeightedFair)
   size_t size_ = 0;
+  size_t high_water_ = 0;
   bool closed_ = false;
 };
 

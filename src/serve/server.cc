@@ -1,17 +1,11 @@
 #include "src/serve/server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "src/common/random.h"
 
 namespace pcor {
-
-namespace {
-using std::chrono::microseconds;
-using std::chrono::steady_clock;
-}  // namespace
 
 PcorServer::PcorServer(const PcorEngine& engine, ServeOptions options)
     : engine_(&engine),
@@ -141,12 +135,6 @@ Result<Future<BatchEntry>> PcorServer::SubmitAsync(
     }
     return Status::Unavailable("server is shutting down");
   }
-  const size_t depth = queued_.fetch_add(1, std::memory_order_relaxed) + 1;
-  size_t high_water = queue_high_water_.load(std::memory_order_relaxed);
-  while (depth > high_water &&
-         !queue_high_water_.compare_exchange_weak(
-             high_water, depth, std::memory_order_relaxed)) {
-  }
   {
     std::unique_lock<std::mutex> stats_lock(stats_mu_);
     ++stats_.submitted;
@@ -225,17 +213,15 @@ void PcorServer::DispatcherLoop() {
   while (true) {
     Pending first;
     if (queue_.Pop(&first) == QueueOp::kClosed) return;
-    queued_.fetch_sub(1, std::memory_order_relaxed);
 
+    // Work-conserving: take only what is already queued, never wait for
+    // stragglers. Requests arriving while this batch runs queue up and
+    // leave together in the next one.
     std::vector<Pending> batch;
     batch.push_back(std::move(first));
-    const auto deadline =
-        steady_clock::now() + microseconds(options_.max_delay_us);
     while (batch.size() < std::max<size_t>(1, options_.max_batch)) {
       Pending next;
-      const QueueOp op = queue_.PopFor(&next, deadline - steady_clock::now());
-      if (op != QueueOp::kOk) break;  // timed out, or closed and drained
-      queued_.fetch_sub(1, std::memory_order_relaxed);
+      if (queue_.TryPop(&next) != QueueOp::kOk) break;  // empty, or closed
       batch.push_back(std::move(next));
     }
 
@@ -352,8 +338,7 @@ ServerStats PcorServer::stats() const {
     std::unique_lock<std::mutex> stats_lock(stats_mu_);
     snapshot = stats_;
   }
-  snapshot.queue_high_water =
-      queue_high_water_.load(std::memory_order_relaxed);
+  snapshot.queue_high_water = queue_.high_water();
   snapshot.epsilon_spent = accountant_.TotalSpent();
   if (stream_ != nullptr) snapshot.epoch = stream_->current_epoch();
   return snapshot;

@@ -57,13 +57,11 @@ struct ServeOptions {
   /// policy preserves per-tenant submission order, and neither can perturb
   /// any release — seeds are fixed at admission.
   SchedulingPolicy scheduling = SchedulingPolicy::kWeightedFair;
-  /// Largest micro-batch one dispatch executes. Bigger batches give the
-  /// engine pool's entry-level fan-out more to spread and keep the shared
-  /// verifier cache hot.
+  /// Largest micro-batch one dispatch executes. The dispatcher never waits
+  /// to fill a batch: it takes whatever is queued when it becomes free, up
+  /// to this bound. Bigger batches give the engine pool's entry-level
+  /// fan-out more to spread and keep the shared verifier cache hot.
   size_t max_batch = 64;
-  /// After the first pending request arrives, how long the dispatcher keeps
-  /// the batch open for stragglers before executing it anyway.
-  size_t max_delay_us = 200;
   /// Bound on requests admitted but not yet dispatched.
   size_t queue_capacity = 1024;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
@@ -121,9 +119,12 @@ struct ServerStats {
 /// Many client threads call SubmitAsync/SubmitMany; a dispatcher thread
 /// picks admitted requests in scheduler order (weighted-fair across
 /// tenants by default, see ServeOptions::scheduling), coalesces them into
-/// micro-batches (up to max_batch, waiting at most max_delay_us for
-/// stragglers) and executes each on ReleaseBatch with the engine's shared
-/// verifier cache, completing one Future<BatchEntry> per request. A
+/// micro-batches and executes each on ReleaseBatch with the engine's shared
+/// verifier cache, completing one Future<BatchEntry> per request. Dispatch
+/// is work-conserving: a micro-batch is whatever was queued when the
+/// dispatcher became free, up to max_batch, so a lone request executes at
+/// once and requests that arrive during a batch leave together in the
+/// next. A
 /// request may carry its own PcorOptions (BatchRequest::options),
 /// validated at admission; entries with differing options execute as
 /// homogeneous sub-batches of the same micro-batch.
@@ -283,11 +284,7 @@ class PcorServer {
   std::mutex shutdown_mu_;  // serializes Shutdown callers
 
   mutable std::mutex stats_mu_;
-  ServerStats stats_;
-  /// Admitted-but-undispatched depth and its lifetime peak, kept outside
-  /// stats_mu_ so the hot push/pop paths stay lock-free for this.
-  std::atomic<size_t> queued_{0};
-  std::atomic<size_t> queue_high_water_{0};
+  ServerStats stats_;  // queue_high_water is read from queue_ instead
 
   std::thread dispatcher_;  // last member: starts in the constructor
 };

@@ -54,13 +54,6 @@ TEST(BoundedMpmcQueueTest, CloseFailsPushesButDrainsPops) {
   // Drained: every flavor of pop now reports closed instead of blocking.
   EXPECT_EQ(q.Pop(&out), QueueOp::kClosed);
   EXPECT_EQ(q.TryPop(&out), QueueOp::kClosed);
-  EXPECT_EQ(q.PopFor(&out, milliseconds(1)), QueueOp::kClosed);
-}
-
-TEST(BoundedMpmcQueueTest, PopForTimesOutOnOpenEmptyQueue) {
-  BoundedMpmcQueue<int> q(1);
-  int out = 0;
-  EXPECT_EQ(q.PopFor(&out, milliseconds(5)), QueueOp::kTimedOut);
 }
 
 TEST(BoundedMpmcQueueTest, BlockedPushWakesOnPop) {

@@ -1,6 +1,8 @@
 #include "src/exp/serving.h"
 
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -29,7 +31,6 @@ TEST_F(ServingWorkloadTest, DrivesConcurrentClientsToCompletion) {
   config.serve.release.num_samples = 6;
   config.serve.release.total_epsilon = 0.2;
   config.serve.max_batch = 8;
-  config.serve.max_delay_us = 100;
   config.serve.seed = 11;
 
   auto result = RunServingWorkload(engine_, {grid_.v_row}, config);
@@ -132,7 +133,6 @@ TEST_F(ServingWorkloadTest, ReportsPerTenantBreakdown) {
   config.serve.release.num_samples = 6;
   config.serve.release.total_epsilon = 0.2;
   config.serve.max_batch = 8;
-  config.serve.max_delay_us = 100;
   config.serve.seed = 21;
 
   TenantWorkload premium;
@@ -173,9 +173,19 @@ TEST_F(ServingWorkloadTest, FloodModeSubmitsOpenLoop) {
   config.serve.release.num_samples = 6;
   config.serve.release.total_epsilon = 0.2;
   config.serve.max_batch = 4;
-  config.serve.max_delay_us = 50;
   config.serve.queue_capacity = 64;
   config.serve.seed = 22;
+  // The flood's first request is parked in the gate while the other
+  // eleven queue behind it. RunServingWorkload owns the server and exposes
+  // no admission signal, so the gate opens after a fixed hold: 100 ms is
+  // orders of magnitude longer than eleven submissions take.
+  testing_util::DispatchGate gate;
+  config.serve.pre_batch_hook = gate.Hook();
+  std::thread opener([&gate] {
+    gate.WaitUntilHeld();
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    gate.Open();
+  });
 
   TenantWorkload flooder;
   flooder.id = "flooder";
@@ -184,6 +194,7 @@ TEST_F(ServingWorkloadTest, FloodModeSubmitsOpenLoop) {
   config.tenants = {flooder};
 
   auto result = RunServingWorkload(engine_, {grid_.v_row}, config);
+  opener.join();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->released, 12u);
   EXPECT_EQ(result->rejected_queue, 0u);

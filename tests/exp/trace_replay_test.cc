@@ -44,7 +44,6 @@ class ClassicReplayTest : public ::testing::Test {
     options.release.num_samples = 6;
     options.release.total_epsilon = 0.2;
     options.max_batch = 8;
-    options.max_delay_us = 100;
     options.seed = 2021;
     return options;
   }
@@ -213,7 +212,6 @@ TEST(StreamingReplayTest, MixedTraceIsBitIdenticalAcrossCollectorThreads) {
     serve.release.num_samples = 8;
     serve.release.total_epsilon = 0.4;
     serve.max_batch = 4;
-    serve.max_delay_us = 100;
     serve.seed = 424242;
     PcorServer server(stream, serve);
     VirtualClock clock;

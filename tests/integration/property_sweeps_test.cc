@@ -166,9 +166,17 @@ TEST_P(ServerEpsilonSweepTest, CoalescedEntriesKeepTheEpsilonSchedule) {
   options.release.num_samples = kNumSamples;
   options.release.total_epsilon = kEpsilon;
   options.max_batch = 16;  // force coalescing across clients
-  options.max_delay_us = 50'000;
   options.seed = 99;
+  // Everything below queues while the dispatcher is parked on the gate
+  // request, so it leaves in batches coalesced across clients.
+  testing_util::DispatchGate gate;
+  options.pre_batch_hook = gate.Hook();
   PcorServer server(engine, options);
+  BatchRequest gate_request;
+  gate_request.v_row = grid.v_row;
+  auto held = server.SubmitAsync(gate_request, "gate");
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  gate.WaitUntilHeld();
 
   constexpr size_t kClients = 3;
   constexpr size_t kPerClient = 6;
@@ -183,6 +191,9 @@ TEST_P(ServerEpsilonSweepTest, CoalescedEntriesKeepTheEpsilonSchedule) {
       futures.push_back(std::move(*future));
     }
   }
+
+  gate.Open();
+  futures.push_back(std::move(*held));
 
   const double eps1 =
       Epsilon1ForTotal(sampler_kind, kEpsilon, kNumSamples);
@@ -203,8 +214,9 @@ TEST_P(ServerEpsilonSweepTest, CoalescedEntriesKeepTheEpsilonSchedule) {
     EXPECT_NEAR(server.accountant().SpentBy("tenant-" + std::to_string(c)),
                 kPerClient * kEpsilon, 1e-9);
   }
+  EXPECT_NEAR(server.accountant().SpentBy("gate"), kEpsilon, 1e-9);
   EXPECT_NEAR(server.stats().epsilon_spent,
-              kClients * kPerClient * kEpsilon, 1e-9);
+              (kClients * kPerClient + 1) * kEpsilon, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Samplers, ServerEpsilonSweepTest,

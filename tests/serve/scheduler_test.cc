@@ -203,13 +203,52 @@ TEST(WeightedFairQueueTest, CloseDrainsAcceptedWorkThenReportsClosed) {
   EXPECT_EQ(queue.Pop(&item), QueueOp::kOk);
   EXPECT_EQ(queue.Pop(&item), QueueOp::kOk);
   EXPECT_EQ(queue.Pop(&item), QueueOp::kClosed);
-  EXPECT_EQ(queue.PopFor(&item, milliseconds(1)), QueueOp::kClosed);
+  EXPECT_EQ(queue.TryPop(&item), QueueOp::kClosed);
 }
 
-TEST(WeightedFairQueueTest, PopForTimesOutOnAnOpenEmptyQueue) {
+TEST(WeightedFairQueueTest, TryPopReportsEmptyOnAnOpenEmptyQueue) {
   WeightedFairQueue<Item> queue(8, SchedulingPolicy::kWeightedFair);
   Item item;
-  EXPECT_EQ(queue.PopFor(&item, milliseconds(5)), QueueOp::kTimedOut);
+  EXPECT_EQ(queue.TryPop(&item), QueueOp::kEmpty);
+  ASSERT_EQ(queue.TryPush("a", Item{"a", 0}), QueueOp::kOk);
+  EXPECT_EQ(queue.TryPop(&item), QueueOp::kOk);
+  EXPECT_EQ(item, (Item{"a", 0}));
+  EXPECT_EQ(queue.TryPop(&item), QueueOp::kEmpty);
+  EXPECT_FALSE(queue.closed());
+}
+
+TEST(WeightedFairQueueTest, TryPopReportsClosedOnceClosedAndDrained) {
+  WeightedFairQueue<Item> queue(8, SchedulingPolicy::kFifo);
+  ASSERT_EQ(queue.TryPush("a", Item{"a", 0}), QueueOp::kOk);
+  queue.Close();
+  Item item;
+  EXPECT_EQ(queue.TryPop(&item), QueueOp::kOk);
+  EXPECT_EQ(queue.TryPop(&item), QueueOp::kClosed);
+}
+
+TEST(WeightedFairQueueTest, TryPopPicksInTheSameOrderAsPop) {
+  // Weighted tenants and uneven costs, so the DRR order differs from the
+  // arrival order; TryPop must reproduce Pop's order under both policies.
+  for (const SchedulingPolicy policy :
+       {SchedulingPolicy::kFifo, SchedulingPolicy::kWeightedFair}) {
+    WeightedFairQueue<Item> popped(64, policy);
+    WeightedFairQueue<Item> try_popped(64, policy);
+    for (WeightedFairQueue<Item>* queue : {&popped, &try_popped}) {
+      queue->RegisterTenant("heavy", 3.0, 0);
+      queue->RegisterTenant("light", 0.5, 0);
+      for (int i = 0; i < 12; ++i) {
+        const char* tenant = (i % 3 == 0) ? "light" : "heavy";
+        const double cost = (i % 4 == 0) ? 0.8 : 0.2;
+        ASSERT_EQ(queue->TryPush(tenant, Item{tenant, i}, cost), QueueOp::kOk);
+      }
+      ASSERT_EQ(queue->TryPush("other", Item{"other", 12}), QueueOp::kOk);
+    }
+    std::vector<Item> try_order;
+    Item item;
+    while (try_popped.TryPop(&item) == QueueOp::kOk) try_order.push_back(item);
+    EXPECT_EQ(try_order, DrainAll(&popped))
+        << "policy " << static_cast<int>(policy);
+  }
 }
 
 TEST(WeightedFairQueueTest, PathologicallySmallWeightsServeWithoutSpinning) {

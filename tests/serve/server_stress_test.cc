@@ -1,9 +1,11 @@
 // Failure-path hardening for the serving front-end: shutdown with pending
 // work (drain and abort), queue-full backpressure under both policies,
-// exception propagation through futures, and admission after shutdown.
+// exception propagation through futures, admission after shutdown, and
+// the queue high-water mark.
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -39,18 +41,52 @@ class ServerStressTest : public ::testing::Test {
     return request;
   }
 
+  // Parks the dispatcher inside `gate` on one request from the "gate"
+  // tenant; everything submitted afterwards stays queued until Open().
+  Future<BatchEntry> HoldDispatcher(PcorServer* server,
+                                    testing_util::DispatchGate* gate) const {
+    Future<BatchEntry> held =
+        std::move(server->SubmitAsync(OutlierRequest(), "gate")).value();
+    gate->WaitUntilHeld();
+    return held;
+  }
+
+  // Opens `gate` once Shutdown has landed on `server`. The probe tenant's
+  // zero cap means its submissions are refused for budget while the
+  // server is open and with kUnavailable once it is shutting down — never
+  // admitted either way. Shutdown sets the abort flag under the same lock
+  // the probe reads, so the kUnavailable return proves the flag is set.
+  void OpenAfterShutdownLands(PcorServer* server,
+                              testing_util::DispatchGate* gate) const {
+    while (true) {
+      auto probe = server->SubmitAsync(OutlierRequest(), "probe");
+      if (probe.status().IsUnavailable()) break;
+      std::this_thread::yield();
+    }
+    gate->Open();
+  }
+
+  static void RegisterProbe(PcorServer* server) {
+    TenantConfig probe;
+    probe.epsilon_cap = 0.0;
+    ASSERT_TRUE(server->RegisterTenant("probe", probe).ok());
+  }
+
   testing_util::GridData grid_;
   ZscoreDetector detector_;
   PcorEngine engine_;
 };
 
 TEST_F(ServerStressTest, ShutdownDrainCompletesPendingWork) {
+  testing_util::DispatchGate gate;
   ServeOptions options = BaseOptions();
-  // A huge coalescing window: everything submitted below is still pending
-  // (queued or held open for stragglers) when Shutdown lands.
+  // The dispatcher is parked in the gate: everything submitted below is
+  // still queued when Shutdown lands.
   options.max_batch = 64;
-  options.max_delay_us = 30'000'000;
+  options.pre_batch_hook = gate.Hook();
   PcorServer server(engine_, options);
+  RegisterProbe(&server);
+  Future<BatchEntry> held = HoldDispatcher(&server, &gate);
 
   std::vector<Future<BatchEntry>> futures;
   for (size_t i = 0; i < 12; ++i) {
@@ -58,24 +94,30 @@ TEST_F(ServerStressTest, ShutdownDrainCompletesPendingWork) {
     ASSERT_TRUE(future.ok());
     futures.push_back(std::move(*future));
   }
-  server.Shutdown(/*drain=*/true);
+  std::thread stopper([&server] { server.Shutdown(/*drain=*/true); });
+  OpenAfterShutdownLands(&server, &gate);
+  stopper.join();
 
+  EXPECT_TRUE(held.Get().status.ok());
   for (auto& future : futures) {
     BatchEntry entry = future.Get();
     EXPECT_TRUE(entry.status.ok()) << entry.status.ToString();
   }
   const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.released, 12u);
+  EXPECT_EQ(stats.released, 12u + 1);  // + the gate request
   EXPECT_EQ(stats.failed, 0u);
   // Drained work keeps its budget charge.
   EXPECT_DOUBLE_EQ(server.accountant().SpentBy("drainer"), 12 * 0.2);
 }
 
 TEST_F(ServerStressTest, ShutdownAbortFailsPendingWithTypedStatusAndRefunds) {
+  testing_util::DispatchGate gate;
   ServeOptions options = BaseOptions();
   options.max_batch = 64;
-  options.max_delay_us = 30'000'000;
+  options.pre_batch_hook = gate.Hook();
   PcorServer server(engine_, options);
+  RegisterProbe(&server);
+  Future<BatchEntry> held = HoldDispatcher(&server, &gate);
 
   std::vector<Future<BatchEntry>> futures;
   for (size_t i = 0; i < 10; ++i) {
@@ -84,8 +126,14 @@ TEST_F(ServerStressTest, ShutdownAbortFailsPendingWithTypedStatusAndRefunds) {
     futures.push_back(std::move(*future));
   }
   EXPECT_DOUBLE_EQ(server.accountant().SpentBy("aborted"), 10 * 0.2);
-  server.Shutdown(/*drain=*/false);
+  // The gate opens only after the abort flag is provably set, so the ten
+  // queued requests are popped into an aborting dispatcher.
+  std::thread stopper([&server] { server.Shutdown(/*drain=*/false); });
+  OpenAfterShutdownLands(&server, &gate);
+  stopper.join();
 
+  // The gate request was already executing when Shutdown landed.
+  EXPECT_TRUE(held.Get().status.ok());
   for (auto& future : futures) {
     BatchEntry entry = future.Get();
     EXPECT_TRUE(entry.status.IsUnavailable()) << entry.status.ToString();
@@ -93,7 +141,7 @@ TEST_F(ServerStressTest, ShutdownAbortFailsPendingWithTypedStatusAndRefunds) {
   // Aborted work never touched the data: every charge is returned (up to
   // the accumulation residue of ten 0.2 add/subtract round trips).
   EXPECT_NEAR(server.accountant().SpentBy("aborted"), 0.0, 1e-12);
-  EXPECT_EQ(server.stats().released, 0u);
+  EXPECT_EQ(server.stats().released, 1u);  // the gate request alone
 }
 
 TEST_F(ServerStressTest, SubmitAfterShutdownIsUnavailable) {
@@ -112,7 +160,6 @@ TEST_F(ServerStressTest, RejectPolicyReturnsResourceExhaustedWhenFull) {
   options.queue_capacity = 2;
   options.backpressure = BackpressurePolicy::kReject;
   options.max_batch = 1;  // the dispatcher holds exactly one in flight
-  options.max_delay_us = 0;
   options.pre_batch_hook = [&](std::span<const BatchRequest>) {
     batches_started.fetch_add(1);
     while (!gate_open.load()) std::this_thread::sleep_for(milliseconds(1));
@@ -161,7 +208,6 @@ TEST_F(ServerStressTest, TenantDepthRejectionRefundsLikeOtherDoorRejections) {
   ServeOptions options = BaseOptions();
   options.queue_capacity = 64;  // global capacity is NOT the constraint
   options.max_batch = 1;
-  options.max_delay_us = 0;
   options.pre_batch_hook = [&](std::span<const BatchRequest>) {
     batches_started.fetch_add(1);
     while (!gate_open.load()) std::this_thread::sleep_for(milliseconds(1));
@@ -215,7 +261,6 @@ TEST_F(ServerStressTest, BlockPolicyNeverRejectsUnderPressure) {
   options.queue_capacity = 2;  // tiny buffer, heavy concurrent pressure
   options.backpressure = BackpressurePolicy::kBlock;
   options.max_batch = 4;
-  options.max_delay_us = 100;
   PcorServer server(engine_, options);
 
   constexpr size_t kThreads = 8;
@@ -240,21 +285,76 @@ TEST_F(ServerStressTest, BlockPolicyNeverRejectsUnderPressure) {
   EXPECT_EQ(stats.rejected_queue, 0u);
 }
 
+TEST_F(ServerStressTest, QueueHighWaterStaysWithinCapacityUnderFlood) {
+  // Submitters racing an immediately-dispatching server: the peak depth is
+  // recorded where the queue size is exact, so it can never exceed the
+  // capacity (nor wrap around to SIZE_MAX).
+  ServeOptions options = BaseOptions();
+  options.queue_capacity = 4;
+  options.backpressure = BackpressurePolicy::kBlock;
+  options.max_batch = 4;
+  PcorServer server(engine_, options);
+
+  constexpr size_t kThreads = 8;
+  constexpr size_t kPerThread = 16;
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      const std::string client = "flooder-" + std::to_string(t);
+      std::vector<Future<BatchEntry>> futures;
+      for (size_t i = 0; i < kPerThread; ++i) {
+        auto future = server.SubmitAsync(OutlierRequest(), client);
+        ASSERT_TRUE(future.ok()) << future.status().ToString();
+        futures.push_back(std::move(*future));
+      }
+      for (auto& future : futures) EXPECT_TRUE(future.Get().status.ok());
+    });
+  }
+  for (auto& t : clients) t.join();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.released, kThreads * kPerThread);
+  EXPECT_GE(stats.queue_high_water, 1u);
+  EXPECT_LE(stats.queue_high_water, options.queue_capacity);
+}
+
+TEST_F(ServerStressTest, QueueHighWaterCountsWorkQueuedBehindTheGate) {
+  constexpr size_t kQueued = 5;
+  testing_util::DispatchGate gate;
+  ServeOptions options = BaseOptions();
+  options.pre_batch_hook = gate.Hook();
+  PcorServer server(engine_, options);
+  Future<BatchEntry> held = HoldDispatcher(&server, &gate);
+
+  std::vector<Future<BatchEntry>> futures;
+  for (size_t i = 0; i < kQueued; ++i) {
+    auto future = server.SubmitAsync(OutlierRequest(), "queued");
+    ASSERT_TRUE(future.ok());
+    futures.push_back(std::move(*future));
+  }
+  EXPECT_EQ(server.stats().queue_high_water, kQueued);
+  gate.Open();
+  EXPECT_TRUE(held.Get().status.ok());
+  for (auto& future : futures) EXPECT_TRUE(future.Get().status.ok());
+  EXPECT_EQ(server.stats().queue_high_water, kQueued);
+}
+
 TEST_F(ServerStressTest, HookExceptionPropagatesToEveryFutureInTheBatch) {
   std::atomic<bool> armed{true};
+  testing_util::DispatchGate gate;
   ServeOptions options = BaseOptions();
-  // max_batch == submissions per wave and an effectively infinite delay:
-  // the dispatcher provably coalesces each wave into exactly one batch
-  // (it blocks until the 4th arrives, then dispatches without waiting).
+  // max_batch == submissions per wave, and the wave is queued behind the
+  // gate: once it opens, the dispatcher provably takes the whole wave as
+  // exactly one batch.
   options.max_batch = 4;
-  options.max_delay_us = 30'000'000;
   options.pre_batch_hook = [&](std::span<const BatchRequest> batch) {
+    if (gate.Pass()) return;  // the gate's own batch is not poisoned
     if (armed.exchange(false)) {
       throw std::runtime_error("verifier backend disappeared mid-batch");
     }
     (void)batch;
   };
   PcorServer server(engine_, options);
+  Future<BatchEntry> held = HoldDispatcher(&server, &gate);
 
   std::vector<Future<BatchEntry>> futures;
   for (size_t i = 0; i < 4; ++i) {
@@ -262,6 +362,8 @@ TEST_F(ServerStressTest, HookExceptionPropagatesToEveryFutureInTheBatch) {
     ASSERT_TRUE(future.ok());
     futures.push_back(std::move(*future));
   }
+  gate.Open();
+  EXPECT_TRUE(held.Get().status.ok());
   size_t threw = 0;
   for (auto& future : futures) {
     try {
@@ -290,18 +392,26 @@ TEST_F(ServerStressTest, HookExceptionPropagatesToEveryFutureInTheBatch) {
 }
 
 TEST_F(ServerStressTest, DestructorDrainsOutstandingWork) {
+  testing_util::DispatchGate gate;
   std::vector<Future<BatchEntry>> futures;
+  std::thread opener;
   {
     ServeOptions options = BaseOptions();
     options.max_batch = 64;
-    options.max_delay_us = 30'000'000;
+    options.pre_batch_hook = gate.Hook();
     PcorServer server(engine_, options);
+    RegisterProbe(&server);
+    futures.push_back(HoldDispatcher(&server, &gate));
     for (size_t i = 0; i < 6; ++i) {
       auto future = server.SubmitAsync(OutlierRequest(), "scoped");
       ASSERT_TRUE(future.ok());
       futures.push_back(std::move(*future));
     }
+    // The destructor's join waits on the gate, which opens only after the
+    // destructor's Shutdown landed — so the six are still queued then.
+    opener = std::thread([&] { OpenAfterShutdownLands(&server, &gate); });
   }  // ~PcorServer == Shutdown(drain)
+  opener.join();
   for (auto& future : futures) {
     EXPECT_TRUE(future.Get().status.ok());
   }

@@ -6,6 +6,7 @@
 #include "src/serve/server.h"
 
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -98,7 +99,6 @@ TEST_F(ServerDeterminismTest, SerialCoalescedAndRacedRunsAreBitIdentical) {
     options.release = ReleaseOptions();
     options.seed = kServerSeed;
     options.max_batch = 1;
-    options.max_delay_us = 0;
     PcorServer server(engine_, options);
     for (const PlannedRequest& req : plan) {
       BatchRequest request;
@@ -109,17 +109,24 @@ TEST_F(ServerDeterminismTest, SerialCoalescedAndRacedRunsAreBitIdentical) {
     }
   }
 
-  // Run B — one giant coalesced micro-batch: everything is admitted before
-  // the dispatcher's delay expires, so the full plan executes as one
-  // ReleaseBatch call.
+  // Run B — one giant coalesced micro-batch: the whole plan is admitted
+  // while the dispatcher is parked on a gate request (from a tenant of its
+  // own, so the plan's seeds are untouched), so the full plan executes as
+  // one ReleaseBatch call once the gate opens.
   ResultMap coalesced;
   {
+    testing_util::DispatchGate gate;
     ServeOptions options;
     options.release = ReleaseOptions();
     options.seed = kServerSeed;
     options.max_batch = plan.size();
-    options.max_delay_us = 2'000'000;
+    options.pre_batch_hook = gate.Hook();
     PcorServer server(engine_, options);
+    BatchRequest gate_request;
+    gate_request.v_row = grid_.v_row;
+    auto held = server.SubmitAsync(gate_request, "gate");
+    ASSERT_TRUE(held.ok()) << held.status().ToString();
+    gate.WaitUntilHeld();
     std::vector<Future<BatchEntry>> futures;
     futures.reserve(plan.size());
     for (const PlannedRequest& req : plan) {
@@ -129,6 +136,8 @@ TEST_F(ServerDeterminismTest, SerialCoalescedAndRacedRunsAreBitIdentical) {
       ASSERT_TRUE(future.ok()) << future.status().ToString();
       futures.push_back(std::move(*future));
     }
+    gate.Open();
+    EXPECT_TRUE(held->Get().status.ok());
     for (size_t i = 0; i < plan.size(); ++i) {
       coalesced[{plan[i].client, plan[i].k}] = futures[i].Get();
     }
@@ -145,7 +154,6 @@ TEST_F(ServerDeterminismTest, SerialCoalescedAndRacedRunsAreBitIdentical) {
     options.release = ReleaseOptions();
     options.seed = kServerSeed;
     options.max_batch = 4;
-    options.max_delay_us = 100;
     PcorServer server(engine_, options);
     std::mutex raced_mu;
     std::vector<std::thread> threads;
@@ -181,6 +189,100 @@ TEST_F(ServerDeterminismTest, SerialCoalescedAndRacedRunsAreBitIdentical) {
     ExpectIdenticalEntry(entry, coalesced.at(key));
     ExpectIdenticalEntry(entry, raced.at(key));
   }
+}
+
+// The dispatch contract: the dispatcher never waits for stragglers. A
+// batch is exactly what was queued when it became free, capped by
+// max_batch, in scheduler order. K requests from three weighted tenants
+// are queued behind a gated first batch; the hook then sees the gate
+// batch followed by ceil(K / max_batch) full-as-possible batches whose
+// concatenation is the WeightedFairQueue's own pick order.
+void ExpectDispatchOfQueuedBacklog(const PcorEngine& engine, uint32_t v_row,
+                                   size_t queued, size_t max_batch) {
+  const double kCost = 0.4;
+  const std::vector<std::pair<std::string, double>> tenants = {
+      {"a", 2.0}, {"b", 1.0}, {"c", 1.0}};
+  const std::string pattern = "aabacbbcaacbabcc";
+  ASSERT_LE(queued, pattern.size());
+
+  testing_util::DispatchGate gate;
+  std::mutex seen_mu;
+  std::vector<std::vector<uint64_t>> seen;  // each batch's request seeds
+  ServeOptions options;
+  options.release.sampler = SamplerKind::kBfs;
+  options.release.num_samples = 4;
+  options.release.total_epsilon = kCost;
+  options.seed = kServerSeed;
+  options.max_batch = max_batch;
+  options.pre_batch_hook = [&](std::span<const BatchRequest> batch) {
+    std::vector<uint64_t> seeds;
+    for (const BatchRequest& request : batch) {
+      seeds.push_back(request.rng_seed);
+    }
+    {
+      std::unique_lock<std::mutex> lock(seen_mu);
+      seen.push_back(std::move(seeds));
+    }
+    gate.Pass();
+  };
+  PcorServer server(engine, options);
+  // The oracle: the same tenants and pushes through a standalone queue.
+  WeightedFairQueue<uint64_t> oracle(queued, SchedulingPolicy::kWeightedFair);
+  for (const auto& [id, weight] : tenants) {
+    TenantConfig config;
+    config.weight = weight;
+    ASSERT_TRUE(server.RegisterTenant(id, config).ok());
+    oracle.RegisterTenant(id, weight, 0);
+  }
+
+  BatchRequest request;
+  request.v_row = v_row;
+  auto held = server.SubmitAsync(request, "gate");
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  gate.WaitUntilHeld();
+  std::map<std::string, uint64_t> next_k;
+  std::vector<Future<BatchEntry>> futures;
+  for (size_t i = 0; i < queued; ++i) {
+    const std::string tenant(1, pattern[i]);
+    auto future = server.SubmitAsync(request, tenant);
+    ASSERT_TRUE(future.ok()) << future.status().ToString();
+    futures.push_back(std::move(*future));
+    const uint64_t seed =
+        PcorServer::RequestSeed(kServerSeed, tenant, next_k[tenant]++);
+    ASSERT_EQ(oracle.TryPush(tenant, uint64_t{seed}, kCost), QueueOp::kOk);
+  }
+  gate.Open();
+  EXPECT_TRUE(held->Get().status.ok());
+  for (auto& future : futures) EXPECT_TRUE(future.Get().status.ok());
+
+  std::vector<uint64_t> expected;
+  oracle.Close();
+  uint64_t seed = 0;
+  while (oracle.Pop(&seed) == QueueOp::kOk) expected.push_back(seed);
+
+  std::unique_lock<std::mutex> lock(seen_mu);
+  const size_t backlog_batches = (queued + max_batch - 1) / max_batch;
+  ASSERT_EQ(seen.size(), 1 + backlog_batches);
+  const uint64_t gate_seed = PcorServer::RequestSeed(kServerSeed, "gate", 0);
+  EXPECT_EQ(seen[0], std::vector<uint64_t>{gate_seed});
+  std::vector<uint64_t> dispatched;
+  for (size_t b = 1; b < seen.size(); ++b) {
+    const size_t left = queued - dispatched.size();
+    EXPECT_EQ(seen[b].size(), std::min(max_batch, left)) << "batch " << b;
+    dispatched.insert(dispatched.end(), seen[b].begin(), seen[b].end());
+  }
+  EXPECT_EQ(dispatched, expected);
+  EXPECT_EQ(server.stats().batches, 1 + backlog_batches);
+}
+
+TEST_F(ServerDeterminismTest, QueuedBacklogWithinMaxBatchLeavesAsOneBatch) {
+  ExpectDispatchOfQueuedBacklog(engine_, grid_.v_row, /*queued=*/9,
+                                /*max_batch=*/16);
+}
+
+TEST_F(ServerDeterminismTest, QueuedBacklogBeyondMaxBatchSplitsAtTheCap) {
+  ExpectDispatchOfQueuedBacklog(engine_, grid_.v_row, /*queued=*/12,
+                                /*max_batch=*/5);
 }
 
 TEST_F(ServerDeterminismTest, ServedEntriesReplayThroughRelease) {
@@ -265,7 +367,6 @@ TEST_F(ServerDeterminismTest, FifoAndWeightedFairSchedulingAreBitIdentical) {
     options.scheduling = policy;
     options.release_threads = release_threads;
     options.max_batch = raced ? 6 : 1;
-    options.max_delay_us = raced ? 200 : 0;
     PcorServer server(engine_, options);
     for (const TenantPlan& plan : plans) {
       ASSERT_TRUE(server.RegisterTenant(plan.id, plan.config).ok());

@@ -40,7 +40,6 @@ class StreamingServerTest : public ::testing::Test {
     options.release.sampler = SamplerKind::kBfs;
     options.release.num_samples = 8;
     options.release.total_epsilon = 0.4;
-    options.max_delay_us = 50;
     options.seed = 424242;
     return options;
   }

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <condition_variable>
+#include <mutex>
 #include <vector>
 
 #include "src/common/random.h"
@@ -151,6 +153,53 @@ inline std::vector<ContextVec> FuzzContexts(const Schema& schema,
   }
   return contexts;
 }
+
+/// Holds a server's first micro-batch inside its pre_batch_hook until the
+/// test opens the gate, so work submitted meanwhile is certain to be queued
+/// when dispatch resumes — a deterministic stand-in for "everything
+/// arrives at once". Usage: install Hook() (or call Pass() from a hook of
+/// your own), submit one request from a tenant of its own (the clients
+/// under test keep their Rng streams), WaitUntilHeld(), queue the work
+/// under test, then Open().
+class DispatchGate {
+ public:
+  /// A pre_batch_hook that only passes the gate.
+  auto Hook() {
+    // Generic in the batch type, so this header needs no serving headers.
+    return [this](auto /*batch*/) { Pass(); };
+  }
+
+  /// The hook body. The first call blocks until Open() and returns true;
+  /// every later call returns false at once.
+  bool Pass() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (held_) return false;
+    held_ = true;
+    changed_.notify_all();
+    changed_.wait(lock, [this] { return open_; });
+    return true;
+  }
+
+  /// Blocks until the first micro-batch is parked inside Pass().
+  void WaitUntilHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    changed_.wait(lock, [this] { return held_; });
+  }
+
+  void Open() {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    changed_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable changed_;
+  bool held_ = false;
+  bool open_ = false;
+};
 
 }  // namespace testing_util
 }  // namespace pcor
