@@ -10,10 +10,18 @@
 // in the artifact. Counts are cross-checked across all three backends
 // before timing; a mismatch exits non-zero.
 //
+// Two micro_population_view lines time materialization — ViewOf: the
+// population bitmap, then its row ids and metric values — over the
+// single-segment dense index and over an uneven 8-segment
+// ShardedPopulationIndex whose boundaries fall mid-word. Both views are
+// checked against the naive row scan's ids and metric values first; any
+// difference exits non-zero.
+//
 // Scaling knobs (CI smoke-runs at a fraction of the defaults):
 //   PCOR_MICRO_ROWS      dataset rows    (default 50,000)
 //   PCOR_MICRO_CONTEXTS  probe contexts  (default 200)
 //   PCOR_SEED            dataset + context seed
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -21,7 +29,8 @@
 #include "bench/bench_json.h"
 #include "src/common/random.h"
 #include "src/common/string_util.h"
-#include "src/context/population_index.h"
+#include "src/common/threading.h"
+#include "src/context/sharded_population_index.h"
 #include "src/data/salary_generator.h"
 
 using namespace pcor;
@@ -80,6 +89,25 @@ Timing TimeProbes(size_t contexts_per_pass, const ProbeAll& probe_all) {
   return timing;
 }
 
+/// \brief Uneven seal-style layout: 8 segments over `*dataset` (not owned)
+/// cut at fixed fractions of the rows, every cut odd so each interior
+/// boundary lands mid-word.
+SegmentList UnevenSegments(const Dataset& dataset) {
+  const std::shared_ptr<const Dataset> rows(std::shared_ptr<void>(),
+                                            &dataset);
+  const double cuts[] = {0.04, 0.13, 0.29, 0.37, 0.52, 0.68, 0.9};
+  SegmentList segments;
+  uint32_t begin = 0;
+  for (const double cut : cuts) {
+    const auto end = std::max(
+        begin, static_cast<uint32_t>(cut * dataset.num_rows()) | 1u);
+    segments.push_back(MakeSegment(rows, IndexStorage::kDense, begin, end));
+    begin = end;
+  }
+  segments.push_back(MakeSegment(rows, IndexStorage::kDense, begin));
+  return segments;
+}
+
 }  // namespace
 
 int main() {
@@ -122,30 +150,56 @@ int main() {
     }
   }
 
+  // Single-threaded like every other line here: the 1-worker pool keeps
+  // segment sub-probes on the calling thread at any row count.
+  const ShardedPopulationIndex segmented(schema, UnevenSegments(dataset),
+                                         std::make_shared<ThreadPool>(1));
+
   // Cross-backend equivalence gate before timing: naive row scan, dense
-  // and compressed must report identical counts on every context.
-  std::vector<size_t> naive_counts(contexts.size());
+  // and compressed must report identical counts on every context, and the
+  // single-segment and segmented views the scan's row ids and metric.
   size_t mismatches = 0;
-  for (size_t i = 0; i < contexts.size(); ++i) {
-    size_t count = 0;
+  size_t view_rows = 0;  // rows one pass over the contexts materializes
+  PopulationScratch scratch;
+  std::vector<uint32_t> naive_ids;
+  std::vector<double> naive_metric;
+  for (const ContextVec& c : contexts) {
+    naive_ids.clear();
+    naive_metric.clear();
     for (uint32_t row = 0; row < dataset.num_rows(); ++row) {
-      if (context_ops::ContainsRow(schema, dataset, row, contexts[i])) {
-        ++count;
+      if (context_ops::ContainsRow(schema, dataset, row, c)) {
+        naive_ids.push_back(row);
+        naive_metric.push_back(dataset.metric(row));
       }
     }
-    naive_counts[i] = count;
-    if (dense.PopulationCount(contexts[i]) != count ||
-        compressed.PopulationCount(contexts[i]) != count) {
+    const size_t count = naive_ids.size();
+    view_rows += count;
+    if (dense.PopulationCount(c) != count ||
+        compressed.PopulationCount(c) != count) {
       ++mismatches;
-      std::printf("EQUIVALENCE MISMATCH: %s\n",
-                  contexts[i].ToBitString().c_str());
+      std::printf("EQUIVALENCE MISMATCH: %s\n", c.ToBitString().c_str());
+    }
+    for (const PopulationProbe* probe :
+         {static_cast<const PopulationProbe*>(&dense),
+          static_cast<const PopulationProbe*>(&segmented)}) {
+      const PopulationView view = probe->ViewOf(c, &scratch);
+      if (!std::equal(view.row_ids().begin(), view.row_ids().end(),
+                      naive_ids.begin(), naive_ids.end()) ||
+          !std::equal(view.metric().begin(), view.metric().end(),
+                      naive_metric.begin(), naive_metric.end())) {
+        ++mismatches;
+        std::printf("VIEW MISMATCH (%s): %s\n",
+                    probe == &dense ? "single" : "segmented",
+                    c.ToBitString().c_str());
+      }
     }
   }
   if (mismatches != 0) {
     std::printf("FAILED: %zu backend mismatches\n", mismatches);
     return 1;
   }
-  std::printf("equivalence: %zu counts identical across all backends\n",
+  std::printf("equivalence: %zu counts and views identical across all "
+              "backends\n",
               contexts.size());
 
   const Timing naive = TimeProbes(contexts.size(), [&] {
@@ -171,6 +225,17 @@ int main() {
     }
   });
 
+  const auto time_views = [&](const PopulationProbe& probe) {
+    return TimeProbes(contexts.size(), [&] {
+      for (const ContextVec& c : contexts) {
+        volatile size_t sink = probe.ViewOf(c, &scratch).size();
+        (void)sink;
+      }
+    });
+  };
+  const Timing single_view = time_views(dense);
+  const Timing segmented_view = time_views(segmented);
+
   std::printf("naive:      %.0f probes/s (%.0f ns/probe)\n",
               naive.probes_per_s, naive.ns_per_probe);
   std::printf("dense:      %.0f probes/s (%.0f ns/probe, x%.1f vs naive)\n",
@@ -179,6 +244,15 @@ int main() {
   std::printf("compressed: %.0f probes/s (%.0f ns/probe, x%.1f vs naive)\n",
               compressed_probe.probes_per_s, compressed_probe.ns_per_probe,
               compressed_probe.probes_per_s / naive.probes_per_s);
+
+  const double rows_per_view =
+      static_cast<double>(view_rows) / static_cast<double>(contexts.size());
+  std::printf("view, 1 segment:  %.0f ns/view, %.0f rows/s\n",
+              single_view.ns_per_probe,
+              single_view.probes_per_s * rows_per_view);
+  std::printf("view, %zu segments: %.0f ns/view, %.0f rows/s\n",
+              segmented.segment_count(), segmented_view.ns_per_probe,
+              segmented_view.probes_per_s * rows_per_view);
 
   const PopulationIndexStats dense_stats = dense.MemoryStats();
   const PopulationIndexStats compressed_stats = compressed.MemoryStats();
@@ -195,6 +269,18 @@ int main() {
   emit_probe_line("naive", naive);
   emit_probe_line("dense", dense_probe);
   emit_probe_line("compressed", compressed_probe);
+  const auto emit_view_line = [&](const char* layout, size_t segments,
+                                  const Timing& t) {
+    emitter.Emit(strings::Format(
+        "{\"bench\":\"micro_population_view\",\"layout\":\"%s\","
+        "\"segments\":%zu,\"rows\":%zu,\"contexts\":%zu,"
+        "\"rows_per_view\":%.1f,\"views\":%.0f,\"wall_s\":%.4f,"
+        "\"ns_per_view\":%.1f,\"rows_per_s\":%.1f}",
+        layout, segments, rows, num_contexts, rows_per_view, t.probes,
+        t.wall_s, t.ns_per_probe, t.probes_per_s * rows_per_view));
+  };
+  emit_view_line("single", 1, single_view);
+  emit_view_line("segmented", segmented.segment_count(), segmented_view);
   emitter.Emit(strings::Format(
       "{\"bench\":\"micro_population_build\",\"rows\":%zu,"
       "\"dense_build_s\":%.4f,\"compressed_build_s\":%.4f,"

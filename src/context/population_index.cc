@@ -4,6 +4,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
+#include "src/context/row_gather.h"
 
 namespace pcor {
 
@@ -141,16 +142,13 @@ PopulationIndex::PopulationIndex(const Dataset& dataset, IndexStorage storage,
 void PopulationIndex::GatherMetrics(const BitVector& population,
                                     std::vector<uint32_t>* row_ids,
                                     std::vector<double>* metric) const {
-  row_ids->clear();
-  metric->clear();
+  PCOR_CHECK(population.size() == num_local_rows_)
+      << "population does not span the index";
   const size_t count = population.Count();
-  row_ids->reserve(count);
-  metric->reserve(count);
-  const double* column = dataset_->metric_column().data() + row_begin_;
-  population.ForEachSetBit([&](uint32_t row) {
-    row_ids->push_back(row);
-    metric->push_back(column[row]);
-  });
+  row_ids->resize(count);
+  metric->resize(count);
+  internal::GatherRowRange(population.data(), 0, num_local_rows_,
+                           metric_data(), row_ids->data(), metric->data());
 }
 
 PopulationIndexStats PopulationIndex::MemoryStats() const {
@@ -170,16 +168,6 @@ PopulationIndexStats PopulationIndex::MemoryStats() const {
     }
   }
   return stats;
-}
-
-void PopulationIndex::ChosenValues(const ContextVec& c, size_t a,
-                                   std::vector<size_t>* values) const {
-  const Schema& schema = dataset_->schema();
-  const size_t off = schema.value_offset(a);
-  values->clear();
-  for (size_t v = 0; v < schema.attribute(a).domain_size(); ++v) {
-    if (c.Test(off + v)) values->push_back(v);
-  }
 }
 
 void PopulationIndex::PopulationInto(const ContextVec& c,

@@ -5,6 +5,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
+#include "src/context/row_gather.h"
 
 namespace pcor {
 
@@ -282,23 +283,21 @@ double ShardedPopulationIndex::RowMetric(uint32_t row) const {
 void ShardedPopulationIndex::GatherMetrics(const BitVector& population,
                                            std::vector<uint32_t>* row_ids,
                                            std::vector<double>* metric) const {
-  if (segments_.size() == 1) {
-    segments_[0]->index.GatherMetrics(population, row_ids, metric);
-    return;
-  }
-  row_ids->clear();
-  metric->clear();
+  PCOR_CHECK(population.size() == num_rows())
+      << "population does not span the probe";
   const size_t count = population.Count();
-  row_ids->reserve(count);
-  metric->reserve(count);
-  // Set bits arrive ascending, so one monotone cursor resolves each row's
-  // segment without a per-row binary search (skipping empty segments).
-  size_t s = 0;
-  population.ForEachSetBit([&](uint32_t row) {
-    while (row >= segment_begin_[s + 1]) ++s;
-    row_ids->push_back(row);
-    metric->push_back(segments_[s]->index.RowMetric(row - segment_begin_[s]));
-  });
+  row_ids->resize(count);
+  metric->resize(count);
+  // One word loop per segment, in ascending segment order, each reading its
+  // own metric column; a segment starting mid-word masks the edge word it
+  // shares with its neighbor.
+  size_t n = 0;
+  for (size_t s = 0; s < segments_.size(); ++s) {
+    n += internal::GatherRowRange(population.data(), segment_begin_[s],
+                                  segment_begin_[s + 1],
+                                  segments_[s]->index.metric_data(),
+                                  row_ids->data() + n, metric->data() + n);
+  }
 }
 
 }  // namespace pcor

@@ -1,6 +1,7 @@
 #include "src/serve/budget_accountant.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/common/string_util.h"
 
@@ -18,8 +19,11 @@ BudgetAccountant::BudgetAccountant(double per_client_cap)
     : cap_(per_client_cap) {}
 
 Status BudgetAccountant::Charge(std::string_view client_id, double epsilon) {
-  if (epsilon < 0.0) {
-    return Status::InvalidArgument("negative epsilon charge");
+  // NaN fails every comparison, so `epsilon < 0` alone would admit it and
+  // poison the ledger: a NaN spend never exceeds any cap again.
+  if (!std::isfinite(epsilon) || epsilon < 0.0) {
+    return Status::InvalidArgument(strings::Format(
+        "epsilon charge must be finite and non-negative, got %g", epsilon));
   }
   std::unique_lock<std::mutex> lock(mu_);
   auto it = spent_.find(client_id);
@@ -66,6 +70,7 @@ double BudgetAccountant::CapForLocked(std::string_view client_id) const {
 }
 
 void BudgetAccountant::Refund(std::string_view client_id, double epsilon) {
+  if (!std::isfinite(epsilon)) return;  // Charge never admitted one
   std::unique_lock<std::mutex> lock(mu_);
   auto it = spent_.find(client_id);
   if (it == spent_.end()) return;

@@ -52,12 +52,15 @@ class BudgetAccountant {
   /// kPrivacyBudgetExceeded (charging nothing) if spent + epsilon would
   /// exceed the client's cap beyond a tiny relative tolerance (so a cap
   /// that is an exact multiple of the per-release cost admits exactly that
-  /// many). Thread-safe; never blocks beyond the internal mutex.
+  /// many). A negative or non-finite `epsilon` is rejected with
+  /// kInvalidArgument, charging nothing. Thread-safe; never blocks beyond
+  /// the internal mutex.
   Status Charge(std::string_view client_id, double epsilon);
 
   /// \brief Returns `epsilon` to `client_id`'s ledger; only for admissions
   /// rolled back before any computation ran (see class comment). Clamps at
-  /// zero; refunding an unknown client is a no-op.
+  /// zero; refunding an unknown client or a non-finite `epsilon` is a
+  /// no-op.
   void Refund(std::string_view client_id, double epsilon);
 
   /// \brief Installs a per-client cap override; subsequent Charge calls

@@ -56,19 +56,19 @@ Status PcorServer::RegisterTenant(std::string_view tenant_id,
 
 Result<Future<BatchEntry>> PcorServer::SubmitAsync(
     const BatchRequest& request, std::string_view client_id) {
-  // A bad per-request override is the submitter's bug: reject it before
-  // anything is charged or sequenced, so the tenant's budget and stream
-  // indices are exactly as if the call never happened.
-  if (request.options.has_value()) {
-    Status valid = ValidatePcorOptions(*request.options);
-    if (!valid.ok()) {
-      std::unique_lock<std::mutex> stats_lock(stats_mu_);
-      ++stats_.rejected_invalid;
-      return valid;
-    }
+  // Bad effective options (a per-request override, else the server
+  // default) are rejected before anything is charged or sequenced, so the
+  // tenant's budget and stream indices are exactly as if the call never
+  // happened. A NaN epsilon must never reach the accountant.
+  const PcorOptions& effective =
+      request.options ? *request.options : options_.release;
+  Status valid = ValidatePcorOptions(effective);
+  if (!valid.ok()) {
+    std::unique_lock<std::mutex> stats_lock(stats_mu_);
+    ++stats_.rejected_invalid;
+    return valid;
   }
-  const double eps = request.options ? request.options->total_epsilon
-                                     : options_.release.total_epsilon;
+  const double eps = effective.total_epsilon;
   Pending pending;
   pending.client_id = std::string(client_id);
   pending.request = request;

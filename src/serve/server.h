@@ -196,8 +196,9 @@ class PcorServer {
 
   /// \brief Admits one request for `client_id`. Returns the future that
   /// completes with the request's BatchEntry, or a typed error:
-  /// kInvalidArgument (per-request options fail ValidatePcorOptions;
-  /// nothing charged), kPrivacyBudgetExceeded (cap), kResourceExhausted
+  /// kInvalidArgument (the effective options — the per-request override,
+  /// else ServeOptions::release — fail ValidatePcorOptions; nothing
+  /// charged), kPrivacyBudgetExceeded (cap), kResourceExhausted
   /// (tenant depth bound, or queue full under kReject), kUnavailable
   /// (shutting down). Blocks only when the global queue is full under
   /// BackpressurePolicy::kBlock — a tenant at its own depth bound is

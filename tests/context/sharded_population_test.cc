@@ -15,13 +15,16 @@
 // context, one empty attribute, all-singleton exact contexts) whose
 // populations straddle every boundary of the 80k-row salary datasets —
 // large enough (>= kMinRowsPerShard) that sub-probes scatter over the pool.
-// MergeSegments (compaction's primitive) must preserve all of it.
+// MergeSegments (compaction's primitive) must preserve all of it. The
+// gather is also driven directly on hand-built bitmaps at segment edges
+// (GatherMetricsTest), against a per-row RowMetric oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/random.h"
@@ -316,6 +319,86 @@ INSTANTIATE_TEST_SUITE_P(
                              : "compressed") +
              "_threads" + std::to_string(std::get<1>(info.param));
     });
+
+// ---- Gather at segment edges ---------------------------------------------
+
+/// \brief Segments of the given row counts over one grid schema, rows
+/// cycling through the spread grid with a distinct metric per global row
+/// (global row r carries metric 1000 + r), plus the concatenated dataset.
+std::pair<SegmentList, Dataset> SegmentsOfSizes(
+    const std::vector<uint32_t>& sizes) {
+  const Dataset grid = testing_util::MakeSpreadGridDataset().dataset;
+  Dataset all(grid.schema());
+  SegmentList segments;
+  uint32_t global = 0;
+  for (const uint32_t size : sizes) {
+    auto rows = std::make_shared<Dataset>(grid.schema());
+    for (uint32_t r = 0; r < size; ++r, ++global) {
+      Row row = grid.GetRow(global % grid.num_rows());
+      row.metric = 1000.0 + global;
+      rows->AppendRow(row).CheckOK();
+      all.AppendRow(row).CheckOK();
+    }
+    segments.push_back(MakeSegment(std::move(rows), IndexStorage::kDense));
+  }
+  return {std::move(segments), std::move(all)};
+}
+
+TEST(GatherMetricsTest, SegmentEdgesMatchPerRowOracle) {
+  // The gather walks each segment's words with its first and last word
+  // masked at the segment's rows; these layouts put those masks at every
+  // offset that matters: mid-word boundaries, 1-row segments, 63/64/65-row
+  // segments on either side of a word, and empty segments.
+  const std::vector<std::vector<uint32_t>> layouts = {
+      {5, 70, 200, 11},
+      std::vector<uint32_t>(70, 1),
+      {63, 64, 65},
+      {65, 64, 63},
+      {64, 64},
+      {1, 63, 1, 64, 1, 65, 1},
+      {30, 0, 40},
+      {0, 64, 0, 0, 1},
+      {64, 0, 65, 0},
+  };
+  for (const std::vector<uint32_t>& sizes : layouts) {
+    auto [segments, all] = SegmentsOfSizes(sizes);
+    const ShardedPopulationIndex probe(all.schema(), std::move(segments),
+                                       std::make_shared<ThreadPool>(1));
+    const PopulationIndex single(all, IndexStorage::kDense);
+    const size_t n = all.num_rows();
+    ASSERT_EQ(probe.num_rows(), n);
+
+    BitVector every(n, true);
+    BitVector none(n, false);
+    BitVector edges(n, false);
+    for (size_t s = 0; s < probe.segment_count(); ++s) {
+      if (probe.segment(s).num_rows() == 0) continue;
+      edges.Set(probe.segment_begin(s));
+      edges.Set(probe.segment_begin(s + 1) - 1);
+    }
+    for (const BitVector* bits : {&every, &none, &edges}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "segments=" << sizes.size() << " rows=" << n
+                   << " set=" << bits->Count());
+      std::vector<uint32_t> want_ids;
+      std::vector<double> want_metric;
+      bits->ForEachSetBit([&](uint32_t row) {
+        want_ids.push_back(row);
+        want_metric.push_back(probe.RowMetric(row));
+        EXPECT_EQ(probe.RowMetric(row), 1000.0 + row);
+      });
+      // Stale contents longer than the result must not survive the call.
+      std::vector<uint32_t> ids(n + 7, 0xdeadbeef);
+      std::vector<double> metric(n + 7, -1.0);
+      probe.GatherMetrics(*bits, &ids, &metric);
+      EXPECT_EQ(ids, want_ids);
+      EXPECT_EQ(metric, want_metric);
+      single.GatherMetrics(*bits, &ids, &metric);
+      EXPECT_EQ(ids, want_ids);
+      EXPECT_EQ(metric, want_metric);
+    }
+  }
+}
 
 TEST(MergeSegmentsTest, MergingPreservesEveryProbe) {
   // Compaction's primitive: merging any adjacent range must leave the

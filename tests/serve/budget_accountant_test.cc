@@ -1,6 +1,7 @@
 #include "src/serve/budget_accountant.h"
 
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -69,6 +70,33 @@ TEST(BudgetAccountantTest, NegativeChargeIsInvalid) {
   BudgetAccountant accountant(1.0);
   EXPECT_TRUE(accountant.Charge("n", -0.1).IsInvalidArgument());
   EXPECT_DOUBLE_EQ(accountant.SpentBy("n"), 0.0);
+}
+
+TEST(BudgetAccountantTest, NonFiniteChargeIsInvalidAndLeavesTheLedger) {
+  // NaN compares false against the cap, so an unchecked NaN charge would
+  // be admitted and turn the spend into NaN, after which no cap binds.
+  BudgetAccountant accountant(1.0);
+  ASSERT_TRUE(accountant.Charge("t", 0.25).ok());
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const double eps : bad) {
+    EXPECT_TRUE(accountant.Charge("t", eps).IsInvalidArgument()) << eps;
+    EXPECT_DOUBLE_EQ(accountant.SpentBy("t"), 0.25) << eps;
+    accountant.Refund("t", eps);
+    EXPECT_DOUBLE_EQ(accountant.SpentBy("t"), 0.25) << eps;
+  }
+  EXPECT_DOUBLE_EQ(accountant.TotalSpent(), 0.25);
+  // The cap still binds afterwards.
+  EXPECT_TRUE(accountant.Charge("t", 5.0).IsPrivacyBudgetExceeded());
+  EXPECT_TRUE(accountant.Charge("t", 0.75).ok());
+  EXPECT_TRUE(accountant.Charge("t", 0.01).IsPrivacyBudgetExceeded());
+  // An unlimited ledger rejects them too, rather than reading inf.
+  BudgetAccountant unlimited;
+  for (const double eps : bad) {
+    EXPECT_TRUE(unlimited.Charge("u", eps).IsInvalidArgument()) << eps;
+  }
+  EXPECT_DOUBLE_EQ(unlimited.SpentBy("u"), 0.0);
 }
 
 TEST(BudgetAccountantTest, UnlimitedByDefault) {

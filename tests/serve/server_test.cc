@@ -5,6 +5,7 @@
 // through PcorEngine::Release from its recorded seed.
 #include "src/serve/server.h"
 
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -464,6 +465,47 @@ TEST_F(ServerDeterminismTest, InvalidPerRequestOptionsRejectedAtAdmission) {
   EXPECT_EQ(entry.rng_seed,
             PcorServer::RequestSeed(kServerSeed, "validator", 0));
   EXPECT_TRUE(entry.status.ok()) << entry.status.ToString();
+}
+
+TEST_F(ServerDeterminismTest, InvalidServerDefaultRejectedAtAdmission) {
+  // A NaN server-default epsilon must be refused like a bad override: it
+  // would otherwise reach the accountant and void the tenant's cap.
+  ServeOptions options;
+  options.release = ReleaseOptions();
+  options.release.total_epsilon = std::numeric_limits<double>::quiet_NaN();
+  options.seed = kServerSeed;
+  options.per_client_epsilon_cap = 0.8;  // admits exactly 2 of 0.4
+  PcorServer server(engine_, options);
+
+  BatchRequest plain;
+  plain.v_row = grid_.v_row;
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto rejected = server.SubmitAsync(plain, "tenant");
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_TRUE(rejected.status().IsInvalidArgument())
+        << rejected.status().ToString();
+  }
+  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("tenant"), 0.0);
+  EXPECT_EQ(server.stats().rejected_invalid, 2u);
+
+  // Valid overrides are admitted at their own price, on the client's
+  // first stream slots, and the cap still binds.
+  BatchRequest priced = plain;
+  priced.options = ReleaseOptions();
+  for (size_t k = 0; k < 2; ++k) {
+    auto future = server.SubmitAsync(priced, "tenant");
+    ASSERT_TRUE(future.ok()) << future.status().ToString();
+    BatchEntry entry = future->Get();
+    EXPECT_EQ(entry.rng_seed,
+              PcorServer::RequestSeed(kServerSeed, "tenant", k));
+    EXPECT_TRUE(entry.status.ok()) << entry.status.ToString();
+  }
+  auto over = server.SubmitAsync(priced, "tenant");
+  ASSERT_FALSE(over.ok());
+  EXPECT_TRUE(over.status().IsPrivacyBudgetExceeded())
+      << over.status().ToString();
+  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("tenant"), 0.8);
+  EXPECT_EQ(server.stats().rejected_budget, 1u);
 }
 
 TEST_F(ServerDeterminismTest, PerRequestEpsilonChargedAtItsOwnPrice) {
