@@ -4,10 +4,8 @@
 #include <atomic>
 #include <cmath>
 
-#include "src/common/string_util.h"
-
-// x86-64 only: SSE2 is the ABI baseline there, so the SSE2 kernel bodies
-// need no target attribute and no cpuid gate. (32-bit x86 deliberately
+// x86-64 only: SSE2 is the ABI baseline there, so the SSE2 kernel body
+// needs no target attribute and no cpuid gate. (32-bit x86 deliberately
 // falls back to scalar — SSE2 is not its baseline.)
 #if defined(__x86_64__)
 #define PCOR_SIMD_X86 1
@@ -26,8 +24,9 @@ namespace {
 std::atomic<int> g_backend{-1};
 
 // ---------------------------------------------------------------------------
-// Scalar backend. Reductions emulate the canonical 4-lane accumulation so
-// scalar results are bit-identical to the vector paths (see simd.h).
+// Scalar reference bodies. Reductions emulate the canonical 4-lane
+// accumulation so scalar results are bit-identical to the vector paths (see
+// simd.h).
 // ---------------------------------------------------------------------------
 
 inline double CombineLanes(const double lane[4]) {
@@ -95,16 +94,6 @@ void ScanAboveScalar(std::span<const double> v, double t,
   }
 }
 
-size_t CountOutsideScalar(std::span<const double> v, double lo, double hi) {
-  size_t count = 0;
-  for (double x : v) {
-    // lo <= hi, so at most one side fires; the sum is the disjunction,
-    // with no branch for the predictor to miss on shuffled data.
-    count += static_cast<size_t>(x < lo) + static_cast<size_t>(x > hi);
-  }
-  return count;
-}
-
 double ReachSumScalar(std::span<const double> x,
                       std::span<const double> kdist, double xi) {
   double lane[4] = {0.0, 0.0, 0.0, 0.0};
@@ -117,186 +106,12 @@ double ReachSumScalar(std::span<const double> x,
 #if PCOR_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// SSE2 backend (baseline on x86-64). Two 2-wide accumulators form the same
-// four canonical lanes as AVX2's single 4-wide register: lanes {0,1} in
-// acc01, lanes {2,3} in acc23.
+// SSE2 (baseline on x86-64): ReachSum only. Two 2-wide accumulators form the
+// four canonical lanes: lanes {0,1} in acc01, lanes {2,3} in acc23.
 // ---------------------------------------------------------------------------
 
 inline __m128d Abs128(__m128d v) {
   return _mm_andnot_pd(_mm_set1_pd(-0.0), v);
-}
-
-double SumSse2(std::span<const double> v) {
-  const size_t n = v.size();
-  const size_t n4 = n & ~size_t{3};
-  __m128d acc01 = _mm_setzero_pd();
-  __m128d acc23 = _mm_setzero_pd();
-  for (size_t i = 0; i < n4; i += 4) {
-    acc01 = _mm_add_pd(acc01, _mm_loadu_pd(v.data() + i));
-    acc23 = _mm_add_pd(acc23, _mm_loadu_pd(v.data() + i + 2));
-  }
-  alignas(16) double lane[4];
-  _mm_store_pd(lane, acc01);
-  _mm_store_pd(lane + 2, acc23);
-  for (size_t i = n4; i < n; ++i) lane[i & 3] += v[i];
-  return CombineLanes(lane);
-}
-
-double SumSqDevSse2(std::span<const double> v, double center) {
-  const size_t n = v.size();
-  const size_t n4 = n & ~size_t{3};
-  const __m128d c = _mm_set1_pd(center);
-  __m128d acc01 = _mm_setzero_pd();
-  __m128d acc23 = _mm_setzero_pd();
-  for (size_t i = 0; i < n4; i += 4) {
-    const __m128d d0 = _mm_sub_pd(_mm_loadu_pd(v.data() + i), c);
-    const __m128d d1 = _mm_sub_pd(_mm_loadu_pd(v.data() + i + 2), c);
-    acc01 = _mm_add_pd(acc01, _mm_mul_pd(d0, d0));
-    acc23 = _mm_add_pd(acc23, _mm_mul_pd(d1, d1));
-  }
-  alignas(16) double lane[4];
-  _mm_store_pd(lane, acc01);
-  _mm_store_pd(lane + 2, acc23);
-  for (size_t i = n4; i < n; ++i) {
-    const double d = v[i] - center;
-    lane[i & 3] += d * d;
-  }
-  return CombineLanes(lane);
-}
-
-MinMax MinMaxSse2(std::span<const double> v) {
-  const size_t n = v.size();
-  const size_t n2 = n & ~size_t{1};
-  __m128d vmin = _mm_set1_pd(v[0]);
-  __m128d vmax = vmin;
-  for (size_t i = 0; i < n2; i += 2) {
-    const __m128d x = _mm_loadu_pd(v.data() + i);
-    vmin = _mm_min_pd(vmin, x);
-    vmax = _mm_max_pd(vmax, x);
-  }
-  alignas(16) double mn[2], mx[2];
-  _mm_store_pd(mn, vmin);
-  _mm_store_pd(mx, vmax);
-  MinMax mm{std::min(mn[0], mn[1]), std::max(mx[0], mx[1])};
-  for (size_t i = n2; i < n; ++i) {
-    mm.min = std::min(mm.min, v[i]);
-    mm.max = std::max(mm.max, v[i]);
-  }
-  return mm;
-}
-
-ArgAbsDev ArgMaxAbsDevSse2(std::span<const double> v, double center) {
-  const size_t n = v.size();
-  const size_t n2 = n & ~size_t{1};
-  const __m128d c = _mm_set1_pd(center);
-  __m128d best = _mm_set1_pd(-1.0);
-  __m128d best_idx = _mm_setzero_pd();
-  __m128d idx = _mm_set_pd(1.0, 0.0);
-  const __m128d step = _mm_set1_pd(2.0);
-  for (size_t i = 0; i < n2; i += 2) {
-    const __m128d dev = Abs128(_mm_sub_pd(_mm_loadu_pd(v.data() + i), c));
-    const __m128d gt = _mm_cmpgt_pd(dev, best);
-    best = _mm_or_pd(_mm_and_pd(gt, dev), _mm_andnot_pd(gt, best));
-    best_idx = _mm_or_pd(_mm_and_pd(gt, idx), _mm_andnot_pd(gt, best_idx));
-    idx = _mm_add_pd(idx, step);
-  }
-  alignas(16) double dev_lane[2], idx_lane[2];
-  _mm_store_pd(dev_lane, best);
-  _mm_store_pd(idx_lane, best_idx);
-  ArgAbsDev out{0, -1.0};
-  for (int lane = 0; lane < 2; ++lane) {
-    const size_t lane_index = static_cast<size_t>(idx_lane[lane]);
-    if (dev_lane[lane] > out.abs_dev ||
-        (dev_lane[lane] == out.abs_dev && lane_index < out.index)) {
-      out.abs_dev = dev_lane[lane];
-      out.index = lane_index;
-    }
-  }
-  for (size_t i = n2; i < n; ++i) {
-    const double dev = std::abs(v[i] - center);
-    if (dev > out.abs_dev) {
-      out.abs_dev = dev;
-      out.index = i;
-    }
-  }
-  return out;
-}
-
-// Emits the indices of set mask bits (ascending) for a block starting at
-// `base`; the scans below share it.
-inline void EmitMaskBits(int mask, size_t base, std::vector<size_t>* out) {
-  while (mask != 0) {
-    const int bit = __builtin_ctz(static_cast<unsigned>(mask));
-    out->push_back(base + static_cast<size_t>(bit));
-    mask &= mask - 1;
-  }
-}
-
-void ScanAbsZSse2(std::span<const double> v, double mean, double sd,
-                  double t, std::vector<size_t>* out) {
-  const size_t n = v.size();
-  const size_t n2 = n & ~size_t{1};
-  const __m128d m = _mm_set1_pd(mean);
-  const __m128d s = _mm_set1_pd(sd);
-  const __m128d thr = _mm_set1_pd(t);
-  for (size_t i = 0; i < n2; i += 2) {
-    const __m128d z = _mm_div_pd(
-        Abs128(_mm_sub_pd(_mm_loadu_pd(v.data() + i), m)), s);
-    EmitMaskBits(_mm_movemask_pd(_mm_cmpgt_pd(z, thr)), i, out);
-  }
-  for (size_t i = n2; i < n; ++i) {
-    if (std::abs(v[i] - mean) / sd > t) out->push_back(i);
-  }
-}
-
-void ScanOutsideSse2(std::span<const double> v, double lo, double hi,
-                     std::vector<size_t>* out) {
-  const size_t n = v.size();
-  const size_t n2 = n & ~size_t{1};
-  const __m128d vlo = _mm_set1_pd(lo);
-  const __m128d vhi = _mm_set1_pd(hi);
-  for (size_t i = 0; i < n2; i += 2) {
-    const __m128d x = _mm_loadu_pd(v.data() + i);
-    const __m128d outside =
-        _mm_or_pd(_mm_cmplt_pd(x, vlo), _mm_cmpgt_pd(x, vhi));
-    EmitMaskBits(_mm_movemask_pd(outside), i, out);
-  }
-  for (size_t i = n2; i < n; ++i) {
-    if (v[i] < lo || v[i] > hi) out->push_back(i);
-  }
-}
-
-void ScanAboveSse2(std::span<const double> v, double t,
-                   std::vector<size_t>* out) {
-  const size_t n = v.size();
-  const size_t n2 = n & ~size_t{1};
-  const __m128d thr = _mm_set1_pd(t);
-  for (size_t i = 0; i < n2; i += 2) {
-    const __m128d x = _mm_loadu_pd(v.data() + i);
-    EmitMaskBits(_mm_movemask_pd(_mm_cmpgt_pd(x, thr)), i, out);
-  }
-  for (size_t i = n2; i < n; ++i) {
-    if (v[i] > t) out->push_back(i);
-  }
-}
-
-size_t CountOutsideSse2(std::span<const double> v, double lo, double hi) {
-  const size_t n = v.size();
-  const size_t n2 = n & ~size_t{1};
-  const __m128d vlo = _mm_set1_pd(lo);
-  const __m128d vhi = _mm_set1_pd(hi);
-  size_t count = 0;
-  for (size_t i = 0; i < n2; i += 2) {
-    const __m128d x = _mm_loadu_pd(v.data() + i);
-    const __m128d outside =
-        _mm_or_pd(_mm_cmplt_pd(x, vlo), _mm_cmpgt_pd(x, vhi));
-    count += static_cast<size_t>(
-        __builtin_popcount(static_cast<unsigned>(_mm_movemask_pd(outside))));
-  }
-  for (size_t i = n2; i < n; ++i) {
-    count += static_cast<size_t>(v[i] < lo) + static_cast<size_t>(v[i] > hi);
-  }
-  return count;
 }
 
 double ReachSumSse2(std::span<const double> x, std::span<const double> kdist,
@@ -323,10 +138,21 @@ double ReachSumSse2(std::span<const double> x, std::span<const double> kdist,
   return CombineLanes(lane);
 }
 
+// Emits the indices of set mask bits (ascending) for a block starting at
+// `base`; the scans below share it.
+inline void EmitMaskBits(int mask, size_t base, std::vector<size_t>* out) {
+  while (mask != 0) {
+    const int bit = __builtin_ctz(static_cast<unsigned>(mask));
+    out->push_back(base + static_cast<size_t>(bit));
+    mask &= mask - 1;
+  }
+}
+
 // ---------------------------------------------------------------------------
-// AVX2 backend. Each function carries the target attribute so the rest of
-// the binary stays buildable for plain x86-64; the dispatcher guarantees
-// these bodies only run after a cpuid check.
+// AVX2. Each function carries the target attribute so the rest of the
+// binary stays buildable for plain x86-64; the dispatcher guarantees these
+// bodies only run after a cpuid check. The reductions keep one 4-wide
+// accumulator, i.e. exactly the four canonical lanes.
 // ---------------------------------------------------------------------------
 
 __attribute__((target("avx2"))) inline __m256d Abs256(__m256d v) {
@@ -480,55 +306,10 @@ __attribute__((target("avx2"))) void ScanAboveAvx2(std::span<const double> v,
   }
 }
 
-__attribute__((target("avx2"))) size_t CountOutsideAvx2(
-    std::span<const double> v, double lo, double hi) {
-  const size_t n = v.size();
-  const size_t n4 = n & ~size_t{3};
-  const __m256d vlo = _mm256_set1_pd(lo);
-  const __m256d vhi = _mm256_set1_pd(hi);
-  size_t count = 0;
-  for (size_t i = 0; i < n4; i += 4) {
-    const __m256d x = _mm256_loadu_pd(v.data() + i);
-    const __m256d outside = _mm256_or_pd(_mm256_cmp_pd(x, vlo, _CMP_LT_OQ),
-                                         _mm256_cmp_pd(x, vhi, _CMP_GT_OQ));
-    count += static_cast<size_t>(__builtin_popcount(
-        static_cast<unsigned>(_mm256_movemask_pd(outside))));
-  }
-  for (size_t i = n4; i < n; ++i) {
-    count += static_cast<size_t>(v[i] < lo) + static_cast<size_t>(v[i] > hi);
-  }
-  return count;
-}
-
-__attribute__((target("avx2"))) double ReachSumAvx2(
-    std::span<const double> x, std::span<const double> kdist, double xi) {
-  const size_t n = x.size();
-  const size_t n4 = n & ~size_t{3};
-  const __m256d vxi = _mm256_set1_pd(xi);
-  __m256d acc = _mm256_setzero_pd();
-  for (size_t j = 0; j < n4; j += 4) {
-    const __m256d d =
-        Abs256(_mm256_sub_pd(vxi, _mm256_loadu_pd(x.data() + j)));
-    acc = _mm256_add_pd(acc,
-                        _mm256_max_pd(_mm256_loadu_pd(kdist.data() + j), d));
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  for (size_t j = n4; j < n; ++j) {
-    lane[j & 3] += std::max(kdist[j], std::abs(xi - x[j]));
-  }
-  return CombineLanes(lane);
-}
-
 // ---------------------------------------------------------------------------
-// AVX-512F backend. Reductions do 512-bit loads but keep the canonical
-// 4-lane accumulator: the low and high 256-bit halves of each load are
-// added into one __m256d in order, which is exactly the lane-canonical
-// sequence (elements i..i+3 then i+4..i+7). Eight independent lanes or FMA
-// would change the rounding order and break bit parity with the other
-// backends, so they are deliberately not used. The order-insensitive
-// kernels (min/max, argmax with exact compares, threshold scans and counts
-// via __mmask8) are genuinely 8-wide — that is where the tier wins.
+// AVX-512F: the element-wise kernels (min/max, argmax with exact compares,
+// threshold scans via __mmask8), which are order-insensitive and so run
+// genuinely 8-wide.
 // ---------------------------------------------------------------------------
 
 // GCC's unmasked AVX-512 intrinsics pass _mm512_undefined_pd() as the
@@ -542,46 +323,6 @@ __attribute__((target("avx2"))) double ReachSumAvx2(
 
 __attribute__((target("avx512f"))) inline __m512d Abs512(__m512d v) {
   return _mm512_abs_pd(v);
-}
-
-// acc += lo(x) ; acc += hi(x) — the parity-preserving 8-element step.
-__attribute__((target("avx512f"))) inline __m256d AccumHalves512(
-    __m256d acc, __m512d x) {
-  acc = _mm256_add_pd(acc, _mm512_castpd512_pd256(x));
-  return _mm256_add_pd(acc, _mm512_extractf64x4_pd(x, 1));
-}
-
-__attribute__((target("avx512f"))) double SumAvx512(
-    std::span<const double> v) {
-  const size_t n = v.size();
-  const size_t n8 = n & ~size_t{7};
-  __m256d acc = _mm256_setzero_pd();
-  for (size_t i = 0; i < n8; i += 8) {
-    acc = AccumHalves512(acc, _mm512_loadu_pd(v.data() + i));
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  for (size_t i = n8; i < n; ++i) lane[i & 3] += v[i];
-  return CombineLanes(lane);
-}
-
-__attribute__((target("avx512f"))) double SumSqDevAvx512(
-    std::span<const double> v, double center) {
-  const size_t n = v.size();
-  const size_t n8 = n & ~size_t{7};
-  const __m512d c = _mm512_set1_pd(center);
-  __m256d acc = _mm256_setzero_pd();
-  for (size_t i = 0; i < n8; i += 8) {
-    const __m512d d = _mm512_sub_pd(_mm512_loadu_pd(v.data() + i), c);
-    acc = AccumHalves512(acc, _mm512_mul_pd(d, d));
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  for (size_t i = n8; i < n; ++i) {
-    const double d = v[i] - center;
-    lane[i & 3] += d * d;
-  }
-  return CombineLanes(lane);
 }
 
 __attribute__((target("avx512f"))) MinMax MinMaxAvx512(
@@ -702,47 +443,6 @@ __attribute__((target("avx512f"))) void ScanAboveAvx512(
   }
 }
 
-__attribute__((target("avx512f"))) size_t CountOutsideAvx512(
-    std::span<const double> v, double lo, double hi) {
-  const size_t n = v.size();
-  const size_t n8 = n & ~size_t{7};
-  const __m512d vlo = _mm512_set1_pd(lo);
-  const __m512d vhi = _mm512_set1_pd(hi);
-  size_t count = 0;
-  for (size_t i = 0; i < n8; i += 8) {
-    const __m512d x = _mm512_loadu_pd(v.data() + i);
-    const __mmask8 outside =
-        _mm512_cmp_pd_mask(x, vlo, _CMP_LT_OQ) |
-        _mm512_cmp_pd_mask(x, vhi, _CMP_GT_OQ);
-    count += static_cast<size_t>(
-        __builtin_popcount(static_cast<unsigned>(outside)));
-  }
-  for (size_t i = n8; i < n; ++i) {
-    count += static_cast<size_t>(v[i] < lo) + static_cast<size_t>(v[i] > hi);
-  }
-  return count;
-}
-
-__attribute__((target("avx512f"))) double ReachSumAvx512(
-    std::span<const double> x, std::span<const double> kdist, double xi) {
-  const size_t n = x.size();
-  const size_t n8 = n & ~size_t{7};
-  const __m512d vxi = _mm512_set1_pd(xi);
-  __m256d acc = _mm256_setzero_pd();
-  for (size_t j = 0; j < n8; j += 8) {
-    const __m512d d =
-        Abs512(_mm512_sub_pd(vxi, _mm512_loadu_pd(x.data() + j)));
-    acc = AccumHalves512(
-        acc, _mm512_max_pd(_mm512_loadu_pd(kdist.data() + j), d));
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  for (size_t j = n8; j < n; ++j) {
-    lane[j & 3] += std::max(kdist[j], std::abs(xi - x[j]));
-  }
-  return CombineLanes(lane);
-}
-
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
@@ -761,30 +461,18 @@ Backend BestSupportedBackend() {
 #endif
 }
 
-std::optional<Backend> ParseBackendName(std::string_view name) {
-  if (name == "scalar") return Backend::kScalar;
-  if (name == "sse2") return Backend::kSse2;
-  if (name == "avx2") return Backend::kAvx2;
-  if (name == "avx512") return Backend::kAvx512;
-  return std::nullopt;
-}
-
-std::optional<Backend> ForcedBackendFromEnv() {
-  const std::string forced = strings::EnvStringOr("PCOR_FORCE_SIMD", "");
-  if (forced.empty()) return std::nullopt;
-  return ParseBackendName(forced);
+std::vector<Backend> SupportedBackends() {
+  std::vector<Backend> backends;
+  for (int b = 0; b <= static_cast<int>(BestSupportedBackend()); ++b) {
+    backends.push_back(static_cast<Backend>(b));
+  }
+  return backends;
 }
 
 Backend ActiveBackend() {
   int backend = g_backend.load(std::memory_order_acquire);
   if (backend < 0) {
-    const Backend best = BestSupportedBackend();
-    Backend resolved = ForcedBackendFromEnv().value_or(best);
-    // A forced tier above the hardware's degrades instead of faulting;
-    // the forced-tier ctest entries detect this via ForcedBackendFromEnv
-    // and skip.
-    if (static_cast<int>(resolved) > static_cast<int>(best)) resolved = best;
-    backend = static_cast<int>(resolved);
+    backend = static_cast<int>(BestSupportedBackend());
     g_backend.store(backend, std::memory_order_release);
   }
   return static_cast<Backend>(backend);
@@ -814,33 +502,17 @@ const char* BackendName(Backend backend) {
 const char* ActiveBackendName() { return BackendName(ActiveBackend()); }
 
 double Sum(std::span<const double> values) {
-  switch (ActiveBackend()) {
 #if PCOR_SIMD_X86
-    case Backend::kAvx512:
-      return SumAvx512(values);
-    case Backend::kAvx2:
-      return SumAvx2(values);
-    case Backend::kSse2:
-      return SumSse2(values);
+  if (ActiveBackend() >= Backend::kAvx2) return SumAvx2(values);
 #endif
-    default:
-      return SumScalar(values);
-  }
+  return SumScalar(values);
 }
 
 double SumSqDev(std::span<const double> values, double center) {
-  switch (ActiveBackend()) {
 #if PCOR_SIMD_X86
-    case Backend::kAvx512:
-      return SumSqDevAvx512(values, center);
-    case Backend::kAvx2:
-      return SumSqDevAvx2(values, center);
-    case Backend::kSse2:
-      return SumSqDevSse2(values, center);
+  if (ActiveBackend() >= Backend::kAvx2) return SumSqDevAvx2(values, center);
 #endif
-    default:
-      return SumSqDevScalar(values, center);
-  }
+  return SumSqDevScalar(values, center);
 }
 
 MeanVar MeanAndVariance(std::span<const double> values) {
@@ -860,8 +532,6 @@ MinMax MinMaxOf(std::span<const double> values) {
       return MinMaxAvx512(values);
     case Backend::kAvx2:
       return MinMaxAvx2(values);
-    case Backend::kSse2:
-      return MinMaxSse2(values);
 #endif
     default:
       return MinMaxScalar(values);
@@ -875,8 +545,6 @@ ArgAbsDev ArgMaxAbsDeviation(std::span<const double> values, double center) {
       return ArgMaxAbsDevAvx512(values, center);
     case Backend::kAvx2:
       return ArgMaxAbsDevAvx2(values, center);
-    case Backend::kSse2:
-      return ArgMaxAbsDevSse2(values, center);
 #endif
     default:
       return ArgMaxAbsDevScalar(values, center);
@@ -892,8 +560,6 @@ void ScanAbsZAbove(std::span<const double> values, double mean,
       return ScanAbsZAvx512(values, mean, stddev, threshold, out);
     case Backend::kAvx2:
       return ScanAbsZAvx2(values, mean, stddev, threshold, out);
-    case Backend::kSse2:
-      return ScanAbsZSse2(values, mean, stddev, threshold, out);
 #endif
     default:
       return ScanAbsZScalar(values, mean, stddev, threshold, out);
@@ -908,8 +574,6 @@ void ScanOutsideRange(std::span<const double> values, double lo, double hi,
       return ScanOutsideAvx512(values, lo, hi, out);
     case Backend::kAvx2:
       return ScanOutsideAvx2(values, lo, hi, out);
-    case Backend::kSse2:
-      return ScanOutsideSse2(values, lo, hi, out);
 #endif
     default:
       return ScanOutsideScalar(values, lo, hi, out);
@@ -924,44 +588,18 @@ void ScanAbove(std::span<const double> values, double threshold,
       return ScanAboveAvx512(values, threshold, out);
     case Backend::kAvx2:
       return ScanAboveAvx2(values, threshold, out);
-    case Backend::kSse2:
-      return ScanAboveSse2(values, threshold, out);
 #endif
     default:
       return ScanAboveScalar(values, threshold, out);
   }
 }
 
-size_t CountOutsideRange(std::span<const double> values, double lo,
-                         double hi) {
-  switch (ActiveBackend()) {
-#if PCOR_SIMD_X86
-    case Backend::kAvx512:
-      return CountOutsideAvx512(values, lo, hi);
-    case Backend::kAvx2:
-      return CountOutsideAvx2(values, lo, hi);
-    case Backend::kSse2:
-      return CountOutsideSse2(values, lo, hi);
-#endif
-    default:
-      return CountOutsideScalar(values, lo, hi);
-  }
-}
-
 double ReachSum(std::span<const double> x, std::span<const double> kdist,
                 double xi) {
-  switch (ActiveBackend()) {
 #if PCOR_SIMD_X86
-    case Backend::kAvx512:
-      return ReachSumAvx512(x, kdist, xi);
-    case Backend::kAvx2:
-      return ReachSumAvx2(x, kdist, xi);
-    case Backend::kSse2:
-      return ReachSumSse2(x, kdist, xi);
+  if (ActiveBackend() != Backend::kScalar) return ReachSumSse2(x, kdist, xi);
 #endif
-    default:
-      return ReachSumScalar(x, kdist, xi);
-  }
+  return ReachSumScalar(x, kdist, xi);
 }
 
 }  // namespace simd

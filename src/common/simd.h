@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 namespace pcor {
@@ -11,24 +9,30 @@ namespace simd {
 
 /// \brief Vectorized kernels for the detector hot loops.
 ///
-/// Every kernel comes in four implementations — portable scalar, SSE2,
-/// AVX2 and AVX-512F — selected once at process start via cpuid (see
-/// ActiveBackend) and dispatched per call through one predictable branch.
+/// Each kernel has a portable scalar reference body plus the SIMD bodies
+/// that measurably win (`bench_micro_detectors` sweeps every tier):
+///   - Sum, SumSqDev: scalar, AVX2.
+///   - ReachSum: scalar, SSE2.
+///   - MinMaxOf, ArgMaxAbsDeviation, ScanAbsZAbove, ScanOutsideRange,
+///     ScanAbove: scalar, AVX2, AVX-512.
+///
+/// A host runs the widest body its tier reaches (see ActiveBackend): an
+/// AVX-512 host runs the AVX2 Sum/SumSqDev and the SSE2 ReachSum, an SSE2
+/// host runs only ReachSum vectorized. The tier is resolved once at process
+/// start via cpuid and dispatched per call through one predictable branch.
+///
 /// The key contract is *bit-exact backend parity*: all sum-style
 /// reductions accumulate into four lanes (lane j takes elements with index
 /// ≡ j mod 4, in increasing index order) and combine them as
-/// (l0 + l1) + (l2 + l3), regardless of backend — scalar emulates the
-/// lanes, SSE2 uses two 2-wide accumulators, AVX2 one 4-wide accumulator,
-/// and AVX-512 performs 512-bit loads whose halves feed the same 4-wide
-/// accumulator in order (two dependent adds per 8 elements). The AVX-512
-/// reductions deliberately use neither 8 independent lanes nor FMA: both
-/// would change the rounding sequence and break parity. Element-wise
-/// predicates (threshold scans, via mask registers on AVX-512) and min/max
-/// are order-insensitive for NaN-free input, so those kernels do run
-/// genuinely 8-wide. Consequently a detector built on these kernels
-/// returns the *identical* outlier index set on every backend, which is
-/// what makes the scalar/SIMD parity tests exact and the verifier cache
-/// answer-invariant across machines.
+/// (l0 + l1) + (l2 + l3), whatever the body — scalar emulates the lanes,
+/// SSE2 uses two 2-wide accumulators and AVX2 one 4-wide accumulator.
+/// Neither more lanes nor FMA may be used: both would change the rounding
+/// sequence. Element-wise predicates (threshold scans, via mask registers
+/// on AVX-512) and min/max are order-insensitive for NaN-free input, so
+/// those kernels run at full width. Consequently a detector built on these
+/// kernels returns the *identical* outlier index set on every backend,
+/// which is what makes the scalar/SIMD parity tests exact and the verifier
+/// cache answer-invariant across machines.
 ///
 /// Inputs are assumed NaN-free; the population index only ever feeds real
 /// metric values.
@@ -39,30 +43,22 @@ enum class Backend {
   kAvx512 = 3,
 };
 
-/// \brief Best backend the running CPU supports (cpuid probe, no env).
+/// \brief Best backend the running CPU supports (cpuid probe).
 Backend BestSupportedBackend();
 
-/// \brief The backend all kernels dispatch to. Resolved once on first use:
-/// PCOR_FORCE_SIMD=scalar|sse2|avx2|avx512 pins a tier (clamped to
-/// BestSupportedBackend), otherwise BestSupportedBackend() wins.
-/// Thread-safe.
+/// \brief Every backend the running CPU supports, scalar first and
+/// BestSupportedBackend() last.
+std::vector<Backend> SupportedBackends();
+
+/// \brief The backend all kernels dispatch to: BestSupportedBackend(),
+/// resolved once on first use. Thread-safe.
 Backend ActiveBackend();
 
 /// \brief Overrides the active backend (clamped to BestSupportedBackend so
 /// an AVX-512 request on an AVX2-only host degrades instead of faulting).
 /// Returns the backend actually installed. Intended for parity tests and
-/// the scalar-vs-SIMD micro benches; not part of the serving API.
+/// the per-tier micro bench; not part of the serving API.
 Backend SetBackendForTest(Backend backend);
-
-/// \brief Parses a backend name ("scalar", "sse2", "avx2", "avx512");
-/// nullopt for anything else.
-std::optional<Backend> ParseBackendName(std::string_view name);
-
-/// \brief The tier requested via PCOR_FORCE_SIMD, *before* clamping to
-/// hardware support — nullopt when the var is unset (or the value is
-/// unparseable). Lets the forced-tier ctest entries skip
-/// cleanly when the requested tier exceeds the host's.
-std::optional<Backend> ForcedBackendFromEnv();
 
 /// \brief Stable lower-case name: "scalar", "sse2", "avx2" or "avx512".
 const char* BackendName(Backend backend);
@@ -115,10 +111,6 @@ void ScanOutsideRange(std::span<const double> values, double lo, double hi,
 /// \brief Appends (ascending) every index i with x_i > threshold.
 void ScanAbove(std::span<const double> values, double threshold,
                std::vector<size_t>* out);
-
-/// \brief Branch-free count of elements with x < lo or x > hi (lo <= hi).
-size_t CountOutsideRange(std::span<const double> values, double lo,
-                         double hi);
 
 /// \brief LOF reachability accumulation: lane-canonical sum of
 /// max(kdist[j], |xi - x[j]|) over the whole window. `x` and `kdist` must

@@ -35,7 +35,7 @@ struct ExperimentResult {
   size_t f_evaluations = 0;   ///< detector runs
   size_t cache_hits = 0;      ///< verifier cache hits
   size_t cache_evictions = 0; ///< LRU evictions under memory pressure
-  std::string kernel_backend; ///< detector kernel path ("scalar"/"sse2"/"avx2")
+  std::string kernel_backend; ///< kernel path: scalar/sse2/avx2/avx512
 
   RuntimeSummary runtime() const { return SummarizeRuntimes(runtimes); }
   ConfidenceInterval utility_ci(double level = 0.90) const {

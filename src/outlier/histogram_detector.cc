@@ -14,7 +14,7 @@ void HistogramDetector::Detect(std::span<const double> values,
                                std::vector<size_t>* flagged) const {
   flagged->clear();
   const size_t n = values.size();
-  if (n < options_.min_population) return;
+  if (n == 0 || n < options_.min_population) return;
 
   const simd::MinMax mm = simd::MinMaxOf(values);
   const double lo = mm.min;

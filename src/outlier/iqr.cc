@@ -12,7 +12,7 @@ IqrDetector::IqrDetector(IqrOptions options) : options_(options) {}
 void IqrDetector::Detect(std::span<const double> values,
                          std::vector<size_t>* flagged) const {
   flagged->clear();
-  if (values.size() < options_.min_population) return;
+  if (values.empty() || values.size() < options_.min_population) return;
   // One sorted scratch copy serves both quartiles (the old code sorted the
   // sample twice, once per Percentile call).
   thread_local std::vector<double> sorted;

@@ -73,8 +73,8 @@ struct PcorRelease {
   double utility_score = 0.0;    ///< u_V(D, C_p) — private to the owner
   double seconds = 0.0;          ///< wall time of the release
   bool hit_probe_cap = false;
-  /// Detector kernel path the release ran on ("scalar", "sse2", "avx2");
-  /// recorded so perf numbers are attributable to a backend.
+  /// Detector kernel path the release ran on ("scalar", "sse2", "avx2" or
+  /// "avx512"); recorded so perf numbers are attributable to a backend.
   std::string kernel_backend;
   /// Epoch (sealed-row count) of the dataset view this release ran
   /// against. For a classic load-once engine this is simply the dataset's

@@ -1,18 +1,12 @@
 // Scalar/SIMD parity property tests: every registered detector must flag
-// the *identical* outlier index set (exact, not approximate) under the
-// forced-scalar kernel path and the runtime-dispatched path, across input
-// families chosen to stress the kernels — random, constant, NaN-free
+// the *identical* outlier index set (exact, not approximate) on the scalar
+// kernel path and on every other kernel tier the host supports, across
+// input families chosen to stress the kernels — random, constant, NaN-free
 // adversarial magnitudes, and tie-heavy duplicates. The kernels'
 // lane-canonical reduction contract (src/common/simd.h) is what makes this
-// equality achievable bit-for-bit; these tests are the enforcement.
-//
-// On hosts without SIMD support the dispatched path *is* the scalar path
-// and the tests pass trivially; the ctest registration in
-// tests/CMakeLists.txt additionally re-runs this binary under
-// PCOR_FORCE_SIMD=scalar|sse2|avx2|avx512 so every kernel tier gets
-// explicit — and sanitizer — coverage. A forced tier above the host's degrades in the
-// dispatcher; the env-override test below detects that and skips instead
-// of asserting the pin.
+// equality achievable bit-for-bit; these tests are the enforcement. Each
+// tier is pinned in-process through SetBackendForTest, so a plain ctest run
+// covers them all, under whatever sanitizers the build enables.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -26,12 +20,8 @@
 namespace pcor {
 namespace {
 
-// The backend the dispatcher resolved at startup — honoring
-// PCOR_FORCE_SIMD — captured before any test calls
-// SetBackendForTest. Under a forced-tier ctest entry this is the pinned
-// tier, so the "dispatched" half of every parity check below really runs
-// that tier's kernels (and the env-override path itself gets asserted in
-// EnvOverride below).
+// The backend the dispatcher resolved at startup, captured before any test
+// calls SetBackendForTest.
 const simd::Backend kDispatched = simd::ActiveBackend();
 
 struct NamedInput {
@@ -102,23 +92,8 @@ std::vector<NamedInput> ParityInputs() {
   return inputs;
 }
 
-TEST(SimdEnvOverrideTest, ForcedTierEnvPinsTheBackend) {
-  // Same resolution the dispatcher uses: PCOR_FORCE_SIMD pins a tier, and
-  // an unset/unparseable pin means the best supported tier dispatches.
-  const std::optional<simd::Backend> forced = simd::ForcedBackendFromEnv();
-  if (!forced.has_value()) {
-    EXPECT_EQ(kDispatched, simd::BestSupportedBackend());
-    return;
-  }
-  if (static_cast<int>(*forced) >
-      static_cast<int>(simd::BestSupportedBackend())) {
-    GTEST_SKIP() << "forced tier " << simd::BackendName(*forced)
-                 << " is not supported on this host (dispatcher degraded to "
-                 << simd::ActiveBackendName()
-                 << "); the parity tests still ran against that tier";
-  }
-  EXPECT_EQ(kDispatched, *forced)
-      << "PCOR_FORCE_SIMD must pin the requested tier";
+TEST(SimdStartupTest, DispatchesBestSupportedBackend) {
+  EXPECT_EQ(kDispatched, simd::BestSupportedBackend());
 }
 
 class DetectorParityTest : public ::testing::TestWithParam<std::string> {
@@ -134,21 +109,21 @@ TEST_P(DetectorParityTest, ScalarAndDispatchedFlagIdenticalSets) {
     std::vector<size_t> scalar_flagged;
     (*detector)->Detect(input.values, &scalar_flagged);
 
-    simd::SetBackendForTest(kDispatched);
-    std::vector<size_t> dispatched_flagged;
-    (*detector)->Detect(input.values, &dispatched_flagged);
+    for (simd::Backend tier : simd::SupportedBackends()) {
+      simd::SetBackendForTest(tier);
+      std::vector<size_t> flagged;
+      (*detector)->Detect(input.values, &flagged);
+      EXPECT_EQ(scalar_flagged, flagged)
+          << "detector=" << GetParam() << " input=" << input.name
+          << " tier=" << simd::BackendName(tier);
 
-    EXPECT_EQ(scalar_flagged, dispatched_flagged)
-        << "detector=" << GetParam() << " input=" << input.name
-        << " dispatched=" << simd::ActiveBackendName();
-
-    // The single-target probe (the verifier's f_M entry point) must agree
-    // with the full detection on both paths.
-    if (!dispatched_flagged.empty()) {
-      const size_t target = dispatched_flagged.front();
-      simd::SetBackendForTest(simd::Backend::kScalar);
-      EXPECT_TRUE((*detector)->IsOutlier(input.values, target))
-          << "detector=" << GetParam() << " input=" << input.name;
+      // The single-target probe (the verifier's f_M entry point) must agree
+      // with the full detection.
+      if (!flagged.empty()) {
+        EXPECT_TRUE((*detector)->IsOutlier(input.values, flagged.front()))
+            << "detector=" << GetParam() << " input=" << input.name
+            << " tier=" << simd::BackendName(tier);
+      }
     }
   }
 }
@@ -157,10 +132,14 @@ TEST_P(DetectorParityTest, RepeatedDetectionIsDeterministicPerBackend) {
   auto detector = MakeDetector(GetParam());
   ASSERT_TRUE(detector.ok());
   const NamedInput input = ParityInputs().front();
-  std::vector<size_t> first, again;
-  (*detector)->Detect(input.values, &first);
-  (*detector)->Detect(input.values, &again);
-  EXPECT_EQ(first, again) << "detector=" << GetParam();
+  for (simd::Backend tier : simd::SupportedBackends()) {
+    simd::SetBackendForTest(tier);
+    std::vector<size_t> first, again;
+    (*detector)->Detect(input.values, &first);
+    (*detector)->Detect(input.values, &again);
+    EXPECT_EQ(first, again)
+        << "detector=" << GetParam() << " tier=" << simd::BackendName(tier);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDetectors, DetectorParityTest,

@@ -137,23 +137,31 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-// Scores and flagged sets of `detector` must equal the seed kernel's.
+// Scores and flagged sets of `detector` must equal the seed kernel's on the
+// scalar kernel tier, on every tier the host supports.
 void ExpectMatchesSeedKernel(const LofDetector& detector,
                              std::span<const double> values,
                              const std::string& label) {
+  const simd::Backend active = simd::ActiveBackend();
+  simd::SetBackendForTest(simd::Backend::kScalar);
   const std::vector<double> expected =
       SeedLofScores(values, detector.options().k);
-  const std::vector<double> actual = detector.Scores(values);
-  ASSERT_EQ(actual.size(), expected.size()) << label;
-  for (size_t i = 0; i < actual.size(); ++i) {
-    ASSERT_TRUE(SameBits(actual[i], expected[i]))
-        << label << " i=" << i << " got " << actual[i] << " want "
-        << expected[i];
-  }
   std::vector<size_t> expected_flagged;
   simd::ScanAbove(expected, detector.options().score_threshold,
                   &expected_flagged);
-  ASSERT_EQ(detector.Detect(values), expected_flagged) << label;
+  for (simd::Backend tier : simd::SupportedBackends()) {
+    simd::SetBackendForTest(tier);
+    const std::string where = label + " tier=" + simd::BackendName(tier);
+    const std::vector<double> actual = detector.Scores(values);
+    ASSERT_EQ(actual.size(), expected.size()) << where;
+    for (size_t i = 0; i < actual.size(); ++i) {
+      ASSERT_TRUE(SameBits(actual[i], expected[i]))
+          << where << " i=" << i << " got " << actual[i] << " want "
+          << expected[i];
+    }
+    ASSERT_EQ(detector.Detect(values), expected_flagged) << where;
+  }
+  simd::SetBackendForTest(active);
 }
 
 // Duplicate-heavy fuzz values: a small palette with signed zeros,

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "src/outlier/detector.h"
+#include "src/outlier/grubbs.h"
+#include "src/outlier/histogram_detector.h"
 #include "src/outlier/iqr.h"
+#include "src/outlier/lof.h"
 #include "src/outlier/zscore.h"
 
 namespace pcor {
@@ -95,6 +98,32 @@ TEST(DetectorInterfaceTest, DefaultIsOutlierUsesDetect) {
   values.push_back(25.0);
   EXPECT_TRUE(detector.IsOutlier(values, 30));
   EXPECT_FALSE(detector.IsOutlier(values, 0));
+}
+
+TEST(DetectorInterfaceTest, EmptyInputFlagsNothingAtZeroMinPopulation) {
+  GrubbsOptions grubbs;
+  grubbs.min_population = 0;
+  HistogramDetectorOptions histogram;
+  histogram.min_population = 0;
+  IqrOptions iqr;
+  iqr.min_population = 0;
+  LofOptions lof;
+  lof.min_population = 0;
+  ZscoreOptions zscore;
+  zscore.min_population = 0;
+  const GrubbsDetector grubbs_detector(grubbs);
+  const HistogramDetector histogram_detector(histogram);
+  const IqrDetector iqr_detector(iqr);
+  const LofDetector lof_detector(lof);
+  const ZscoreDetector zscore_detector(zscore);
+  const std::vector<const OutlierDetector*> detectors{
+      &grubbs_detector, &histogram_detector, &iqr_detector, &lof_detector,
+      &zscore_detector};
+  for (const OutlierDetector* detector : detectors) {
+    std::vector<size_t> flagged{7};  // stale contents must be discarded
+    detector->Detect(std::span<const double>(), &flagged);
+    EXPECT_TRUE(flagged.empty()) << detector->name();
+  }
 }
 
 }  // namespace
