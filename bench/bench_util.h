@@ -93,9 +93,10 @@ inline std::unique_ptr<Setup> MakeSalarySetup(const BenchEnv& env,
                 detector.c_str());
     return nullptr;
   }
-  auto reference =
-      ReferenceTable::Build(bundle->engine->verifier(), candidates,
-                            CoeOptions{}, env.threads);
+  // On the engine's own pool, so the build starts no threads of its own.
+  auto reference = ReferenceTable::Build(
+      bundle->engine->verifier(), candidates, CoeOptions{},
+      bundle->engine->probe().probe_pool(), env.threads);
   if (!reference.ok()) {
     std::printf("reference: %s\n", reference.status().ToString().c_str());
     return nullptr;

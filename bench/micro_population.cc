@@ -4,11 +4,11 @@
 // BENCH_results.json artifact as the million-row numbers.
 //
 // Emits one validated BENCH_JSON probe line per backend — naive row scan,
-// dense index, compressed index — over an identical context mix, plus a
-// build/memory line per storage. The dense and compressed lines double as
-// the single-threaded single-shard baseline next to million_rows_sharded
-// in the artifact. Counts are cross-checked across all three backends
-// before timing; a mismatch exits non-zero.
+// bitmap index — over an identical context mix, plus a build/memory line
+// for the index. The index line doubles as the single-threaded
+// single-shard baseline next to million_rows_sharded in the artifact.
+// Index counts are checked against the naive row scan before timing; a
+// mismatch exits non-zero.
 //
 // Two micro_population_view lines time materialization — ViewOf: the
 // population bitmap, then its row ids and metric values — over the
@@ -101,10 +101,10 @@ SegmentList UnevenSegments(const Dataset& dataset) {
   for (const double cut : cuts) {
     const auto end = std::max(
         begin, static_cast<uint32_t>(cut * dataset.num_rows()) | 1u);
-    segments.push_back(MakeSegment(rows, IndexStorage::kDense, begin, end));
+    segments.push_back(MakeSegment(rows, begin, end));
     begin = end;
   }
-  segments.push_back(MakeSegment(rows, IndexStorage::kDense, begin));
+  segments.push_back(MakeSegment(rows, begin));
   return segments;
 }
 
@@ -130,14 +130,11 @@ int main() {
               rows, num_contexts, schema.total_values());
 
   double t0 = Now();
-  const PopulationIndex dense(dataset, IndexStorage::kDense);
+  const PopulationIndex dense(dataset);
   const double dense_build_s = Now() - t0;
-  t0 = Now();
-  const PopulationIndex compressed(dataset, IndexStorage::kCompressed);
-  const double compressed_build_s = Now() - t0;
 
   // Same probe mix as the million-row bench: half exact contexts (the
-  // compressed fold fast path), half random multi-value contexts.
+  // search frontier's shape), half random multi-value contexts.
   Rng rng(seed + 1);
   std::vector<ContextVec> contexts;
   contexts.reserve(num_contexts);
@@ -155,9 +152,9 @@ int main() {
   const ShardedPopulationIndex segmented(schema, UnevenSegments(dataset),
                                          std::make_shared<ThreadPool>(1));
 
-  // Cross-backend equivalence gate before timing: naive row scan, dense
-  // and compressed must report identical counts on every context, and the
-  // single-segment and segmented views the scan's row ids and metric.
+  // Equivalence gate before timing: the index must report the naive row
+  // scan's count on every context, and the single-segment and segmented
+  // views the scan's row ids and metric.
   size_t mismatches = 0;
   size_t view_rows = 0;  // rows one pass over the contexts materializes
   PopulationScratch scratch;
@@ -174,8 +171,7 @@ int main() {
     }
     const size_t count = naive_ids.size();
     view_rows += count;
-    if (dense.PopulationCount(c) != count ||
-        compressed.PopulationCount(c) != count) {
+    if (dense.PopulationCount(c) != count) {
       ++mismatches;
       std::printf("EQUIVALENCE MISMATCH: %s\n", c.ToBitString().c_str());
     }
@@ -195,11 +191,12 @@ int main() {
     }
   }
   if (mismatches != 0) {
-    std::printf("FAILED: %zu backend mismatches\n", mismatches);
+    std::printf("FAILED: %zu mismatches against the naive row scan\n",
+                mismatches);
     return 1;
   }
-  std::printf("equivalence: %zu counts and views identical across all "
-              "backends\n",
+  std::printf("equivalence: %zu counts and views identical to the naive "
+              "row scan\n",
               contexts.size());
 
   const Timing naive = TimeProbes(contexts.size(), [&] {
@@ -215,12 +212,6 @@ int main() {
   const Timing dense_probe = TimeProbes(contexts.size(), [&] {
     for (const ContextVec& c : contexts) {
       volatile size_t sink = dense.PopulationCount(c);
-      (void)sink;
-    }
-  });
-  const Timing compressed_probe = TimeProbes(contexts.size(), [&] {
-    for (const ContextVec& c : contexts) {
-      volatile size_t sink = compressed.PopulationCount(c);
       (void)sink;
     }
   });
@@ -241,9 +232,6 @@ int main() {
   std::printf("dense:      %.0f probes/s (%.0f ns/probe, x%.1f vs naive)\n",
               dense_probe.probes_per_s, dense_probe.ns_per_probe,
               dense_probe.probes_per_s / naive.probes_per_s);
-  std::printf("compressed: %.0f probes/s (%.0f ns/probe, x%.1f vs naive)\n",
-              compressed_probe.probes_per_s, compressed_probe.ns_per_probe,
-              compressed_probe.probes_per_s / naive.probes_per_s);
 
   const double rows_per_view =
       static_cast<double>(view_rows) / static_cast<double>(contexts.size());
@@ -255,7 +243,6 @@ int main() {
               segmented_view.probes_per_s * rows_per_view);
 
   const PopulationIndexStats dense_stats = dense.MemoryStats();
-  const PopulationIndexStats compressed_stats = compressed.MemoryStats();
 
   BenchJsonEmitter emitter;
   const auto emit_probe_line = [&](const char* storage, const Timing& t) {
@@ -268,7 +255,6 @@ int main() {
   };
   emit_probe_line("naive", naive);
   emit_probe_line("dense", dense_probe);
-  emit_probe_line("compressed", compressed_probe);
   const auto emit_view_line = [&](const char* layout, size_t segments,
                                   const Timing& t) {
     emitter.Emit(strings::Format(
@@ -283,17 +269,14 @@ int main() {
   emit_view_line("segmented", segmented.segment_count(), segmented_view);
   emitter.Emit(strings::Format(
       "{\"bench\":\"micro_population_build\",\"rows\":%zu,"
-      "\"dense_build_s\":%.4f,\"compressed_build_s\":%.4f,"
-      "\"dense_bytes\":%zu,\"compressed_bytes\":%zu}",
-      rows, dense_build_s, compressed_build_s, dense_stats.bitmap_bytes,
-      compressed_stats.bitmap_bytes));
+      "\"dense_build_s\":%.4f,\"dense_bytes\":%zu}",
+      rows, dense_build_s, dense_stats.bitmap_bytes));
 
   // Sanity bar, never relaxed: if the bitmap index cannot beat a naive
   // O(rows) scan per probe, something is deeply wrong with the build.
   bool failed = !emitter.ok();
-  if (dense_probe.probes_per_s <= naive.probes_per_s ||
-      compressed_probe.probes_per_s <= naive.probes_per_s) {
-    std::printf("FAILED: an index backend is no faster than the naive scan\n");
+  if (dense_probe.probes_per_s <= naive.probes_per_s) {
+    std::printf("FAILED: the index is no faster than the naive scan\n");
     failed = true;
   }
   std::printf("%s\n", failed ? "RESULT: FAIL" : "RESULT: OK");

@@ -1,9 +1,7 @@
 // Million-row hot-path benchmark: a 1M-row x 160-value salary dataset
-// probed with ~1000 contexts through the compressed population index, with
-// machine-readable BENCH_JSON lines and four enforced bars:
+// probed with ~1000 contexts through the population index, with
+// machine-readable BENCH_JSON lines and three enforced bars:
 //
-//   - compressed-index working set must be <= 50% of the dense index on
-//     this sparse-context workload (deterministic; always enforced);
 //   - enforced probes/sec floor on the PopulationCount hot path,
 //     relaxable with PCOR_RELAX_MILLION=1 for noisy/smoke environments;
 //   - sharded scatter-gather speedup: single-caller probes/s through
@@ -13,11 +11,12 @@
 //   - verifier memo: every context probed a second time must be a memo hit
 //     (deterministic; never relaxed).
 //
-// Before timing anything, every context's population count is
-// cross-checked dense-vs-compressed — a mismatch is an immediate non-zero
-// exit, so the throughput number can never come from a wrong kernel. The
-// sharded tier gets the same treatment at every shard count, and that
-// equivalence gate is never relaxed.
+// Before timing anything, every context's population count and the
+// overlap of the first 50 context pairs are checked against a naive row
+// scan, run on the bench's probe pool — a mismatch is an immediate
+// non-zero exit, so the throughput number can never come from a wrong
+// kernel. The sharded tier is checked against those counts at every shard
+// count. Neither equivalence gate is ever relaxed.
 //
 // Scaling knobs (CI smoke-runs at a fraction of the defaults):
 //   PCOR_MILLION_ROWS      dataset rows          (default 1,000,000)
@@ -25,6 +24,7 @@
 //   PCOR_RELAX_MILLION     1 = warn instead of fail on the probes/sec bar
 //   PCOR_THREADS           probe threads         (default: all cores)
 //   PCOR_SEED              dataset + context seed
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -71,6 +71,22 @@ ContextVec RandomSingletonContext(const Schema& schema, Rng* rng) {
   return c;
 }
 
+/// \brief Rows of `dataset` selected by `c` (and by `*also`, when given),
+/// found by testing every row: the oracle the index is gated against.
+size_t NaiveCount(const Dataset& dataset, const ContextVec& c,
+                  const ContextVec* also = nullptr) {
+  const Schema& schema = dataset.schema();
+  size_t count = 0;
+  for (uint32_t row = 0; row < dataset.num_rows(); ++row) {
+    if (context_ops::ContainsRow(schema, dataset, row, c) &&
+        (also == nullptr ||
+         context_ops::ContainsRow(schema, dataset, row, *also))) {
+      ++count;
+    }
+  }
+  return count;
+}
+
 }  // namespace
 
 int main() {
@@ -93,8 +109,7 @@ int main() {
       rows, num_contexts, threads, simd::ActiveBackendName());
 
   // High-cardinality domains (64/48/48) keep every value bitmap at
-  // ~1/48..1/64 density — the sparse regime the compressed index exists
-  // for (array containers, ~2 bytes per set bit).
+  // ~1/48..1/64 density, so populations are sparse.
   SalaryDatasetSpec spec;
   spec.num_rows = rows;
   spec.num_jobs = 64;
@@ -113,26 +128,14 @@ int main() {
               Now() - t0, dataset.schema().total_values());
 
   t0 = Now();
-  const PopulationIndex compressed(dataset, IndexStorage::kCompressed);
-  const double compressed_build_s = Now() - t0;
-  t0 = Now();
-  const PopulationIndex dense(dataset, IndexStorage::kDense);
-  const double dense_build_s = Now() - t0;
-  const PopulationIndexStats compressed_stats = compressed.MemoryStats();
-  const PopulationIndexStats dense_stats = dense.MemoryStats();
-  const double ratio = static_cast<double>(compressed_stats.bitmap_bytes) /
-                       static_cast<double>(dense_stats.bitmap_bytes);
-  std::printf(
-      "index build: compressed %.2fs (%.1f MiB), dense %.2fs (%.1f MiB), "
-      "ratio %.3f (chunks: %zu empty / %zu array / %zu dense)\n",
-      compressed_build_s, compressed_stats.bitmap_bytes / 1048576.0,
-      dense_build_s, dense_stats.bitmap_bytes / 1048576.0, ratio,
-      compressed_stats.empty_chunks, compressed_stats.array_chunks,
-      compressed_stats.dense_chunks);
+  const PopulationIndex index(dataset);
+  const double build_s = Now() - t0;
+  const PopulationIndexStats index_stats = index.MemoryStats();
+  std::printf("index build: %.2fs (%.1f MiB)\n", build_s,
+              index_stats.bitmap_bytes / 1048576.0);
 
   // The probe mix: half all-singleton exact contexts (the search frontier
-  // shape, taking the compressed container-fold fast path) and half random
-  // multi-value contexts (the union+intersect general path).
+  // shape) and half random multi-value contexts (wider unions).
   Rng rng(seed + 1);
   std::vector<ContextVec> contexts;
   contexts.reserve(num_contexts);
@@ -145,38 +148,62 @@ int main() {
     }
   }
 
-  // Exact equivalence gate: every probe, both storages, identical counts
-  // and overlaps. This is the bench's precondition, not a statistic.
+  // One pool of `threads` workers runs the oracle, the timed hot path and
+  // every shard tier; each loop on it uses at most `threads` threads.
+  const auto probe_pool = std::make_shared<ThreadPool>(threads);
+
+  // Exact equivalence gate, never relaxed: every context's count and the
+  // overlap of contexts (2p, 2p+1) for the first 50 pairs must equal a
+  // naive row scan (~16 ms per scan at 1M rows, so it runs on the pool).
+  // This is the bench's precondition, not a statistic.
+  const size_t num_pairs = std::min<size_t>(contexts.size() / 2, 50);
+  std::vector<size_t> naive_counts(contexts.size());
+  std::vector<size_t> naive_overlaps(num_pairs);
+  t0 = Now();
+  probe_pool->ParallelFor(contexts.size() + num_pairs, threads, [&](size_t i) {
+    if (i < contexts.size()) {
+      naive_counts[i] = NaiveCount(dataset, contexts[i]);
+    } else {
+      const size_t p = i - contexts.size();
+      naive_overlaps[p] =
+          NaiveCount(dataset, contexts[2 * p], &contexts[2 * p + 1]);
+    }
+  });
+  const double naive_s = Now() - t0;
   size_t mismatches = 0;
-  for (const ContextVec& c : contexts) {
-    if (dense.PopulationCount(c) != compressed.PopulationCount(c)) {
+  for (size_t i = 0; i < contexts.size(); ++i) {
+    if (index.PopulationCount(contexts[i]) != naive_counts[i]) {
       ++mismatches;
-      std::printf("EQUIVALENCE MISMATCH count: %s\n", c.ToBitString().c_str());
+      std::printf("EQUIVALENCE MISMATCH count: %s\n",
+                  contexts[i].ToBitString().c_str());
     }
   }
-  for (size_t i = 0; i + 1 < contexts.size() && i < 100; i += 2) {
-    if (dense.OverlapCount(contexts[i], contexts[i + 1]) !=
-        compressed.OverlapCount(contexts[i], contexts[i + 1])) {
+  for (size_t p = 0; p < num_pairs; ++p) {
+    if (index.OverlapCount(contexts[2 * p], contexts[2 * p + 1]) !=
+        naive_overlaps[p]) {
       ++mismatches;
-      std::printf("EQUIVALENCE MISMATCH overlap at pair %zu\n", i);
+      std::printf("EQUIVALENCE MISMATCH overlap at pair %zu\n", 2 * p);
     }
   }
   if (mismatches != 0) {
-    std::printf("FAILED: %zu dense/compressed mismatches\n", mismatches);
+    std::printf("FAILED: %zu mismatches against the naive row scan\n",
+                mismatches);
     return 1;
   }
-  std::printf("equivalence: %zu counts + overlaps identical across storages\n",
-              contexts.size());
+  std::printf(
+      "equivalence: %zu counts + %zu overlaps identical to the naive row "
+      "scan (scan %.2fs)\n",
+      contexts.size(), num_pairs, naive_s);
 
-  // Timed hot path: PopulationCount over the context set, fanned across a
-  // thread pool, repeated until the run is long enough to time.
+  // Timed hot path: PopulationCount over the context set, fanned across the
+  // pool, repeated until the run is long enough to time.
   size_t passes = 1;
   double elapsed = 0.0;
   while (true) {
     t0 = Now();
     for (size_t pass = 0; pass < passes; ++pass) {
-      ParallelFor(contexts.size(), threads, [&](size_t i) {
-        volatile size_t sink = compressed.PopulationCount(contexts[i]);
+      probe_pool->ParallelFor(contexts.size(), threads, [&](size_t i) {
+        volatile size_t sink = index.PopulationCount(contexts[i]);
         (void)sink;
       });
     }
@@ -198,7 +225,7 @@ int main() {
     return 1;
   }
   detector = zscore->get();
-  OutlierVerifier verifier(compressed, *detector, VerifierOptions{});
+  OutlierVerifier verifier(index, *detector, VerifierOptions{});
   const size_t cache_probes = std::min<size_t>(contexts.size(), 200);
   for (int round = 0; round < 2; ++round) {
     for (size_t i = 0; i < cache_probes; ++i) {
@@ -225,10 +252,6 @@ int main() {
   std::vector<size_t> shard_tiers = {1};
   if (ncores >= 4) shard_tiers.push_back(4);
   if (ncores > 1 && ncores != 4) shard_tiers.push_back(ncores);
-  std::vector<size_t> expected_counts(contexts.size());
-  for (size_t i = 0; i < contexts.size(); ++i) {
-    expected_counts[i] = compressed.PopulationCount(contexts[i]);
-  }
   struct ShardedResult {
     size_t shards = 0;
     double build_s = 0.0;
@@ -237,22 +260,20 @@ int main() {
     double probes_per_s = 0.0;
   };
   std::vector<ShardedResult> sharded_results;
-  // One injected pool of `threads` workers serves every shard tier.
-  const auto probe_pool = std::make_shared<ThreadPool>(threads);
   for (size_t shard_count : shard_tiers) {
     ShardedIndexOptions sharded_options;
     sharded_options.shard_count = shard_count;
-    sharded_options.storage = IndexStorage::kCompressed;
     sharded_options.pool = probe_pool;
     t0 = Now();
     const ShardedPopulationIndex sharded(dataset, sharded_options);
     ShardedResult result;
     result.shards = sharded.segment_count();
     result.build_s = Now() - t0;
-    // Sharded equivalence gate — never relaxed: bit-identical counts at
-    // every shard count or the bench fails before timing anything.
+    // Sharded equivalence gate — never relaxed: the unsharded index's
+    // counts (equal to the scan's, gated above) at every shard count, or
+    // the bench fails before timing anything.
     for (size_t i = 0; i < contexts.size(); ++i) {
-      if (sharded.PopulationCount(contexts[i]) != expected_counts[i]) {
+      if (sharded.PopulationCount(contexts[i]) != naive_counts[i]) {
         ++mismatches;
         std::printf("EQUIVALENCE MISMATCH sharded(%zu) count: %s\n",
                     shard_count, contexts[i].ToBitString().c_str());
@@ -295,21 +316,13 @@ int main() {
       "{\"bench\":\"million_rows\",\"rows\":%zu,\"contexts\":%zu,"
       "\"threads\":%zu,\"probes\":%.0f,\"wall_s\":%.4f,"
       "\"probes_per_s\":%.1f,\"floor_probes_per_s\":%.1f,"
-      "\"enforced\":%s,\"kernel_backend\":\"%s\",\"storage\":\"%s\"}",
+      "\"enforced\":%s,\"kernel_backend\":\"%s\"}",
       rows, num_contexts, threads, probes, elapsed, probes_per_s,
-      floor_probes_per_s, relax ? "false" : "true",
-      simd::ActiveBackendName(),
-      compressed.storage() == IndexStorage::kCompressed ? "compressed"
-                                                        : "dense"));
+      floor_probes_per_s, relax ? "false" : "true", simd::ActiveBackendName()));
   emitter.Emit(strings::Format(
       "{\"bench\":\"million_rows_memory\",\"rows\":%zu,"
-      "\"dense_bytes\":%zu,\"compressed_bytes\":%zu,"
-      "\"compressed_ratio\":%.4f,\"empty_chunks\":%zu,"
-      "\"array_chunks\":%zu,\"dense_chunks\":%zu,"
-      "\"compressed_build_s\":%.3f,\"dense_build_s\":%.3f}",
-      rows, dense_stats.bitmap_bytes, compressed_stats.bitmap_bytes, ratio,
-      compressed_stats.empty_chunks, compressed_stats.array_chunks,
-      compressed_stats.dense_chunks, compressed_build_s, dense_build_s));
+      "\"dense_bytes\":%zu,\"dense_build_s\":%.3f}",
+      rows, index_stats.bitmap_bytes, build_s));
   emitter.Emit(strings::Format(
       "{\"bench\":\"million_rows_cache\",\"probes\":%zu,\"hits\":%zu,"
       "\"misses\":%zu,\"hit_rate\":%.4f}",
@@ -333,12 +346,6 @@ int main() {
   }
 
   bool failed = !emitter.ok();
-  // Memory bar: deterministic, never relaxed. The whole point of the
-  // compressed index is cutting the sparse working set at least in half.
-  if (ratio > 0.5) {
-    std::printf("FAILED: compressed/dense memory ratio %.3f > 0.50\n", ratio);
-    failed = true;
-  }
   // Memo bar: deterministic, never relaxed. The default budget holds every
   // probed context, so each second-round probe must be answered from the
   // memo.

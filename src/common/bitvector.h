@@ -72,9 +72,9 @@ class BitVector {
 
   const uint64_t* data() const { return words_.data(); }
 
-  /// \brief Mutable word access for the compressed-bitmap kernels, which
-  /// operate on whole 64Ki-bit chunks of the word array in place. Callers
-  /// must not set bits at or above size().
+  /// \brief Mutable word access for the composed probe's gather
+  /// (OrShiftedInto), which deposits segment bitmaps into the global one a
+  /// word at a time. Callers must not set bits at or above size().
   uint64_t* mutable_data() { return words_.data(); }
 
  private:

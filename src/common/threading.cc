@@ -106,17 +106,6 @@ void ThreadPool::ParallelFor(size_t n, size_t max_parallel,
   });
 }
 
-void ParallelFor(size_t n, size_t num_threads,
-                 const std::function<void(size_t)>& fn) {
-  num_threads = std::min(num_threads, n);
-  if (num_threads <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // A transient pool; the caller is the last thread.
-  ThreadPool(num_threads - 1).ParallelFor(n, num_threads, fn);
-}
-
 size_t DefaultThreadCount() {
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);

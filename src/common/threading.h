@@ -65,12 +65,6 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
-/// \brief Runs fn(i) for i in [0, n) across up to `num_threads` threads
-/// (the caller plus a transient ThreadPool) and blocks until completion.
-/// fn must be thread-safe across distinct i.
-void ParallelFor(size_t n, size_t num_threads,
-                 const std::function<void(size_t)>& fn);
-
 /// \brief Hardware concurrency with a sane floor of 1.
 size_t DefaultThreadCount();
 

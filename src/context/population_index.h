@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "src/common/bitvector.h"
-#include "src/common/compressed_bitmap.h"
 #include "src/context/context.h"
 #include "src/data/dataset.h"
 
@@ -12,26 +11,15 @@ namespace pcor {
 
 class ThreadPool;
 
-/// \brief How the index stores its per-(attribute, value) bitmaps.
-///
-/// kDense (the default) keeps one flat BitVector per value — about 10x
-/// faster per probe than compressed containers on the paper's 11k–110k-row
-/// workloads, whose contexts are wide. kCompressed uses roaring-style
-/// CompressedBitmap containers, smaller only at million-row scale. Both
-/// storages produce bit-identical populations, counts, and overlaps.
-enum class IndexStorage { kDense, kCompressed };
+/// \brief The index's storage: one flat BitVector per (attribute, value),
+/// the only one there is. Kept, with PopulationProbe::storage(), only
+/// because perfbench's forwarding probe overrides storage(); both go when
+/// the benchmark is next changed (ROADMAP item 3).
+enum class IndexStorage { kDense };
 
-/// \brief Storage picked by the PCOR_COMPRESSED_INDEX env var:
-/// unset or 0 → kDense, nonzero → kCompressed.
-IndexStorage DefaultIndexStorage();
-
-/// \brief Working-set accounting for benchmarks and the memory acceptance
-/// bar. The chunk census fields are zero for dense storage.
+/// \brief Working-set accounting for benchmarks.
 struct PopulationIndexStats {
   size_t bitmap_bytes = 0;  ///< heap bytes held by the value bitmaps
-  size_t empty_chunks = 0;
-  size_t array_chunks = 0;
-  size_t dense_chunks = 0;
 };
 
 /// \brief Caller-owned scratch buffers for allocation-free population
@@ -95,10 +83,10 @@ class PopulationProbe {
   const Schema& schema() const { return dataset().schema(); }
   /// \brief Rows this probe spans — the local row space of its bitmaps.
   virtual size_t num_rows() const = 0;
-  virtual IndexStorage storage() const = 0;
+  /// \brief Always kDense; see IndexStorage.
+  virtual IndexStorage storage() const { return IndexStorage::kDense; }
 
-  /// \brief Heap footprint of the value bitmaps plus (for compressed
-  /// storage) the container census.
+  /// \brief Heap footprint of the value bitmaps.
   virtual PopulationIndexStats MemoryStats() const = 0;
 
   /// \brief Fills `*population` with the bitmap of rows selected by `c`,
@@ -183,16 +171,6 @@ class PopulationProbe {
 /// path: they fill caller-owned buffers and allocate nothing in steady
 /// state. The value-returning methods are thin wrappers kept for
 /// convenience and tests.
-///
-/// With IndexStorage::kCompressed the probe API is unchanged but gains
-/// container-aware fast paths: single-value attributes AND straight into
-/// the population (array∩dense probe), and all-singleton contexts — the
-/// exact contexts that dominate the search frontier — fold through
-/// CompressedBitmap::IntersectInto (array∩array galloping, dense∩dense
-/// words) without ever materializing a dense bitmap. OverlapCount
-/// additionally exploits that value bitmaps within an attribute partition
-/// the rows, so D_C1 ∩ D_C2 equals the population of the bitwise-AND
-/// merged context.
 class PopulationIndex : public PopulationProbe {
  public:
   /// \brief `row_end` value meaning "through the dataset's last row".
@@ -204,14 +182,11 @@ class PopulationIndex : public PopulationProbe {
   /// answer in the local row space; ShardedPopulationIndex composes
   /// row-range indexes into one global row space. The dataset is not
   /// owned and must outlive the index.
-  explicit PopulationIndex(const Dataset& dataset,
-                           IndexStorage storage = DefaultIndexStorage(),
-                           uint32_t row_begin = 0,
+  explicit PopulationIndex(const Dataset& dataset, uint32_t row_begin = 0,
                            uint32_t row_end = kAllRows);
 
   const Dataset& dataset() const override { return *dataset_; }
   size_t num_rows() const override { return num_local_rows_; }
-  IndexStorage storage() const override { return storage_; }
 
   PopulationIndexStats MemoryStats() const override;
 
@@ -243,20 +218,12 @@ class PopulationIndex : public PopulationProbe {
   }
 
  private:
-  void PopulationIntoDense(const ContextVec& c, BitVector* population,
-                           BitVector* attr_union) const;
-  void PopulationIntoCompressed(const ContextVec& c, BitVector* population,
-                                BitVector* attr_union) const;
-
   const Dataset* dataset_;
-  IndexStorage storage_;
   uint32_t row_begin_ = 0;       // first dataset row this index covers
   size_t num_local_rows_ = 0;    // rows covered: [row_begin_, row_begin_+n)
-  // Exactly one of the two stores is populated, per storage_.
   // bitmaps_[attr][value] = local rows where
   // dataset.code(row_begin_ + row, attr) == value.
   std::vector<std::vector<BitVector>> bitmaps_;
-  std::vector<std::vector<CompressedBitmap>> compressed_;
 };
 
 }  // namespace pcor

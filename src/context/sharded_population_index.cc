@@ -87,7 +87,7 @@ SegmentList SplitIntoShards(const std::shared_ptr<const Dataset>& dataset,
     const auto end = static_cast<uint32_t>(
         s + 1 == shards ? num_rows
                         : ((s + 1) * num_rows / shards) & ~size_t{63});
-    segments.push_back(MakeSegment(dataset, options.storage, begin, end));
+    segments.push_back(MakeSegment(dataset, begin, end));
   }
   return segments;
 }
@@ -102,10 +102,9 @@ size_t DefaultShardCount(size_t num_rows) {
 }
 
 std::shared_ptr<const PopulationSegment> MakeSegment(
-    std::shared_ptr<const Dataset> rows, IndexStorage storage,
-    uint32_t row_begin, uint32_t row_end) {
+    std::shared_ptr<const Dataset> rows, uint32_t row_begin, uint32_t row_end) {
   PCOR_CHECK(rows != nullptr) << "a segment needs row storage";
-  PopulationIndex index(*rows, storage, row_begin, row_end);
+  PopulationIndex index(*rows, row_begin, row_end);
   return std::make_shared<const PopulationSegment>(
       PopulationSegment{std::move(rows), std::move(index)});
 }
@@ -128,8 +127,7 @@ void MergeSegments(SegmentList* segments, size_t begin, size_t end) {
       merged->AppendRow(row).CheckOK();
     }
   }
-  auto segment =
-      MakeSegment(std::move(merged), (*segments)[begin]->index.storage());
+  auto segment = MakeSegment(std::move(merged));
   segments->erase(segments->begin() + static_cast<ptrdiff_t>(begin) + 1,
                   segments->begin() + static_cast<ptrdiff_t>(end));
   (*segments)[begin] = std::move(segment);
@@ -158,8 +156,7 @@ ShardedPopulationIndex::ShardedPopulationIndex(
   segment_begin_.reserve(segments_.size() + 1);
   size_t next = 0;
   for (const auto& segment : segments_) {
-    PCOR_CHECK(segment != nullptr && segment->index.storage() == storage())
-        << "segments must be non-null and share one storage";
+    PCOR_CHECK(segment != nullptr) << "segments must be non-null";
     segment_begin_.push_back(static_cast<uint32_t>(next));
     next += segment->num_rows();
   }
@@ -197,11 +194,7 @@ size_t ShardedPopulationIndex::SegmentOf(uint32_t row) const {
 PopulationIndexStats ShardedPopulationIndex::MemoryStats() const {
   PopulationIndexStats stats;
   for (const auto& segment : segments_) {
-    const PopulationIndexStats s = segment->index.MemoryStats();
-    stats.bitmap_bytes += s.bitmap_bytes;
-    stats.empty_chunks += s.empty_chunks;
-    stats.array_chunks += s.array_chunks;
-    stats.dense_chunks += s.dense_chunks;
+    stats.bitmap_bytes += segment->index.MemoryStats().bitmap_bytes;
   }
   return stats;
 }
@@ -259,9 +252,7 @@ const BitVector& ShardedPopulationIndex::ValueBitmap(size_t attr,
   }
   thread_local BitVector t_concat;
   t_concat.Assign(num_rows(), false);
-  // Serial: a test/bench accessor, not a hot probe — and each segment's
-  // compressed ValueBitmap materializes into a shared thread_local, so the
-  // deposit must complete before the next segment's call overwrites it.
+  // Serial: a test/bench accessor, not a hot probe.
   for (size_t s = 0; s < segments_.size(); ++s) {
     const PopulationSegment& segment = *segments_[s];
     OrShiftedInto(segment.index.ValueBitmap(attr, value), segment.num_rows(),

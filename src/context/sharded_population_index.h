@@ -45,13 +45,13 @@ using SegmentList = std::vector<std::shared_ptr<const PopulationSegment>>;
 /// \brief Builds the segment over rows [row_begin, row_end) of `*rows`
 /// (the defaults take every row). Cost is O(rows indexed).
 std::shared_ptr<const PopulationSegment> MakeSegment(
-    std::shared_ptr<const Dataset> rows, IndexStorage storage,
-    uint32_t row_begin = 0, uint32_t row_end = PopulationIndex::kAllRows);
+    std::shared_ptr<const Dataset> rows, uint32_t row_begin = 0,
+    uint32_t row_end = PopulationIndex::kAllRows);
 
 /// \brief Replaces segments [begin, end) of `*segments` with one merged
-/// segment of the same storage: rows copied into a fresh Dataset, index
-/// rebuilt — O(rows of the merged range). The streaming compaction
-/// policy's primitive. No-op when the range is a single segment.
+/// segment: rows copied into a fresh Dataset, index rebuilt — O(rows of
+/// the merged range). The streaming compaction policy's primitive. No-op
+/// when the range is a single segment.
 void MergeSegments(SegmentList* segments, size_t begin, size_t end);
 
 /// \brief Construction knobs for the classic (computed-split) layout.
@@ -59,8 +59,6 @@ struct ShardedIndexOptions {
   /// Number of row-range shards. 0 = DefaultShardCount(num_rows); an
   /// explicit value is honored exactly (clamped to kMaxShardCount).
   size_t shard_count = 0;
-  /// Storage for every shard's value bitmaps.
-  IndexStorage storage = DefaultIndexStorage();
   /// Worker pool probes scatter on (and engines fan batches out on). Null
   /// means the index owns one pool of DefaultThreadCount() workers,
   /// created on first use.
@@ -79,7 +77,7 @@ struct ShardedIndexOptions {
 /// streaming layer appends one segment per seal, at arbitrary row counts.
 ///
 /// Determinism contract: every probe is bit-identical to an unsharded
-/// PopulationIndex over the same rows and storage, for any layout and any
+/// PopulationIndex over the same rows, for any layout and any
 /// thread count (including 1). The pieces that make this hold:
 ///   - the layout depends only on the construction inputs (row counts,
 ///     shard count, seal points), never on thread scheduling;
@@ -106,8 +104,8 @@ class ShardedPopulationIndex : public PopulationProbe {
   explicit ShardedPopulationIndex(const Dataset& dataset,
                                   ShardedIndexOptions options = {});
 
-  /// \brief Composed layout over `segments` (in global row order, all of
-  /// one storage). dataset() returns a zero-row anchor carrying `schema` —
+  /// \brief Composed layout over `segments` (in global row order).
+  /// dataset() returns a zero-row anchor carrying `schema` —
   /// row data lives in the segments and is reached through RowCode /
   /// RowMetric / GatherMetrics. A null `pool` behaves as in
   /// ShardedIndexOptions.
@@ -116,11 +114,8 @@ class ShardedPopulationIndex : public PopulationProbe {
 
   const Dataset& dataset() const override { return *dataset_; }
   size_t num_rows() const override { return segment_begin_.back(); }
-  IndexStorage storage() const override {
-    return segments_.front()->index.storage();
-  }
 
-  /// \brief Sum of the segments' footprints (chunk census included).
+  /// \brief Sum of the segments' footprints.
   PopulationIndexStats MemoryStats() const override;
 
   void PopulationInto(const ContextVec& c, BitVector* population,

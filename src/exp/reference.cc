@@ -12,11 +12,11 @@ namespace pcor {
 
 Result<ReferenceTable> ReferenceTable::Build(
     const OutlierVerifier& verifier, const std::vector<uint32_t>& rows,
-    const CoeOptions& options, size_t threads) {
+    const CoeOptions& options, ThreadPool* pool, size_t max_parallel) {
   ReferenceTable table;
   std::mutex mu;
   Status first_error;
-  ParallelFor(rows.size(), std::max<size_t>(threads, 1), [&](size_t i) {
+  const auto build_row = [&](size_t i) {
     auto coe = EnumerateCoe(verifier, rows[i], options);
     std::lock_guard<std::mutex> lock(mu);
     if (!coe.ok()) {
@@ -24,7 +24,12 @@ Result<ReferenceTable> ReferenceTable::Build(
       return;
     }
     table.entries_.emplace(rows[i], std::move(coe).value());
-  });
+  };
+  if (pool == nullptr) {
+    for (size_t i = 0; i < rows.size(); ++i) build_row(i);
+  } else {
+    pool->ParallelFor(rows.size(), max_parallel, build_row);
+  }
   if (!first_error.ok()) return first_error;
   return table;
 }

@@ -11,6 +11,8 @@
 
 namespace pcor {
 
+class ThreadPool;
+
 /// \brief The paper's "reference file" (Section 6.2): for each query
 /// outlier, the full set of matching contexts. Utility normalization
 /// divides a PCOR release's utility by the maximum utility over this set —
@@ -18,12 +20,15 @@ namespace pcor {
 /// compute.
 class ReferenceTable {
  public:
-  /// \brief Enumerates COE for every row in `rows` (parallelized across
-  /// `threads`; the verifier's memo cache is shared).
+  /// \brief Enumerates COE for every row in `rows`, one row per task on
+  /// `pool` with at most `max_parallel` threads (caller included; 0 = no
+  /// limit), or serially when `pool` is null. The verifier's memo cache is
+  /// shared; the table is the same for every pool and thread count.
   static Result<ReferenceTable> Build(const OutlierVerifier& verifier,
                                       const std::vector<uint32_t>& rows,
                                       const CoeOptions& options = {},
-                                      size_t threads = 1);
+                                      ThreadPool* pool = nullptr,
+                                      size_t max_parallel = 0);
 
   /// \brief Matching contexts of `row`, or nullptr if the row was not part
   /// of the build.

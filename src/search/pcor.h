@@ -169,7 +169,7 @@ struct BatchReleaseReport {
 class PcorEngine {
  public:
   /// \brief Builds the engine's row-sharded population index per
-  /// `index_options` (shard count, storage, pool). The default
+  /// `index_options` (shard count, pool). The default
   /// resolves shard count from PCOR_SHARD_COUNT / DefaultShardCount(), so
   /// existing callers transparently gain sharding on large datasets while
   /// small ones stay single-shard.

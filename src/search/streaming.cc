@@ -148,7 +148,7 @@ uint64_t StreamingPcorEngine::SealEpoch() {
   next->epoch = base->epoch + tail.size();
   // Structural sharing: the new list copies shared_ptrs, never segments.
   SegmentList segments = base->probe ? base->probe->segments() : SegmentList{};
-  segments.push_back(MakeSegment(std::move(tail_rows), options_.storage));
+  segments.push_back(MakeSegment(std::move(tail_rows)));
   compactions_ += CompactSegments(&segments, options_.compaction);
   next->probe = std::make_shared<const ShardedPopulationIndex>(
       schema_, std::move(segments), pool_);

@@ -37,9 +37,6 @@ struct StreamingOptions {
   /// Verifier memo configuration (byte budget, shards, ...). One memo is
   /// shared by every epoch's verifier, keyed by (epoch, context).
   VerifierOptions verifier;
-  /// Storage of every segment index (PCOR_COMPRESSED_INDEX included). Seal
-  /// points, not computed splits, define the segment layout.
-  IndexStorage storage = DefaultIndexStorage();
   /// How many most-recent sealed epochs keep their memo entries across a
   /// seal. Sealing epoch e sweeps every entry older than the retain
   /// window (VerifierMemo::InvalidateEpochsBefore) — counted as cache
@@ -100,7 +97,7 @@ struct StreamingStats {
 /// Contracts (tested, see tests/search/streaming_engine_test.cc):
 ///   - **Snapshot consistency.** A release (or batch) pinned to epoch k is
 ///     bit-identical to the same release against a fresh load-once engine
-///     over exactly the k sealed rows — for any storage, shard count and
+///     over exactly the k sealed rows — for any shard count and
 ///     thread count, any seal cadence, any compaction policy, and
 ///     regardless of appends/seals racing the release.
 ///   - **Determinism.** Epochs are content-addressed (epoch id = sealed

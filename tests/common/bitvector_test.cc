@@ -99,10 +99,10 @@ TEST(BitVectorTest, EmptyVector) {
 }
 
 TEST(BitVectorTest, AssignAcrossWordAndChunkBoundaries) {
-  // Sizes straddling the word boundary and the compressed-bitmap chunk
-  // boundary (64Ki bits): Assign must leave exactly `size` live bits and
-  // keep the tail of the last partial word clear, in both directions of
-  // resize and both fill values.
+  // Sizes straddling the word boundary and 64Ki bits (kMinRowsPerShard,
+  // the row count at which probes shard): Assign must leave exactly `size`
+  // live bits and keep the tail of the last partial word clear, in both
+  // directions of resize and both fill values.
   BitVector b(10, true);
   const size_t kChunk = size_t{1} << 16;
   const size_t sizes[] = {63,         64,         65,        128,

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 
 namespace pcor {
 namespace {
@@ -40,33 +39,6 @@ TEST(ThreadPoolTest, DestructorJoinsCleanly) {
     pool.Wait();
   }
   EXPECT_EQ(counter.load(), 10);
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  const size_t n = 1000;
-  std::vector<std::atomic<int>> hits(n);
-  ParallelFor(n, 8, [&](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ParallelForTest, SequentialFallback) {
-  std::vector<size_t> order;
-  ParallelFor(5, 1, [&](size_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(ParallelForTest, ZeroIterationsIsNoop) {
-  bool called = false;
-  ParallelFor(0, 4, [&](size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ParallelForTest, ComputesCorrectSum) {
-  const size_t n = 10000;
-  std::vector<double> out(n, 0.0);
-  ParallelFor(n, 6, [&](size_t i) { out[i] = static_cast<double>(i); });
-  double total = std::accumulate(out.begin(), out.end(), 0.0);
-  EXPECT_DOUBLE_EQ(total, static_cast<double>(n) * (n - 1) / 2.0);
 }
 
 TEST(DefaultThreadCountTest, AtLeastOne) {

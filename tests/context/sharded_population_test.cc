@@ -10,11 +10,12 @@
 // Every probe (PopulationInto, PopulationCount, OverlapCount, RowIdsOf,
 // MetricOf, MetricWithTarget, ViewOf, ValueBitmap) plus the probe-level row
 // accessors (RowCode, RowMetric, ExactContextOf, ContextContainsRow,
-// GatherMetrics) must be bit-identical, dense and compressed storage alike.
-// Random contexts are joined by the degenerate shapes (empty context, full
-// context, one empty attribute, all-singleton exact contexts) whose
-// populations straddle every boundary of the 80k-row salary datasets —
-// large enough (>= kMinRowsPerShard) that sub-probes scatter over the pool.
+// GatherMetrics) must be bit-identical, and every population must equal
+// the naive row scan. Random contexts are joined by the degenerate shapes
+// (empty context, full context, one empty attribute, all-singleton exact
+// contexts) whose populations straddle every boundary of the 80k-row
+// salary datasets — large enough (>= kMinRowsPerShard) that sub-probes
+// scatter over the pool.
 // MergeSegments (compaction's primitive) must preserve all of it. The
 // gather is also driven directly on hand-built bitmaps at segment edges
 // (GatherMetricsTest), against a per-row RowMetric oracle.
@@ -37,16 +38,17 @@ namespace {
 
 using testing_util::FuzzContexts;
 using testing_util::MultiChunkSalaryDataset;
+using testing_util::NaivePopulation;
 
 /// \brief The layout-independent half of the fuzz: every probe and row
-/// accessor of `probe` equals the unsharded `reference` over `dataset`.
+/// accessor of `probe` equals the unsharded `reference` over `dataset`, and
+/// every population equals the naive row scan.
 /// Row accessors and MetricWithTarget are checked at the rows adjacent to
 /// every segment boundary plus random rows.
 void ExpectEveryProbeAgrees(const Dataset& dataset,
                             const PopulationIndex& reference,
                             const ShardedPopulationIndex& probe,
                             uint64_t seed, int num_trials) {
-  ASSERT_EQ(probe.storage(), reference.storage());
   ASSERT_EQ(probe.num_rows(), dataset.num_rows());
   EXPECT_EQ(probe.segment_begin(probe.segment_count()), dataset.num_rows());
   const std::vector<ContextVec> contexts =
@@ -56,6 +58,7 @@ void ExpectEveryProbeAgrees(const Dataset& dataset,
   for (const ContextVec& c : contexts) {
     reference.PopulationInto(c, &ref_bits, &ref_union);
     probe.PopulationInto(c, &probe_bits, &probe_union);
+    ASSERT_EQ(ref_bits, NaivePopulation(dataset, c)) << c.ToBitString();
     ASSERT_EQ(ref_bits, probe_bits) << c.ToBitString();
     EXPECT_EQ(reference.PopulationCount(c), probe.PopulationCount(c))
         << c.ToBitString();
@@ -124,15 +127,12 @@ void ExpectEveryProbeAgrees(const Dataset& dataset,
 
 // ---- Computed shards -----------------------------------------------------
 
-void ExpectShardingAgrees(const Dataset& dataset, IndexStorage storage,
-                          size_t shard_count, uint64_t seed, int num_trials) {
-  SCOPED_TRACE(::testing::Message()
-               << "shards=" << shard_count << " storage="
-               << (storage == IndexStorage::kDense ? "dense" : "compressed"));
-  const PopulationIndex reference(dataset, storage);
+void ExpectShardingAgrees(const Dataset& dataset, size_t shard_count,
+                          uint64_t seed, int num_trials) {
+  SCOPED_TRACE(::testing::Message() << "shards=" << shard_count);
+  const PopulationIndex reference(dataset);
   ShardedIndexOptions options;
   options.shard_count = shard_count;
-  options.storage = storage;
   const ShardedPopulationIndex sharded(dataset, options);
   ASSERT_EQ(sharded.segment_count(), std::min(shard_count, kMaxShardCount));
 
@@ -147,45 +147,42 @@ void ExpectShardingAgrees(const Dataset& dataset, IndexStorage storage,
   EXPECT_EQ(sharded.segment_begin(0), 0u);
 
   ExpectEveryProbeAgrees(dataset, reference, sharded, seed, num_trials);
-  // Sum of shard footprints equals a shard-wise decomposition — at minimum
-  // the dense accounting must match the reference exactly, since dense
-  // bytes depend only on (rows, domains) and boundaries are word-aligned.
-  if (storage == IndexStorage::kDense) {
-    EXPECT_EQ(sharded.MemoryStats().bitmap_bytes,
-              reference.MemoryStats().bitmap_bytes);
-  }
+  // Bytes depend only on (rows, domains) and boundaries are word-aligned,
+  // so the shard footprints sum to the reference's exactly.
+  EXPECT_EQ(sharded.MemoryStats().bitmap_bytes,
+            reference.MemoryStats().bitmap_bytes);
 }
 
-class ShardedPopulationTest
-    : public ::testing::TestWithParam<std::tuple<IndexStorage, size_t>> {};
+/// \brief The storage half of each (storage, count) test parameter. Dense
+/// is the one storage there is; the pair is kept so that instance names and
+/// printed parameters stay the same as when there were two storages.
+enum class Storage { kDense };
+
+using LayoutParam = std::tuple<Storage, size_t>;
+
+class ShardedPopulationTest : public ::testing::TestWithParam<LayoutParam> {};
 
 TEST_P(ShardedPopulationTest, GridDatasetAgreesOnEveryProbe) {
   // 37 rows across up to 64 shards: all but the last shard round down to
   // row 0, so most shards are empty — the degenerate-layout path.
-  const auto [storage, shards] = GetParam();
-  ExpectShardingAgrees(testing_util::MakeSpreadGridDataset().dataset, storage,
-                       shards, /*seed=*/17, /*num_trials=*/40);
+  ExpectShardingAgrees(testing_util::MakeSpreadGridDataset().dataset,
+                       std::get<1>(GetParam()), /*seed=*/17,
+                       /*num_trials=*/40);
 }
 
 TEST_P(ShardedPopulationTest, MultiChunkSalaryDatasetAgreesOnEveryProbe) {
-  // 80k rows: shard boundaries fall inside compression chunks and every
-  // random population straddles all of them.
-  const auto [storage, shards] = GetParam();
-  ExpectShardingAgrees(MultiChunkSalaryDataset(), storage, shards, /*seed=*/19,
-                       /*num_trials=*/6);
+  // 80k rows: every random population straddles all shard boundaries.
+  ExpectShardingAgrees(MultiChunkSalaryDataset(), std::get<1>(GetParam()),
+                       /*seed=*/19, /*num_trials=*/6);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllLayouts, ShardedPopulationTest,
-    ::testing::Combine(::testing::Values(IndexStorage::kDense,
-                                         IndexStorage::kCompressed),
+    ::testing::Combine(::testing::Values(Storage::kDense),
                        ::testing::Values(size_t{1}, size_t{2}, size_t{7},
                                          size_t{64})),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param) == IndexStorage::kDense
-                             ? "dense"
-                             : "compressed") +
-             "_shards" + std::to_string(std::get<1>(info.param));
+      return "dense_shards" + std::to_string(std::get<1>(info.param));
     });
 
 TEST(DefaultShardCountTest, TinyDatasetsDefaultToOneShard) {
@@ -216,8 +213,7 @@ TEST(DefaultShardCountTest, ExplicitOptionIsHonoredExactly) {
 /// boundaries (each a row count, deliberately not word-aligned), each
 /// segment owning a copy of its rows — the way a seal cadence would.
 SegmentList SegmentsOf(const Dataset& dataset,
-                       std::vector<uint32_t> boundaries,
-                       IndexStorage storage) {
+                       std::vector<uint32_t> boundaries) {
   boundaries.push_back(static_cast<uint32_t>(dataset.num_rows()));
   SegmentList segments;
   uint32_t begin = 0;
@@ -226,23 +222,21 @@ SegmentList SegmentsOf(const Dataset& dataset,
     for (uint32_t r = begin; r < end; ++r) {
       rows->AppendRow(dataset.GetRow(r)).CheckOK();
     }
-    segments.push_back(MakeSegment(std::move(rows), storage));
+    segments.push_back(MakeSegment(std::move(rows)));
     begin = end;
   }
   return segments;
 }
 
-void ExpectSegmentationAgrees(const Dataset& dataset, IndexStorage storage,
+void ExpectSegmentationAgrees(const Dataset& dataset,
                               const std::vector<uint32_t>& boundaries,
                               size_t threads, uint64_t seed, int num_trials) {
-  SCOPED_TRACE(::testing::Message()
-               << "segments=" << boundaries.size() + 1
-               << " threads=" << threads << " storage="
-               << (storage == IndexStorage::kDense ? "dense" : "compressed"));
-  const PopulationIndex reference(dataset, storage);
-  const ShardedPopulationIndex segmented(
-      dataset.schema(), SegmentsOf(dataset, boundaries, storage),
-      std::make_shared<ThreadPool>(threads));
+  SCOPED_TRACE(::testing::Message() << "segments=" << boundaries.size() + 1
+                                    << " threads=" << threads);
+  const PopulationIndex reference(dataset);
+  const ShardedPopulationIndex segmented(dataset.schema(),
+                                         SegmentsOf(dataset, boundaries),
+                                         std::make_shared<ThreadPool>(threads));
   ASSERT_EQ(segmented.segment_count(), boundaries.size() + 1);
 
   // Layout invariants: contiguous non-empty segments covering [0, rows),
@@ -272,52 +266,45 @@ std::vector<uint32_t> BurstyBoundaries(size_t num_rows, uint64_t seed,
   return cuts;
 }
 
-class SegmentedPopulationTest
-    : public ::testing::TestWithParam<std::tuple<IndexStorage, size_t>> {};
+class SegmentedPopulationTest : public ::testing::TestWithParam<LayoutParam> {
+};
 
 TEST_P(SegmentedPopulationTest, GridSealPerRowAgreesOnEveryProbe) {
   // 37 rows, 37 single-row segments: the seal-per-append worst case, every
   // boundary unaligned and every destination word shared by 64 deposits.
-  const auto [storage, threads] = GetParam();
   const Dataset dataset = testing_util::MakeSpreadGridDataset().dataset;
   std::vector<uint32_t> per_row;
   for (uint32_t r = 1; r < dataset.num_rows(); ++r) per_row.push_back(r);
-  ExpectSegmentationAgrees(dataset, storage, per_row, threads, /*seed=*/17,
-                           /*num_trials=*/40);
+  ExpectSegmentationAgrees(dataset, per_row, std::get<1>(GetParam()),
+                           /*seed=*/17, /*num_trials=*/40);
 }
 
 TEST_P(SegmentedPopulationTest, GridSingleSegmentDelegates) {
-  const auto [storage, threads] = GetParam();
   ExpectSegmentationAgrees(testing_util::MakeSpreadGridDataset().dataset,
-                           storage, /*boundaries=*/{}, threads, /*seed=*/23,
+                           /*boundaries=*/{}, std::get<1>(GetParam()),
+                           /*seed=*/23,
                            /*num_trials=*/40);
 }
 
 TEST_P(SegmentedPopulationTest, MultiChunkSalaryBurstyAgreesOnEveryProbe) {
-  // 80k rows, uneven odd-offset seal points: boundaries fall inside
-  // compression chunks and mid-word, and (with threads > 1) the stream is
-  // large enough that deposits scatter over the pool — the atomic
-  // edge-word path under real concurrency.
-  const auto [storage, threads] = GetParam();
+  // 80k rows, uneven odd-offset seal points: boundaries fall mid-word, and
+  // (with threads > 1) the stream is large enough that deposits scatter
+  // over the pool — the atomic edge-word path under real concurrency.
   const Dataset dataset = MultiChunkSalaryDataset();
   ASSERT_GE(dataset.num_rows(), kMinRowsPerShard);
-  ExpectSegmentationAgrees(
-      dataset, storage,
-      BurstyBoundaries(dataset.num_rows(), /*seed=*/31,
-                       /*target_segments=*/23),
-      threads, /*seed=*/19, /*num_trials=*/4);
+  ExpectSegmentationAgrees(dataset,
+                           BurstyBoundaries(dataset.num_rows(), /*seed=*/31,
+                                            /*target_segments=*/23),
+                           std::get<1>(GetParam()), /*seed=*/19,
+                           /*num_trials=*/4);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllLayouts, SegmentedPopulationTest,
-    ::testing::Combine(::testing::Values(IndexStorage::kDense,
-                                         IndexStorage::kCompressed),
+    ::testing::Combine(::testing::Values(Storage::kDense),
                        ::testing::Values(size_t{1}, size_t{8})),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param) == IndexStorage::kDense
-                             ? "dense"
-                             : "compressed") +
-             "_threads" + std::to_string(std::get<1>(info.param));
+      return "dense_threads" + std::to_string(std::get<1>(info.param));
     });
 
 // ---- Gather at segment edges ---------------------------------------------
@@ -339,7 +326,7 @@ std::pair<SegmentList, Dataset> SegmentsOfSizes(
       rows->AppendRow(row).CheckOK();
       all.AppendRow(row).CheckOK();
     }
-    segments.push_back(MakeSegment(std::move(rows), IndexStorage::kDense));
+    segments.push_back(MakeSegment(std::move(rows)));
   }
   return {std::move(segments), std::move(all)};
 }
@@ -364,7 +351,7 @@ TEST(GatherMetricsTest, SegmentEdgesMatchPerRowOracle) {
     auto [segments, all] = SegmentsOfSizes(sizes);
     const ShardedPopulationIndex probe(all.schema(), std::move(segments),
                                        std::make_shared<ThreadPool>(1));
-    const PopulationIndex single(all, IndexStorage::kDense);
+    const PopulationIndex single(all);
     const size_t n = all.num_rows();
     ASSERT_EQ(probe.num_rows(), n);
 
@@ -405,26 +392,22 @@ TEST(MergeSegmentsTest, MergingPreservesEveryProbe) {
   // composed probe bit-identical — here checked by merging a middle range
   // of a seal-per-row layout and re-running the full equivalence sweep.
   const Dataset dataset = testing_util::MakeSpreadGridDataset().dataset;
-  for (const IndexStorage storage :
-       {IndexStorage::kDense, IndexStorage::kCompressed}) {
-    SCOPED_TRACE(storage == IndexStorage::kDense ? "dense" : "compressed");
-    std::vector<uint32_t> per_row;
-    for (uint32_t r = 1; r < dataset.num_rows(); ++r) per_row.push_back(r);
-    auto segments = SegmentsOf(dataset, per_row, storage);
-    const size_t before = segments.size();
-    MergeSegments(&segments, 5, 20);
-    ASSERT_EQ(segments.size(), before - 14);
-    EXPECT_EQ(segments[5]->num_rows(), 15u);
+  std::vector<uint32_t> per_row;
+  for (uint32_t r = 1; r < dataset.num_rows(); ++r) per_row.push_back(r);
+  auto segments = SegmentsOf(dataset, per_row);
+  const size_t before = segments.size();
+  MergeSegments(&segments, 5, 20);
+  ASSERT_EQ(segments.size(), before - 14);
+  EXPECT_EQ(segments[5]->num_rows(), 15u);
 
-    const PopulationIndex reference(dataset, storage);
-    const ShardedPopulationIndex probe(dataset.schema(), std::move(segments),
-                                       std::make_shared<ThreadPool>(1));
-    EXPECT_EQ(probe.segment_begin(5), 5u);
-    ExpectEveryProbeAgrees(dataset, reference, probe, /*seed=*/29,
-                           /*num_trials=*/20);
-    for (uint32_t r = 0; r < dataset.num_rows(); ++r) {
-      EXPECT_EQ(probe.RowMetric(r), dataset.metric(r)) << "row " << r;
-    }
+  const PopulationIndex reference(dataset);
+  const ShardedPopulationIndex probe(dataset.schema(), std::move(segments),
+                                     std::make_shared<ThreadPool>(1));
+  EXPECT_EQ(probe.segment_begin(5), 5u);
+  ExpectEveryProbeAgrees(dataset, reference, probe, /*seed=*/29,
+                         /*num_trials=*/20);
+  for (uint32_t r = 0; r < dataset.num_rows(); ++r) {
+    EXPECT_EQ(probe.RowMetric(r), dataset.metric(r)) << "row " << r;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "src/common/threading.h"
 #include "tests/testing_util.h"
 
 namespace pcor {
@@ -46,8 +47,10 @@ TEST_F(ReferenceTest, ParallelBuildEqualsSerialBuild) {
     rows.push_back(r);
   }
   rows.push_back(grid_.v_row);
-  auto serial = ReferenceTable::Build(verifier_, rows, CoeOptions{}, 1);
-  auto parallel = ReferenceTable::Build(verifier_, rows, CoeOptions{}, 8);
+  ThreadPool pool(7);
+  auto serial = ReferenceTable::Build(verifier_, rows);
+  auto parallel = ReferenceTable::Build(verifier_, rows, CoeOptions{}, &pool,
+                                        /*max_parallel=*/8);
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(parallel.ok());
   ASSERT_EQ(serial->size(), parallel->size());

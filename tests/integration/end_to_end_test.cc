@@ -27,8 +27,9 @@ class EndToEndTest : public ::testing::Test {
         /*max_outliers=*/4, &rng));
     ASSERT_FALSE(outliers_->empty())
         << "no planted row verified as a contextual outlier";
-    auto reference = ReferenceTable::Build(engine_->verifier(), *outliers_,
-                                           CoeOptions{}, /*threads=*/8);
+    auto reference = ReferenceTable::Build(
+        engine_->verifier(), *outliers_, CoeOptions{},
+        engine_->probe().probe_pool(), /*max_parallel=*/8);
     reference.status().CheckOK();
     reference_ = new ReferenceTable(std::move(*reference));
   }

@@ -153,7 +153,8 @@ TEST_F(VerifierTest, HammerAllCachePoliciesAgree) {
   const size_t t = grid_.dataset.schema().total_values();
   const size_t num_contexts = size_t{1} << t;
   std::atomic<size_t> mismatches{0};
-  ParallelFor(num_contexts * 4, 8, [&](size_t i) {
+  ThreadPool pool(7);  // plus the caller: 8 threads
+  pool.ParallelFor(num_contexts * 4, 0, [&](size_t i) {
     ContextVec c(t);
     const size_t bits = i % num_contexts;
     for (size_t bit = 0; bit < t; ++bit) {
@@ -186,7 +187,8 @@ TEST_F(VerifierTest, ConcurrentQueriesAreConsistent) {
   OutlierVerifier verifier(index_, detector_);
   const auto expected = *verifier.OutliersInContext(FullCtx());
   std::atomic<bool> mismatch{false};
-  ParallelFor(64, 8, [&](size_t i) {
+  ThreadPool pool(7);  // plus the caller: 8 threads
+  pool.ParallelFor(64, 0, [&](size_t i) {
     ContextVec c = FullCtx();
     if (i % 2 == 0) c.Clear(i % c.num_bits());
     auto result = verifier.OutliersInContext(FullCtx());
@@ -222,7 +224,8 @@ TEST_F(VerifierTest, ConcurrentReleasesThroughSharedCacheAreDeterministic) {
   // Same releases, 8-way concurrent, one shared verifier cache.
   std::atomic<size_t> mismatches{0};
   std::atomic<size_t> failures{0};
-  ParallelFor(kReleases, 8, [&](size_t i) {
+  ThreadPool pool(7);  // plus the caller: 8 threads
+  pool.ParallelFor(kReleases, 0, [&](size_t i) {
     Rng rng(1000 + i);
     auto release = engine.Release(grid_.v_row, options, &rng);
     if (!release.ok()) {
@@ -263,7 +266,8 @@ TEST_F(VerifierTest, ConcurrentReleasesSurviveCacheClears) {
     }
   });
   std::atomic<size_t> mismatches{0};
-  ParallelFor(32, 4, [&](size_t) {
+  ThreadPool pool(3);  // plus the caller: 4 threads
+  pool.ParallelFor(32, 0, [&](size_t) {
     Rng rng(77);
     auto release = engine.Release(grid_.v_row, options, &rng);
     if (!release.ok() || release->context != baseline->context) {
@@ -287,7 +291,8 @@ TEST_F(VerifierTest, CacheBudgetEvictionUnderConcurrentReleases) {
   options.num_samples = 8;
 
   std::atomic<size_t> mismatches{0};
-  ParallelFor(16, 4, [&](size_t i) {
+  ThreadPool pool(3);  // plus the caller: 4 threads
+  pool.ParallelFor(16, 0, [&](size_t i) {
     Rng rng(500 + i);
     auto capped = engine.Release(grid_.v_row, options, &rng);
     Rng ref_rng(500 + i);
@@ -342,23 +347,15 @@ TEST_F(VerifierTest, StoredPopulationMatchesProbeOnFuzzedContexts) {
   const auto contexts =
       testing_util::FuzzContexts(grid_.dataset.schema(), 61, 24);
   const auto num_rows = static_cast<uint32_t>(grid_.dataset.num_rows());
-  for (IndexStorage storage :
-       {IndexStorage::kDense, IndexStorage::kCompressed}) {
-    const PopulationIndex index(grid_.dataset, storage);
-    for (bool enable_cache : {true, false}) {
-      SCOPED_TRACE(testing::Message()
-                   << "compressed=" << (storage == IndexStorage::kCompressed)
-                   << " cache=" << enable_cache);
-      VerifierOptions options;
-      options.enable_cache = enable_cache;
-      OutlierVerifier verifier(index, loose, options);
-      // Twice: the second pass answers from the memo when it is on.
-      EXPECT_GT(ExpectPopulationMatchesProbe(verifier, contexts, num_rows),
-                0u);
-      EXPECT_GT(ExpectPopulationMatchesProbe(verifier, contexts, num_rows),
-                0u);
-      EXPECT_EQ(verifier.cache_hits() > 0, enable_cache);
-    }
+  for (bool enable_cache : {true, false}) {
+    SCOPED_TRACE(testing::Message() << "cache=" << enable_cache);
+    VerifierOptions options;
+    options.enable_cache = enable_cache;
+    OutlierVerifier verifier(index_, loose, options);
+    // Twice: the second pass answers from the memo when it is on.
+    EXPECT_GT(ExpectPopulationMatchesProbe(verifier, contexts, num_rows), 0u);
+    EXPECT_GT(ExpectPopulationMatchesProbe(verifier, contexts, num_rows), 0u);
+    EXPECT_EQ(verifier.cache_hits() > 0, enable_cache);
   }
 }
 
@@ -387,45 +384,35 @@ TEST_F(VerifierTest, SharedStreamingMemoReportsEachEpochsPopulation) {
   const ZscoreDetector loose = LooseDetector();
   const auto contexts =
       testing_util::FuzzContexts(grid.dataset.schema(), 62, 16);
-  for (IndexStorage storage :
-       {IndexStorage::kDense, IndexStorage::kCompressed}) {
-    SCOPED_TRACE(storage == IndexStorage::kCompressed ? "compressed"
-                                                      : "dense");
-    StreamingOptions options;
-    options.storage = storage;
-    StreamingPcorEngine stream(grid.dataset.schema(), loose, options);
-    const uint32_t half = static_cast<uint32_t>(rows.size() / 2);
-    ASSERT_TRUE(
-        stream.AppendRows(std::span<const Row>(rows).first(half)).ok());
-    stream.SealEpoch();
-    const auto early = stream.Pin();
-    ASSERT_TRUE(
-        stream.AppendRows(std::span<const Row>(rows).subspan(half)).ok());
-    stream.SealEpoch();
-    const auto late = stream.Pin();
-    const OutlierVerifier& v_early = early->engine->verifier();
-    const OutlierVerifier& v_late = late->engine->verifier();
-    ASSERT_EQ(v_early.memo(), v_late.memo());
-    ASSERT_NE(v_early.epoch(), v_late.epoch());
+  StreamingPcorEngine stream(grid.dataset.schema(), loose);
+  const uint32_t half = static_cast<uint32_t>(rows.size() / 2);
+  ASSERT_TRUE(stream.AppendRows(std::span<const Row>(rows).first(half)).ok());
+  stream.SealEpoch();
+  const auto early = stream.Pin();
+  ASSERT_TRUE(stream.AppendRows(std::span<const Row>(rows).subspan(half)).ok());
+  stream.SealEpoch();
+  const auto late = stream.Pin();
+  const OutlierVerifier& v_early = early->engine->verifier();
+  const OutlierVerifier& v_late = late->engine->verifier();
+  ASSERT_EQ(v_early.memo(), v_late.memo());
+  ASSERT_NE(v_early.epoch(), v_late.epoch());
 
-    // Early, late, then early again: the third pass hits entries the first
-    // left in the shared memo, after the late epoch filled its own.
-    for (const OutlierVerifier* verifier : {&v_early, &v_late, &v_early}) {
-      EXPECT_GT(ExpectPopulationMatchesProbe(*verifier, contexts, half), 0u);
-    }
-    EXPECT_GT(stream.memo()->CacheStats().hits, 0u);
-    // One context, one row, two epochs: each reports its own |D_C|.
-    size_t differing = 0;
-    for (const ContextVec& c : contexts) {
-      for (uint32_t row = 0; row < half; ++row) {
-        const std::optional<size_t> early_pop =
-            v_early.OutlierPopulation(c, row);
-        const std::optional<size_t> late_pop = v_late.OutlierPopulation(c, row);
-        if (early_pop && late_pop && *early_pop != *late_pop) ++differing;
-      }
-    }
-    EXPECT_GT(differing, 0u);
+  // Early, late, then early again: the third pass hits entries the first
+  // left in the shared memo, after the late epoch filled its own.
+  for (const OutlierVerifier* verifier : {&v_early, &v_late, &v_early}) {
+    EXPECT_GT(ExpectPopulationMatchesProbe(*verifier, contexts, half), 0u);
   }
+  EXPECT_GT(stream.memo()->CacheStats().hits, 0u);
+  // One context, one row, two epochs: each reports its own |D_C|.
+  size_t differing = 0;
+  for (const ContextVec& c : contexts) {
+    for (uint32_t row = 0; row < half; ++row) {
+      const std::optional<size_t> early_pop = v_early.OutlierPopulation(c, row);
+      const std::optional<size_t> late_pop = v_late.OutlierPopulation(c, row);
+      if (early_pop && late_pop && *early_pop != *late_pop) ++differing;
+    }
+  }
+  EXPECT_GT(differing, 0u);
 }
 
 }  // namespace

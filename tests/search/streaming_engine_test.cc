@@ -86,47 +86,36 @@ TEST_F(StreamingEngineTest, NoSealedEpochFailsTyped) {
 TEST_F(StreamingEngineTest, EpochPinnedBatchBitIdenticalToFreshLoad) {
   // Stream the classic fixture, seal, then keep appending and sealing:
   // the pinned epoch-k snapshot must keep releasing exactly like a fresh
-  // load-once engine over those k rows, for dense and compressed storage.
-  for (const IndexStorage storage :
-       {IndexStorage::kDense, IndexStorage::kCompressed}) {
-    SCOPED_TRACE(storage == IndexStorage::kDense ? "dense" : "compressed");
-    StreamingOptions options;
-    options.storage = storage;
-    StreamingPcorEngine stream(testing_util::GridSchema(), detector_,
-                               options);
-    ASSERT_TRUE(stream.AppendRows(RowsOf(grid_.dataset)).ok());
-    const uint64_t epoch = stream.SealEpoch();
-    ASSERT_EQ(epoch, grid_.dataset.num_rows());
-    const std::shared_ptr<const EpochSnapshot> pinned = stream.Pin();
+  // load-once engine over those k rows.
+  StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
+  ASSERT_TRUE(stream.AppendRows(RowsOf(grid_.dataset)).ok());
+  const uint64_t epoch = stream.SealEpoch();
+  ASSERT_EQ(epoch, grid_.dataset.num_rows());
+  const std::shared_ptr<const EpochSnapshot> pinned = stream.Pin();
 
-    // Grow the stream past the pin: a later epoch with different data.
-    for (int i = 0; i < 50; ++i) {
-      ASSERT_TRUE(stream.Append({1, 1}, 100.0).ok());
-    }
-    ASSERT_GT(stream.SealEpoch(), epoch);
-    ASSERT_EQ(stream.current_epoch(), epoch + 50);
-    // The pin still sees exactly the sealed-at-k view.
-    ASSERT_EQ(pinned->epoch, epoch);
-    ASSERT_EQ(pinned->num_rows(), epoch);
+  // Grow the stream past the pin: a later epoch with different data.
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(stream.Append({1, 1}, 100.0).ok());
+  }
+  ASSERT_GT(stream.SealEpoch(), epoch);
+  ASSERT_EQ(stream.current_epoch(), epoch + 50);
+  // The pin still sees exactly the sealed-at-k view.
+  ASSERT_EQ(pinned->epoch, epoch);
+  ASSERT_EQ(pinned->num_rows(), epoch);
 
-    ShardedIndexOptions index_options;
-    index_options.storage = storage;
-    PcorEngine fresh(grid_.dataset, detector_, /*verifier_options=*/{},
-                     index_options);
-    std::vector<uint32_t> rows(24, grid_.v_row);
-    for (const size_t threads : {size_t{1}, size_t{8}}) {
-      SCOPED_TRACE(threads);
-      const BatchReleaseReport want = fresh.ReleaseBatch(
-          std::span<const uint32_t>(rows), BfsOptions(), /*seed=*/2021, 1);
-      const BatchReleaseReport got = pinned->engine->ReleaseBatch(
-          std::span<const uint32_t>(rows), BfsOptions(), /*seed=*/2021,
-          threads);
-      ASSERT_EQ(want.failures, 0u);
-      ASSERT_EQ(got.failures, 0u);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        SCOPED_TRACE(i);
-        ExpectSameRelease(got.entries[i].release, want.entries[i].release);
-      }
+  PcorEngine fresh(grid_.dataset, detector_);
+  std::vector<uint32_t> rows(24, grid_.v_row);
+  for (const size_t threads : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE(threads);
+    const BatchReleaseReport want = fresh.ReleaseBatch(
+        std::span<const uint32_t>(rows), BfsOptions(), /*seed=*/2021, 1);
+    const BatchReleaseReport got = pinned->engine->ReleaseBatch(
+        std::span<const uint32_t>(rows), BfsOptions(), /*seed=*/2021, threads);
+    ASSERT_EQ(want.failures, 0u);
+    ASSERT_EQ(got.failures, 0u);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      SCOPED_TRACE(i);
+      ExpectSameRelease(got.entries[i].release, want.entries[i].release);
     }
   }
 }
@@ -360,10 +349,9 @@ uint64_t StreamWithCadence(StreamingPcorEngine* stream,
 TEST_F(StreamingEngineTest, SegmentedSealsBitIdenticalAcrossCadences) {
   // The never-relaxed equivalence gate: for every seal cadence — one row
   // per epoch, bursty, one big seal — the segmented engine must release
-  // exactly like a fresh load-once engine over the same rows, dense and
-  // compressed, without compaction, with it, and under copy-on-seal
-  // (max_segments = 1). The cadence only changes the segment layout;
-  // answers may not move by a bit.
+  // exactly like a fresh load-once engine over the same rows, without
+  // compaction, with it, and under copy-on-seal (max_segments = 1). The
+  // cadence only changes the segment layout; answers may not move by a bit.
   const std::vector<Row> rows = RowsOf(grid_.dataset);
   std::vector<size_t> every_row, bursty;
   for (size_t r = 1; r <= rows.size(); ++r) every_row.push_back(r);
@@ -371,50 +359,40 @@ TEST_F(StreamingEngineTest, SegmentedSealsBitIdenticalAcrossCadences) {
   const std::vector<std::pair<const char*, std::vector<size_t>>> cadences = {
       {"seal_per_row", every_row}, {"bursty", bursty}, {"one_seal", {}}};
 
-  for (const IndexStorage storage :
-       {IndexStorage::kDense, IndexStorage::kCompressed}) {
-    SCOPED_TRACE(storage == IndexStorage::kDense ? "dense" : "compressed");
-    ShardedIndexOptions index_options;
-    index_options.storage = storage;
-    PcorEngine fresh(grid_.dataset, detector_, /*verifier_options=*/{},
-                     index_options);
-    std::vector<uint32_t> targets(12, grid_.v_row);
-    const BatchReleaseReport want = fresh.ReleaseBatch(
-        std::span<const uint32_t>(targets), BfsOptions(), /*seed=*/41, 1);
-    ASSERT_EQ(want.failures, 0u);
+  PcorEngine fresh(grid_.dataset, detector_);
+  std::vector<uint32_t> targets(12, grid_.v_row);
+  const BatchReleaseReport want = fresh.ReleaseBatch(
+      std::span<const uint32_t>(targets), BfsOptions(), /*seed=*/41, 1);
+  ASSERT_EQ(want.failures, 0u);
 
-    for (const auto& [cadence_name, seal_after] : cadences) {
-      const std::vector<std::pair<const char*, CompactionOptions>> policies =
-          {{"raw", {0, 0}},  // disabled: one segment per seal
-           {"compacted", {/*min_segment_rows=*/8, /*max_segments=*/4}},
-           {"copy_on_seal", {0, 1}}};  // one flat segment, rebuilt per seal
-      for (const auto& [policy_name, policy] : policies) {
-        SCOPED_TRACE(::testing::Message()
-                     << cadence_name << " " << policy_name);
-        StreamingOptions options;
-        options.storage = storage;
-        options.compaction = policy;
-        StreamingPcorEngine stream(testing_util::GridSchema(), detector_,
-                                   options);
-        const uint64_t seals = StreamWithCadence(&stream, rows, seal_after);
-        ASSERT_EQ(stream.current_epoch(), rows.size());
-        const StreamingStats stats = stream.stats();
-        EXPECT_EQ(stats.seals, seals);
-        if (policy.max_segments == 0) {
-          // No compaction: the segment layout IS the seal cadence.
-          EXPECT_EQ(stats.segments, seals);
-          EXPECT_EQ(stats.compactions, 0u);
-        } else if (policy.max_segments == 1) {
-          EXPECT_EQ(stats.segments, 1u);
-        }
-        const BatchReleaseReport got = stream.Pin()->engine->ReleaseBatch(
-            std::span<const uint32_t>(targets), BfsOptions(), /*seed=*/41,
-            4);
-        ASSERT_EQ(got.failures, 0u);
-        for (size_t i = 0; i < targets.size(); ++i) {
-          SCOPED_TRACE(i);
-          ExpectSameRelease(got.entries[i].release, want.entries[i].release);
-        }
+  for (const auto& [cadence_name, seal_after] : cadences) {
+    const std::vector<std::pair<const char*, CompactionOptions>> policies =
+        {{"raw", {0, 0}},  // disabled: one segment per seal
+         {"compacted", {/*min_segment_rows=*/8, /*max_segments=*/4}},
+         {"copy_on_seal", {0, 1}}};  // one flat segment, rebuilt per seal
+    for (const auto& [policy_name, policy] : policies) {
+      SCOPED_TRACE(::testing::Message() << cadence_name << " " << policy_name);
+      StreamingOptions options;
+      options.compaction = policy;
+      StreamingPcorEngine stream(testing_util::GridSchema(), detector_,
+                                 options);
+      const uint64_t seals = StreamWithCadence(&stream, rows, seal_after);
+      ASSERT_EQ(stream.current_epoch(), rows.size());
+      const StreamingStats stats = stream.stats();
+      EXPECT_EQ(stats.seals, seals);
+      if (policy.max_segments == 0) {
+        // No compaction: the segment layout IS the seal cadence.
+        EXPECT_EQ(stats.segments, seals);
+        EXPECT_EQ(stats.compactions, 0u);
+      } else if (policy.max_segments == 1) {
+        EXPECT_EQ(stats.segments, 1u);
+      }
+      const BatchReleaseReport got = stream.Pin()->engine->ReleaseBatch(
+          std::span<const uint32_t>(targets), BfsOptions(), /*seed=*/41, 4);
+      ASSERT_EQ(got.failures, 0u);
+      for (size_t i = 0; i < targets.size(); ++i) {
+        SCOPED_TRACE(i);
+        ExpectSameRelease(got.entries[i].release, want.entries[i].release);
       }
     }
   }
@@ -568,7 +546,6 @@ TEST_F(StreamingEngineTest, AppendsProgressWhileLargeSealInFlight) {
 
   StreamingOptions options;
   options.compaction.max_segments = 1;  // copy-on-seal: O(history) seal
-  options.storage = IndexStorage::kCompressed;
   StreamingPcorEngine stream(generated->dataset.schema(), detector_,
                              options);
   ASSERT_TRUE(stream.AppendRows(rows).ok());

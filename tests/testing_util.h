@@ -4,6 +4,7 @@
 #include <mutex>
 #include <vector>
 
+#include "src/common/bitvector.h"
 #include "src/common/random.h"
 #include "src/context/context.h"
 #include "src/data/dataset.h"
@@ -84,9 +85,9 @@ inline ZscoreDetector MakeTestDetector() {
   return ZscoreDetector(options);
 }
 
-/// 80k salary rows: two compression chunks (64Ki + remainder), so
-/// chunk-boundary container logic is on every probe path, and more than
-/// the 64Ki rows at which composed probes scatter over their pool.
+/// 80k salary rows: more than the 64Ki rows (kMinRowsPerShard) at which
+/// composed probes scatter over their pool, so populations span many
+/// bitmap words and every shard or segment boundary.
 inline Dataset MultiChunkSalaryDataset() {
   SalaryDatasetSpec spec;
   spec.num_rows = 80'000;
@@ -118,8 +119,7 @@ inline ContextVec RandomContext(const Schema& schema, double density,
 }
 
 /// One value chosen per attribute — the exact-context shape the search
-/// frontier probes, which the compressed PopulationCount folds through
-/// container intersections without materializing a population.
+/// frontier probes.
 inline ContextVec RandomSingletonContext(const Schema& schema, Rng* rng) {
   ContextVec c(schema.total_values());
   size_t base = 0;
@@ -152,6 +152,19 @@ inline std::vector<ContextVec> FuzzContexts(const Schema& schema,
     contexts.push_back(RandomSingletonContext(schema, &rng));
   }
   return contexts;
+}
+
+/// The naive oracle for D_C: every row of `dataset` tested against `c` with
+/// context_ops::ContainsRow, the per-row rule bench_micro_population times
+/// the index against. O(rows * attributes) per call, no index involved.
+inline BitVector NaivePopulation(const Dataset& dataset, const ContextVec& c) {
+  BitVector population(dataset.num_rows());
+  for (uint32_t row = 0; row < dataset.num_rows(); ++row) {
+    if (context_ops::ContainsRow(dataset.schema(), dataset, row, c)) {
+      population.Set(row);
+    }
+  }
+  return population;
 }
 
 /// Holds a server's first micro-batch inside its pre_batch_hook until the
