@@ -1,8 +1,8 @@
 // Open-loop trace replay bench: latency-honest load generation.
 //
-// Every other serving bench here is closed-loop — client threads block on
-// their futures before submitting again, so the measured p99 only covers
-// requests the server was ready for (coordinated omission). This bench
+// bench_serve_throughput's client sweep is closed-loop — client threads
+// block on their futures before submitting again, so the measured p99 only
+// covers requests the server was ready for (coordinated omission). This bench
 // replays recorded-style traces open-loop: a TraceDriver fires each event
 // at its scheduled time no matter how far behind the server is, and the
 // report puts SCHEDULED-to-completion percentiles (what a clocked client

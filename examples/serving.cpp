@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/exp/serving.h"
 #include "src/outlier/zscore.h"
 #include "src/serve/server.h"
 
@@ -53,7 +52,6 @@ int main() {
   options.release.sampler = SamplerKind::kBfs;
   options.release.num_samples = 8;
   options.release.total_epsilon = 0.2;
-  options.scheduling = SchedulingPolicy::kWeightedFair;
   options.max_batch = 16;
   options.per_client_epsilon_cap = 1.0;
   options.seed = 2021;

@@ -5,7 +5,6 @@
 
 #include "src/common/logging.h"
 #include "src/common/simd.h"
-#include "src/common/stats.h"
 #include "src/common/string_util.h"
 #include "src/common/threading.h"
 #include "src/common/timer.h"
@@ -224,8 +223,6 @@ BatchReleaseReport PcorEngine::ReleaseBatch(
     pool->ParallelFor(requests.size(), report.threads, run_one);
   }
 
-  std::vector<double> entry_seconds;
-  entry_seconds.reserve(report.entries.size());
   for (const BatchEntry& entry : report.entries) {
     if (!entry.status.ok()) {
       ++report.failures;
@@ -234,13 +231,6 @@ BatchReleaseReport PcorEngine::ReleaseBatch(
     report.total_probes += entry.release.probes;
     report.total_epsilon_spent += entry.release.epsilon_spent;
     if (entry.release.hit_probe_cap) ++report.hit_probe_cap;
-    entry_seconds.push_back(entry.release.seconds);
-  }
-  if (!entry_seconds.empty()) {
-    std::sort(entry_seconds.begin(), entry_seconds.end());
-    report.entry_seconds_p50 = PercentileOfSorted(entry_seconds, 0.50);
-    report.entry_seconds_p95 = PercentileOfSorted(entry_seconds, 0.95);
-    report.entry_seconds_p99 = PercentileOfSorted(entry_seconds, 0.99);
   }
   report.kernel_backend = simd::ActiveBackendName();
   report.epoch = verifier_.epoch();

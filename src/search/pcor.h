@@ -146,12 +146,6 @@ struct BatchReleaseReport {
   VerifierStats verifier_stats;
   double total_epsilon_spent = 0.0;  ///< sum over successful releases
   size_t hit_probe_cap = 0;       ///< successful entries that hit max_probes
-  /// Per-entry wall-time percentiles over the successful entries (seconds),
-  /// pre-aggregated so exporters (serving stats, benches) never rescan the
-  /// entry vector. All zero when every entry failed.
-  double entry_seconds_p50 = 0.0;
-  double entry_seconds_p95 = 0.0;
-  double entry_seconds_p99 = 0.0;
   double seconds = 0.0;           ///< wall time of the whole batch
   std::string kernel_backend;     ///< detector kernel path of the batch
   /// Epoch every entry of this batch executed against (batches never

@@ -20,28 +20,13 @@
 
 namespace pcor {
 
-/// \brief How the dispatcher picks the next admitted request.
-enum class SchedulingPolicy {
-  /// One global arrival order across all tenants — the pre-QoS behavior.
-  /// A tenant flooding the queue delays everyone admitted after it.
-  kFifo,
-  /// Deficit round robin over per-tenant FIFO queues: each round a tenant
-  /// of weight w earns w units of service credit and is served while its
-  /// credit covers the cost of its front request (costs default to 1, so
-  /// with unit costs this is classic per-request DRR). Pushers may charge
-  /// a request's actual epsilon as its cost, making the fair share hold in
-  /// privacy budget per second rather than requests per second — a tenant
-  /// of expensive queries cannot crowd out one of cheap queries.
-  kWeightedFair,
-};
-
 /// \brief Per-tenant quality-of-service configuration, registered on
 /// PcorServer::RegisterTenant. Tenants that never register get weight 1,
 /// no per-tenant depth bound, and the server-wide epsilon cap.
 struct TenantConfig {
-  /// Relative scheduling share under kWeightedFair: against a saturating
-  /// competitor, a tenant receives weight/(sum of active weights) of the
-  /// dispatch slots. Must be finite and positive. Ignored under kFifo.
+  /// Relative scheduling share: against a saturating competitor, a tenant
+  /// receives weight/(sum of active weights) of the dispatch slots. Must be
+  /// finite and positive.
   double weight = 1.0;
   /// Bound on this tenant's admitted-but-undispatched requests; pushing
   /// past it is a typed door rejection (kResourceExhausted, refunded)
@@ -59,8 +44,8 @@ struct TenantConfig {
 Status ValidateTenantConfig(const TenantConfig& config);
 
 /// \brief Bounded multi-producer single-consumer admission queue with
-/// per-tenant sub-queues and a pluggable pick order (FIFO or deficit round
-/// robin). The serving dispatcher pops; many client threads push.
+/// per-tenant sub-queues picked in deficit round robin order. The serving
+/// dispatcher pops; many client threads push.
 ///
 /// Semantics mirror BoundedMpmcQueue: Push blocks while the *global*
 /// capacity is exhausted, TryPush fails fast with kFull, and Close() lets
@@ -69,20 +54,22 @@ Status ValidateTenantConfig(const TenantConfig& config);
 /// max_queue_depth returns kTenantFull immediately (never blocks), so one
 /// tenant's backlog is surfaced to that tenant alone.
 ///
-/// Fairness: under kWeightedFair each tenant owns a FIFO deque and pops
-/// are picked by deficit round robin — on reaching the front of the active
-/// list a tenant's deficit grows by its weight and it is served while its
-/// credit covers the cost attached to its front request (default 1, i.e.
-/// one request per unit of deficit). Requests of one tenant never reorder
-/// relative to each other under either policy.
+/// Fairness: each tenant owns a FIFO deque and pops are picked by deficit
+/// round robin — on reaching the front of the active list a tenant's
+/// deficit grows by its weight and it is served while its credit covers
+/// the cost attached to its front request (default 1, i.e. one request per
+/// unit of deficit). Pushers may charge a request's epsilon as its cost,
+/// making the fair share hold in privacy budget per second rather than
+/// requests per second. Requests of one tenant never reorder relative to
+/// each other.
 ///
 /// Thread-safe. Tenant registration may interleave with pushes; a weight
 /// update applies from the tenant's next scheduling round.
 template <typename T>
 class WeightedFairQueue {
  public:
-  WeightedFairQueue(size_t global_capacity, SchedulingPolicy policy)
-      : capacity_(global_capacity), policy_(policy) {
+  explicit WeightedFairQueue(size_t global_capacity)
+      : capacity_(global_capacity) {
     PCOR_CHECK(global_capacity > 0) << "queue capacity must be positive";
   }
 
@@ -105,7 +92,7 @@ class WeightedFairQueue {
   /// `cost` is the DRR service charge for this request (positive, finite;
   /// default 1 = classic per-request fairness). The server charges each
   /// request's total epsilon so the weighted shares hold in privacy budget
-  /// rather than request count. Ignored under kFifo.
+  /// rather than request count.
   QueueOp Push(std::string_view tenant_id, T item, double cost = 1.0) {
     PCOR_CHECK(std::isfinite(cost) && cost > 0.0)
         << "request cost must be positive and finite";
@@ -186,7 +173,6 @@ class WeightedFairQueue {
     std::unique_lock<std::mutex> lock(mu_);
     return closed_;
   }
-  SchedulingPolicy policy() const { return policy_; }
 
  private:
   /// A queued request with its DRR service charge.
@@ -202,7 +188,7 @@ class WeightedFairQueue {
     std::deque<Entry> items;
     /// DRR state: accumulated service credit, grown by `weight` per round.
     double deficit = 0.0;
-    bool active = false;  ///< present in active_ (kWeightedFair only)
+    bool active = false;  ///< present in active_
   };
 
   // Tenants are heap-allocated so Tenant* stays stable across rehashes of
@@ -220,9 +206,7 @@ class WeightedFairQueue {
   void PushLocked(Tenant* tenant, T item, double cost) {
     tenant->items.push_back(Entry{std::move(item), cost});
     high_water_ = std::max(high_water_, ++size_);
-    if (policy_ == SchedulingPolicy::kFifo) {
-      arrival_.push_back(tenant);
-    } else if (!tenant->active) {
+    if (!tenant->active) {
       // A newly active tenant joins the round with zero credit — classic
       // DRR: going idle forfeits any banked deficit, so a tenant cannot
       // save up credit while inactive and later burst past its share.
@@ -235,14 +219,7 @@ class WeightedFairQueue {
   // Precondition: lock held and (closed_ || size_ > 0).
   QueueOp PopLocked(T* out, std::unique_lock<std::mutex>* lock) {
     if (size_ == 0) return QueueOp::kClosed;
-    if (policy_ == SchedulingPolicy::kFifo) {
-      Tenant* tenant = arrival_.front();
-      arrival_.pop_front();
-      *out = std::move(tenant->items.front().item);
-      tenant->items.pop_front();
-    } else {
-      PopWeightedFairLocked(out);
-    }
+    PopWeightedFairLocked(out);
     --size_;
     lock->unlock();
     not_full_.notify_one();
@@ -308,15 +285,13 @@ class WeightedFairQueue {
   }
 
   const size_t capacity_;
-  const SchedulingPolicy policy_;
 
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   ClientMap<size_t> index_;
   std::vector<std::unique_ptr<Tenant>> tenants_;
-  std::deque<Tenant*> arrival_;  ///< global arrival order (kFifo)
-  std::deque<Tenant*> active_;   ///< tenants with pending items (kWeightedFair)
+  std::deque<Tenant*> active_;  ///< tenants with pending items
   size_t size_ = 0;
   size_t high_water_ = 0;
   bool closed_ = false;

@@ -12,8 +12,7 @@ PcorServer::PcorServer(const PcorEngine& engine, ServeOptions options)
       stream_(nullptr),
       options_(std::move(options)),
       accountant_(options_.per_client_epsilon_cap),
-      queue_(std::max<size_t>(1, options_.queue_capacity),
-             options_.scheduling),
+      queue_(std::max<size_t>(1, options_.queue_capacity)),
       dispatcher_([this] { DispatcherLoop(); }) {}
 
 PcorServer::PcorServer(StreamingPcorEngine& stream, ServeOptions options)
@@ -21,8 +20,7 @@ PcorServer::PcorServer(StreamingPcorEngine& stream, ServeOptions options)
       stream_(&stream),
       options_(std::move(options)),
       accountant_(options_.per_client_epsilon_cap),
-      queue_(std::max<size_t>(1, options_.queue_capacity),
-             options_.scheduling),
+      queue_(std::max<size_t>(1, options_.queue_capacity)),
       dispatcher_([this] { DispatcherLoop(); }) {}
 
 PcorServer::~PcorServer() { Shutdown(/*drain=*/true); }

@@ -53,10 +53,6 @@ struct ServeOptions {
   /// Default release configuration (sampler, epsilon, n, ...) for requests
   /// that do not carry their own BatchRequest::options override.
   PcorOptions release;
-  /// Dispatch pick order across tenants (see SchedulingPolicy). Either
-  /// policy preserves per-tenant submission order, and neither can perturb
-  /// any release — seeds are fixed at admission.
-  SchedulingPolicy scheduling = SchedulingPolicy::kWeightedFair;
   /// Largest micro-batch one dispatch executes. The dispatcher never waits
   /// to fill a batch: it takes whatever is queued when it becomes free, up
   /// to this bound. Bigger batches give the engine pool's entry-level
@@ -117,25 +113,23 @@ struct ServerStats {
 /// PcorEngine::ReleaseBatch.
 ///
 /// Many client threads call SubmitAsync/SubmitMany; a dispatcher thread
-/// picks admitted requests in scheduler order (weighted-fair across
-/// tenants by default, see ServeOptions::scheduling), coalesces them into
-/// micro-batches and executes each on ReleaseBatch with the engine's shared
-/// verifier cache, completing one Future<BatchEntry> per request. Dispatch
-/// is work-conserving: a micro-batch is whatever was queued when the
-/// dispatcher became free, up to max_batch, so a lone request executes at
-/// once and requests that arrive during a batch leave together in the
-/// next. A
-/// request may carry its own PcorOptions (BatchRequest::options),
-/// validated at admission; entries with differing options execute as
-/// homogeneous sub-batches of the same micro-batch.
+/// picks admitted requests in weighted-fair order across tenants (see
+/// WeightedFairQueue), coalesces them into micro-batches and executes each
+/// on ReleaseBatch with the engine's shared verifier cache, completing one
+/// Future<BatchEntry> per request. Dispatch is work-conserving: a
+/// micro-batch is whatever was queued when the dispatcher became free, up
+/// to max_batch, so a lone request executes at once and requests that
+/// arrive during a batch leave together in the next. A request may carry
+/// its own PcorOptions (BatchRequest::options), validated at admission;
+/// entries with differing options execute as homogeneous sub-batches of
+/// the same micro-batch.
 ///
 /// Determinism: a request's Rng stream seed is fixed at admission as
 /// RequestSeed(seed, client_id, k) where k is the client's own 0-based
-/// submission index. Coalescing shape, scheduling policy, dispatch order
-/// and thread count therefore cannot perturb any release: the same
-/// per-client request sequences produce bit-identical PcorRelease results
-/// whether submitted serially, in one giant batch, or raced from 16
-/// threads, under FIFO or weighted-fair scheduling.
+/// submission index. Coalescing shape, tenant weights, dispatch order and
+/// thread count therefore cannot perturb any release: the same per-client
+/// request sequences produce bit-identical PcorRelease results whether
+/// submitted serially, in one giant batch, or raced from 16 threads.
 ///
 /// Privacy: admission charges the request's effective total_epsilon to the
 /// client's BudgetAccountant ledger; over-cap submissions are rejected

@@ -1,13 +1,18 @@
 // ReplayTrace contract tests, all on VirtualClocks (zero wall-clock
 // sleeps in the dispatch loop): classic replays account every terminal
 // outcome and hold the scheduled>=submitted dominance, budget-capped
-// traces reject with exact arithmetic, and — the determinism satellite —
+// traces reject with exact arithmetic, worker exceptions are tallied
+// rather than terminating a collector, concurrent replays against one
+// server keep exact per-replay counts, and — the determinism satellite —
 // a mixed Release/Append/Seal streaming trace replayed at 1 and 16
 // collector threads produces bit-identical release digests and epoch
 // numbering.
 #include "src/exp/trace_driver.h"
 
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -183,6 +188,102 @@ TEST_F(ClassicReplayTest, FailsFastOnImpossibleTraces) {
       << not_streaming.status().ToString();
 
   server.Shutdown();
+}
+
+TEST_F(ClassicReplayTest, ContainsWorkerExceptionsInsteadOfTerminating) {
+  // Every micro-batch is poisoned: each Get() rethrows inside a collector
+  // thread, which must tally the exception rather than let it escape the
+  // thread body and std::terminate the process.
+  std::vector<TraceEvent> trace;
+  for (int i = 0; i < 6; ++i) trace.push_back(Release(i * 10, "poisoned"));
+  ServeOptions options = Options();
+  options.pre_batch_hook = [](std::span<const BatchRequest>) {
+    throw std::runtime_error("poisoned batch");
+  };
+  PcorServer server(engine_, options);
+  VirtualClock clock;
+  TraceReplayOptions replay;
+  replay.clock = &clock;
+  replay.collector_threads = 2;
+  const std::vector<uint32_t> pool{grid_.v_row};
+  auto result = ReplayTrace(server, trace, pool, replay);
+  server.Shutdown();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  EXPECT_EQ(result->releases, 6u);
+  EXPECT_EQ(result->exceptions, 6u);
+  EXPECT_EQ(result->released, 0u);
+  EXPECT_EQ(result->failed, 0u);
+  // An exception is a terminal outcome like any other: both families
+  // record it.
+  EXPECT_EQ(result->scheduled.count(), 6u);
+  EXPECT_EQ(result->submitted.count(), 6u);
+  ASSERT_EQ(result->tenants.size(), 1u);
+  EXPECT_EQ(result->tenants[0].exceptions, 6u);
+}
+
+TEST_F(ClassicReplayTest, ConcurrentReplaysOnOneServerKeepExactCounts) {
+  // Two replays race against one server from their own threads, every
+  // event at t=0 — the shape bench_serve_throughput's fairness bar runs.
+  // Each replay must account exactly its own releases, and since a
+  // request's seed depends only on (tenant, k), each digest must equal
+  // that of the same trace replayed alone.
+  std::vector<TraceEvent> trace_a;
+  std::vector<TraceEvent> trace_b;
+  for (int i = 0; i < 24; ++i) {
+    trace_a.push_back(Release(0, "a", static_cast<uint64_t>(i)));
+  }
+  for (int i = 0; i < 5; ++i) {
+    trace_b.push_back(Release(0, "b", static_cast<uint64_t>(i)));
+  }
+  const std::vector<uint32_t> pool{grid_.v_row};
+  const auto replay_on = [&](PcorServer& server,
+                             const std::vector<TraceEvent>& trace) {
+    VirtualClock clock;
+    TraceReplayOptions replay;
+    replay.clock = &clock;
+    auto result = ReplayTrace(server, trace, pool, replay);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? std::move(*result) : TraceReplayResult{};
+  };
+
+  TraceReplayResult alone_a;
+  TraceReplayResult alone_b;
+  {
+    PcorServer server(engine_, Options());
+    alone_a = replay_on(server, trace_a);
+    alone_b = replay_on(server, trace_b);
+  }
+
+  PcorServer server(engine_, Options());
+  TraceReplayResult raced_a;
+  TraceReplayResult raced_b;
+  std::thread replay_a([&] { raced_a = replay_on(server, trace_a); });
+  std::thread replay_b([&] { raced_b = replay_on(server, trace_b); });
+  replay_a.join();
+  replay_b.join();
+  server.Shutdown();
+
+  const auto expect_exact = [](const TraceReplayResult& result, size_t releases,
+                               const char* id) {
+    SCOPED_TRACE(id);
+    EXPECT_EQ(result.releases, releases);
+    EXPECT_EQ(result.released, releases);
+    EXPECT_EQ(result.failed, 0u);
+    EXPECT_EQ(result.rejected_budget, 0u);
+    EXPECT_EQ(result.rejected_other, 0u);
+    EXPECT_EQ(result.exceptions, 0u);
+    EXPECT_EQ(result.scheduled.count(), releases);
+    EXPECT_EQ(result.submitted.count(), releases);
+    ASSERT_EQ(result.tenants.size(), 1u);
+    EXPECT_EQ(result.tenants[0].id, id);
+    EXPECT_EQ(result.tenants[0].released, releases);
+  };
+  expect_exact(raced_a, 24, "a");
+  expect_exact(raced_b, 5, "b");
+  EXPECT_EQ(raced_a.release_digest, alone_a.release_digest);
+  EXPECT_EQ(raced_b.release_digest, alone_b.release_digest);
+  EXPECT_EQ(server.stats().released, 29u);
 }
 
 // The streaming determinism satellite: a mixed Release/Append/Seal trace

@@ -1,7 +1,6 @@
 // WeightedFairQueue contracts: deficit-round-robin proportions (including
-// fractional weights), per-tenant FIFO order under both policies, typed
-// per-tenant depth rejections, global-capacity backpressure, and
-// Go-channel Close semantics.
+// fractional weights), per-tenant FIFO order, typed per-tenant depth
+// rejections, global-capacity backpressure, and Go-channel Close semantics.
 #include "src/serve/scheduler.h"
 
 #include <atomic>
@@ -57,7 +56,7 @@ TEST(ValidateTenantConfigTest, RejectsDegenerateConfigs) {
 }
 
 TEST(WeightedFairQueueTest, ServesTenantsProportionallyToWeight) {
-  WeightedFairQueue<Item> queue(512, SchedulingPolicy::kWeightedFair);
+  WeightedFairQueue<Item> queue(512);
   queue.RegisterTenant("heavy", 10.0, 0);
   queue.RegisterTenant("light", 1.0, 0);
   for (int i = 0; i < 200; ++i) {
@@ -82,7 +81,7 @@ TEST(WeightedFairQueueTest, ServesTenantsProportionallyToWeight) {
 }
 
 TEST(WeightedFairQueueTest, FractionalWeightAccumulatesAcrossRounds) {
-  WeightedFairQueue<Item> queue(512, SchedulingPolicy::kWeightedFair);
+  WeightedFairQueue<Item> queue(512);
   queue.RegisterTenant("full", 1.0, 0);
   queue.RegisterTenant("quarter", 0.25, 0);
   for (int i = 0; i < 40; ++i) {
@@ -101,43 +100,26 @@ TEST(WeightedFairQueueTest, FractionalWeightAccumulatesAcrossRounds) {
 }
 
 TEST(WeightedFairQueueTest, PerTenantOrderIsFifoUnderBothPolicies) {
-  for (const SchedulingPolicy policy :
-       {SchedulingPolicy::kFifo, SchedulingPolicy::kWeightedFair}) {
-    WeightedFairQueue<Item> queue(512, policy);
-    queue.RegisterTenant("a", 5.0, 0);
-    queue.RegisterTenant("b", 1.0, 0);
-    for (int i = 0; i < 30; ++i) {
-      ASSERT_EQ(queue.TryPush(i % 2 ? "a" : "b", Item{i % 2 ? "a" : "b", i}),
-                QueueOp::kOk);
-    }
-    std::map<std::string, int> last_seen;
-    for (const Item& item : DrainAll(&queue)) {
-      auto it = last_seen.find(item.first);
-      if (it != last_seen.end()) {
-        EXPECT_LT(it->second, item.second)
-            << "tenant " << item.first << " reordered internally";
-      }
-      last_seen[item.first] = item.second;
-    }
+  WeightedFairQueue<Item> queue(512);
+  queue.RegisterTenant("a", 5.0, 0);
+  queue.RegisterTenant("b", 1.0, 0);
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_EQ(queue.TryPush(i % 2 ? "a" : "b", Item{i % 2 ? "a" : "b", i}),
+              QueueOp::kOk);
   }
-}
-
-TEST(WeightedFairQueueTest, FifoPolicyPreservesGlobalArrivalOrder) {
-  WeightedFairQueue<Item> queue(512, SchedulingPolicy::kFifo);
-  queue.RegisterTenant("a", 10.0, 0);  // weights must be ignored
-  for (int i = 0; i < 24; ++i) {
-    const std::string tenant = i % 3 ? "a" : "b";
-    ASSERT_EQ(queue.TryPush(tenant, Item{tenant, i}), QueueOp::kOk);
-  }
-  const std::vector<Item> order = DrainAll(&queue);
-  ASSERT_EQ(order.size(), 24u);
-  for (int i = 0; i < 24; ++i) {
-    EXPECT_EQ(order[i].second, i) << "FIFO must ignore tenant weights";
+  std::map<std::string, int> last_seen;
+  for (const Item& item : DrainAll(&queue)) {
+    auto it = last_seen.find(item.first);
+    if (it != last_seen.end()) {
+      EXPECT_LT(it->second, item.second)
+          << "tenant " << item.first << " reordered internally";
+    }
+    last_seen[item.first] = item.second;
   }
 }
 
 TEST(WeightedFairQueueTest, UnregisteredTenantsDefaultToWeightOne) {
-  WeightedFairQueue<Item> queue(512, SchedulingPolicy::kWeightedFair);
+  WeightedFairQueue<Item> queue(512);
   for (int i = 0; i < 20; ++i) {
     ASSERT_EQ(queue.TryPush("x", Item{"x", i}), QueueOp::kOk);
     ASSERT_EQ(queue.TryPush("y", Item{"y", i}), QueueOp::kOk);
@@ -152,7 +134,7 @@ TEST(WeightedFairQueueTest, UnregisteredTenantsDefaultToWeightOne) {
 }
 
 TEST(WeightedFairQueueTest, TenantDepthBoundRejectsImmediately) {
-  WeightedFairQueue<Item> queue(512, SchedulingPolicy::kWeightedFair);
+  WeightedFairQueue<Item> queue(512);
   queue.RegisterTenant("bounded", 1.0, 2);
   ASSERT_EQ(queue.Push("bounded", Item{"bounded", 0}), QueueOp::kOk);
   ASSERT_EQ(queue.Push("bounded", Item{"bounded", 1}), QueueOp::kOk);
@@ -172,7 +154,7 @@ TEST(WeightedFairQueueTest, TenantDepthBoundRejectsImmediately) {
 }
 
 TEST(WeightedFairQueueTest, GlobalCapacityStillBoundsEveryone) {
-  WeightedFairQueue<Item> queue(2, SchedulingPolicy::kWeightedFair);
+  WeightedFairQueue<Item> queue(2);
   ASSERT_EQ(queue.TryPush("a", Item{"a", 0}), QueueOp::kOk);
   ASSERT_EQ(queue.TryPush("b", Item{"b", 0}), QueueOp::kOk);
   Item overflow{"c", 0};
@@ -194,7 +176,7 @@ TEST(WeightedFairQueueTest, GlobalCapacityStillBoundsEveryone) {
 }
 
 TEST(WeightedFairQueueTest, CloseDrainsAcceptedWorkThenReportsClosed) {
-  WeightedFairQueue<Item> queue(8, SchedulingPolicy::kWeightedFair);
+  WeightedFairQueue<Item> queue(8);
   ASSERT_EQ(queue.Push("a", Item{"a", 0}), QueueOp::kOk);
   ASSERT_EQ(queue.Push("b", Item{"b", 0}), QueueOp::kOk);
   queue.Close();
@@ -207,7 +189,7 @@ TEST(WeightedFairQueueTest, CloseDrainsAcceptedWorkThenReportsClosed) {
 }
 
 TEST(WeightedFairQueueTest, TryPopReportsEmptyOnAnOpenEmptyQueue) {
-  WeightedFairQueue<Item> queue(8, SchedulingPolicy::kWeightedFair);
+  WeightedFairQueue<Item> queue(8);
   Item item;
   EXPECT_EQ(queue.TryPop(&item), QueueOp::kEmpty);
   ASSERT_EQ(queue.TryPush("a", Item{"a", 0}), QueueOp::kOk);
@@ -218,7 +200,7 @@ TEST(WeightedFairQueueTest, TryPopReportsEmptyOnAnOpenEmptyQueue) {
 }
 
 TEST(WeightedFairQueueTest, TryPopReportsClosedOnceClosedAndDrained) {
-  WeightedFairQueue<Item> queue(8, SchedulingPolicy::kFifo);
+  WeightedFairQueue<Item> queue(8);
   ASSERT_EQ(queue.TryPush("a", Item{"a", 0}), QueueOp::kOk);
   queue.Close();
   Item item;
@@ -228,27 +210,23 @@ TEST(WeightedFairQueueTest, TryPopReportsClosedOnceClosedAndDrained) {
 
 TEST(WeightedFairQueueTest, TryPopPicksInTheSameOrderAsPop) {
   // Weighted tenants and uneven costs, so the DRR order differs from the
-  // arrival order; TryPop must reproduce Pop's order under both policies.
-  for (const SchedulingPolicy policy :
-       {SchedulingPolicy::kFifo, SchedulingPolicy::kWeightedFair}) {
-    WeightedFairQueue<Item> popped(64, policy);
-    WeightedFairQueue<Item> try_popped(64, policy);
-    for (WeightedFairQueue<Item>* queue : {&popped, &try_popped}) {
-      queue->RegisterTenant("heavy", 3.0, 0);
-      queue->RegisterTenant("light", 0.5, 0);
-      for (int i = 0; i < 12; ++i) {
-        const char* tenant = (i % 3 == 0) ? "light" : "heavy";
-        const double cost = (i % 4 == 0) ? 0.8 : 0.2;
-        ASSERT_EQ(queue->TryPush(tenant, Item{tenant, i}, cost), QueueOp::kOk);
-      }
-      ASSERT_EQ(queue->TryPush("other", Item{"other", 12}), QueueOp::kOk);
+  // arrival order; TryPop must reproduce Pop's order.
+  WeightedFairQueue<Item> popped(64);
+  WeightedFairQueue<Item> try_popped(64);
+  for (WeightedFairQueue<Item>* queue : {&popped, &try_popped}) {
+    queue->RegisterTenant("heavy", 3.0, 0);
+    queue->RegisterTenant("light", 0.5, 0);
+    for (int i = 0; i < 12; ++i) {
+      const char* tenant = (i % 3 == 0) ? "light" : "heavy";
+      const double cost = (i % 4 == 0) ? 0.8 : 0.2;
+      ASSERT_EQ(queue->TryPush(tenant, Item{tenant, i}, cost), QueueOp::kOk);
     }
-    std::vector<Item> try_order;
-    Item item;
-    while (try_popped.TryPop(&item) == QueueOp::kOk) try_order.push_back(item);
-    EXPECT_EQ(try_order, DrainAll(&popped))
-        << "policy " << static_cast<int>(policy);
+    ASSERT_EQ(queue->TryPush("other", Item{"other", 12}), QueueOp::kOk);
   }
+  std::vector<Item> try_order;
+  Item item;
+  while (try_popped.TryPop(&item) == QueueOp::kOk) try_order.push_back(item);
+  EXPECT_EQ(try_order, DrainAll(&popped));
 }
 
 TEST(WeightedFairQueueTest, PathologicallySmallWeightsServeWithoutSpinning) {
@@ -257,7 +235,7 @@ TEST(WeightedFairQueueTest, PathologicallySmallWeightsServeWithoutSpinning) {
   // arithmetically, so this drains instantly instead of spinning 1e9
   // iterations — and the relative proportions still hold (1e-9 : 2e-9 is
   // 1 : 2 while both are backlogged).
-  WeightedFairQueue<Item> queue(512, SchedulingPolicy::kWeightedFair);
+  WeightedFairQueue<Item> queue(512);
   queue.RegisterTenant("tiny", 1e-9, 0);
   queue.RegisterTenant("twice", 2e-9, 0);
   for (int i = 0; i < 30; ++i) {
@@ -275,7 +253,7 @@ TEST(WeightedFairQueueTest, PathologicallySmallWeightsServeWithoutSpinning) {
 
   // The sole-active-tenant case (the worst spin: nobody else to rotate
   // to) also returns promptly.
-  WeightedFairQueue<Item> solo(8, SchedulingPolicy::kWeightedFair);
+  WeightedFairQueue<Item> solo(8);
   solo.RegisterTenant("alone", 1e-12, 0);
   ASSERT_EQ(solo.TryPush("alone", Item{"alone", 0}), QueueOp::kOk);
   Item item;
@@ -289,7 +267,7 @@ TEST(WeightedFairQueueTest, EpsilonCostsEqualizePrivacyBudgetShare) {
   // request count — every full round serves 4 cheap + 1 dear (2.0 epsilon
   // each side), so after k rounds both tenants have released exactly
   // 2k epsilon.
-  WeightedFairQueue<Item> queue(512, SchedulingPolicy::kWeightedFair);
+  WeightedFairQueue<Item> queue(512);
   queue.RegisterTenant("cheap", 1.0, 0);
   queue.RegisterTenant("dear", 1.0, 0);
   for (int i = 0; i < 80; ++i) {
@@ -328,7 +306,7 @@ TEST(WeightedFairQueueTest, EpsilonCostsComposeWithWeights) {
   // weight-1 tenant of cheap (1.0) ones: each earns exactly its own front
   // cost per round, so serves alternate 1:1 in count — which is the 3:1
   // weighted share in epsilon.
-  WeightedFairQueue<Item> queue(512, SchedulingPolicy::kWeightedFair);
+  WeightedFairQueue<Item> queue(512);
   queue.RegisterTenant("big", 3.0, 0);
   queue.RegisterTenant("small", 1.0, 0);
   for (int i = 0; i < 10; ++i) {
@@ -359,7 +337,7 @@ TEST(WeightedFairQueueTest, ExpensiveFrontRequestDoesNotSpinOrStarve) {
   // A single backlogged tenant whose front request costs 1000x its weight
   // must be served via the arithmetic round fast-forward, not a 1000-
   // iteration spin; afterwards cheap requests flow normally.
-  WeightedFairQueue<Item> queue(8, SchedulingPolicy::kWeightedFair);
+  WeightedFairQueue<Item> queue(8);
   queue.RegisterTenant("t", 0.001, 0);
   ASSERT_EQ(queue.TryPush("t", Item{"t", 0}, 1.0), QueueOp::kOk);
   ASSERT_EQ(queue.TryPush("t", Item{"t", 1}, 0.001), QueueOp::kOk);
@@ -370,7 +348,7 @@ TEST(WeightedFairQueueTest, ExpensiveFrontRequestDoesNotSpinOrStarve) {
 }
 
 TEST(WeightedFairQueueTest, ReweightingAppliesFromTheNextRound) {
-  WeightedFairQueue<Item> queue(512, SchedulingPolicy::kWeightedFair);
+  WeightedFairQueue<Item> queue(512);
   queue.RegisterTenant("t", 1.0, 0);
   queue.RegisterTenant("u", 1.0, 0);
   for (int i = 0; i < 12; ++i) {

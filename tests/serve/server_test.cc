@@ -228,7 +228,7 @@ void ExpectDispatchOfQueuedBacklog(const PcorEngine& engine, uint32_t v_row,
   };
   PcorServer server(engine, options);
   // The oracle: the same tenants and pushes through a standalone queue.
-  WeightedFairQueue<uint64_t> oracle(queued, SchedulingPolicy::kWeightedFair);
+  WeightedFairQueue<uint64_t> oracle(queued);
   for (const auto& [id, weight] : tenants) {
     TenantConfig config;
     config.weight = weight;
@@ -316,12 +316,12 @@ TEST_F(ServerDeterminismTest, ServedEntriesReplayThroughRelease) {
 }
 
 // Acceptance bar for the QoS scheduler: an adversarial 3-tenant mix with
-// heterogeneous per-request PcorOptions must produce bit-identical
-// per-request results (context/eps/utility/probes) whether the server runs
-// FIFO with 1 release thread and serial submission, or weighted-fair with
-// skewed weights, 16 release threads, racing tenant threads and a flooded
-// queue. Seeds are fixed at admission per (tenant, k); nothing downstream
-// may depend on scheduling.
+// skewed weights and heterogeneous per-request PcorOptions must produce
+// bit-identical per-request results (context/eps/utility/probes) whether
+// the server runs 1 release thread with serial submission, or 16 release
+// threads with racing tenant threads and a flooded queue. Seeds are fixed
+// at admission per (tenant, k); nothing downstream may depend on
+// scheduling.
 TEST_F(ServerDeterminismTest, FifoAndWeightedFairSchedulingAreBitIdentical) {
   struct TenantPlan {
     std::string id;
@@ -359,13 +359,11 @@ TEST_F(ServerDeterminismTest, FifoAndWeightedFairSchedulingAreBitIdentical) {
     }
   }
 
-  const auto run = [&](SchedulingPolicy policy, size_t release_threads,
-                       bool raced, ResultMap* out) {
+  const auto run = [&](size_t release_threads, bool raced, ResultMap* out) {
     ResultMap& results = *out;
     ServeOptions options;
     options.release = ReleaseOptions();
     options.seed = kServerSeed;
-    options.scheduling = policy;
     options.release_threads = release_threads;
     options.max_batch = raced ? 6 : 1;
     PcorServer server(engine_, options);
@@ -405,26 +403,22 @@ TEST_F(ServerDeterminismTest, FifoAndWeightedFairSchedulingAreBitIdentical) {
     }
   };
 
-  ResultMap fifo_serial;
-  ResultMap wfq_serial;
-  ResultMap wfq_raced;
-  run(SchedulingPolicy::kFifo, 1, false, &fifo_serial);
-  run(SchedulingPolicy::kWeightedFair, 1, false, &wfq_serial);
-  run(SchedulingPolicy::kWeightedFair, 16, true, &wfq_raced);
+  ResultMap serial;
+  ResultMap raced;
+  run(1, false, &serial);
+  run(16, true, &raced);
 
-  ASSERT_EQ(fifo_serial.size(), 18u);
-  ASSERT_EQ(wfq_serial.size(), 18u);
-  ASSERT_EQ(wfq_raced.size(), 18u);
-  for (const auto& [key, entry] : fifo_serial) {
+  ASSERT_EQ(serial.size(), 18u);
+  ASSERT_EQ(raced.size(), 18u);
+  for (const auto& [key, entry] : serial) {
     SCOPED_TRACE(key.first + "/" + std::to_string(key.second));
-    ExpectIdenticalEntry(entry, wfq_serial.at(key));
-    ExpectIdenticalEntry(entry, wfq_raced.at(key));
+    ExpectIdenticalEntry(entry, raced.at(key));
   }
   // The overrides really took effect: eta's odd submissions and all of
   // theta's spent the cheap 0.1 epsilon, not the server default.
-  EXPECT_DOUBLE_EQ(fifo_serial.at({"eta", 1}).release.epsilon_spent, 0.1);
-  EXPECT_DOUBLE_EQ(fifo_serial.at({"eta", 0}).release.epsilon_spent, 0.8);
-  EXPECT_DOUBLE_EQ(fifo_serial.at({"theta", 0}).release.epsilon_spent, 0.1);
+  EXPECT_DOUBLE_EQ(serial.at({"eta", 1}).release.epsilon_spent, 0.1);
+  EXPECT_DOUBLE_EQ(serial.at({"eta", 0}).release.epsilon_spent, 0.8);
+  EXPECT_DOUBLE_EQ(serial.at({"theta", 0}).release.epsilon_spent, 0.1);
 }
 
 TEST_F(ServerDeterminismTest, InvalidPerRequestOptionsRejectedAtAdmission) {
