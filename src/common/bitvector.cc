@@ -60,16 +60,6 @@ void BitVector::OrWith(const BitVector& other) {
   for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
 }
 
-void BitVector::AndNotWith(const BitVector& other) {
-  PCOR_CHECK(size_ == other.size_) << "BitVector size mismatch in ANDNOT";
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] &= ~other.words_[i];
-}
-
-void BitVector::XorWith(const BitVector& other) {
-  PCOR_CHECK(size_ == other.size_) << "BitVector size mismatch in XOR";
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] ^= other.words_[i];
-}
-
 size_t BitVector::AndCount(const BitVector& other) const {
   PCOR_CHECK(size_ == other.size_) << "BitVector size mismatch in AndCount";
   size_t total = 0;
@@ -85,11 +75,6 @@ std::vector<uint32_t> BitVector::ToIndices() const {
   out.reserve(Count());
   ForEachSetBit([&out](uint32_t i) { out.push_back(i); });
   return out;
-}
-
-void BitVector::AppendSetBits(std::vector<uint32_t>* out) const {
-  out->reserve(out->size() + Count());
-  ForEachSetBit([out](uint32_t i) { out->push_back(i); });
 }
 
 void BitVector::ZeroTailBits() {

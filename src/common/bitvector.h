@@ -40,18 +40,12 @@ class BitVector {
   /// \brief In-place boolean algebra; sizes must match.
   void AndWith(const BitVector& other);
   void OrWith(const BitVector& other);
-  void AndNotWith(const BitVector& other);
-  void XorWith(const BitVector& other);
 
   /// \brief Count of set bits in (this AND other), without materializing.
   size_t AndCount(const BitVector& other) const;
 
   /// \brief Indices of all set bits, ascending.
   std::vector<uint32_t> ToIndices() const;
-
-  /// \brief Appends the indices of all set bits to `*out`, ascending —
-  /// allocation-free when the caller's buffer has capacity.
-  void AppendSetBits(std::vector<uint32_t>* out) const;
 
   /// \brief Applies fn(index) for each set bit, ascending.
   template <typename Fn>

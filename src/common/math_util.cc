@@ -11,7 +11,6 @@ namespace math {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kEps = std::numeric_limits<double>::epsilon();
 constexpr int kMaxIterations = 300;
 }  // namespace
 
@@ -35,43 +34,6 @@ std::vector<double> Softmax(const std::vector<double>& x) {
     out[i] = (x[i] == -kInf) ? 0.0 : std::exp(x[i] - lse);
   }
   return out;
-}
-
-double RegularizedGammaP(double a, double x) {
-  PCOR_CHECK(a > 0 && x >= 0) << "RegularizedGammaP domain error";
-  if (x == 0) return 0.0;
-  if (x < a + 1.0) {
-    // Series representation.
-    double ap = a;
-    double sum = 1.0 / a;
-    double del = sum;
-    for (int i = 0; i < kMaxIterations; ++i) {
-      ap += 1.0;
-      del *= x / ap;
-      sum += del;
-      if (std::abs(del) < std::abs(sum) * kEps) break;
-    }
-    return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
-  }
-  // Continued fraction for Q(a, x), then P = 1 - Q.
-  double b = x + 1.0 - a;
-  double c = 1.0 / 1e-300;
-  double d = 1.0 / b;
-  double h = d;
-  for (int i = 1; i <= kMaxIterations; ++i) {
-    double an = -static_cast<double>(i) * (static_cast<double>(i) - a);
-    b += 2.0;
-    d = an * d + b;
-    if (std::abs(d) < 1e-300) d = 1e-300;
-    c = b + an / c;
-    if (std::abs(c) < 1e-300) c = 1e-300;
-    d = 1.0 / d;
-    double del = d * c;
-    h *= del;
-    if (std::abs(del - 1.0) < kEps) break;
-  }
-  double q = std::exp(-x + a * std::log(x) - std::lgamma(a)) * h;
-  return 1.0 - q;
 }
 
 namespace {
@@ -163,47 +125,6 @@ double StudentTQuantile(double p, double nu) {
   return upper ? t : -t;
 }
 
-double NormalCdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
-
-double NormalQuantile(double p) {
-  PCOR_CHECK(p > 0.0 && p < 1.0) << "NormalQuantile requires p in (0,1)";
-  // Acklam's rational approximation.
-  static const double a[] = {-3.969683028665376e+01, 2.209460984245205e+02,
-                             -2.759285104469687e+02, 1.383577518672690e+02,
-                             -3.066479806614716e+01, 2.506628277459239e+00};
-  static const double b[] = {-5.447609879822406e+01, 1.615858368580409e+02,
-                             -1.556989798598866e+02, 6.680131188771972e+01,
-                             -1.328068155288572e+01};
-  static const double c[] = {-7.784894002430293e-03, -3.223964580411365e-01,
-                             -2.400758277161838e+00, -2.549732539343734e+00,
-                             4.374664141464968e+00,  2.938163982698783e+00};
-  static const double d[] = {7.784695709041462e-03, 3.224671290700398e-01,
-                             2.445134137142996e+00, 3.754408661907416e+00};
-  const double plow = 0.02425;
-  double x;
-  if (p < plow) {
-    double q = std::sqrt(-2.0 * std::log(p));
-    x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-  } else if (p <= 1.0 - plow) {
-    double q = p - 0.5;
-    double r = q * q;
-    x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) *
-        q /
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0);
-  } else {
-    double q = std::sqrt(-2.0 * std::log1p(-p));
-    x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q +
-          c[5]) /
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-  }
-  // One Halley refinement step.
-  double e = NormalCdf(x) - p;
-  double u = e * std::sqrt(2.0 * M_PI) * std::exp(x * x / 2.0);
-  x = x - u / (1.0 + x * u / 2.0);
-  return x;
-}
-
 double GrubbsCriticalValue(size_t n, double alpha) {
   PCOR_CHECK(n >= 3) << "Grubbs' test requires n >= 3";
   PCOR_CHECK(alpha > 0 && alpha < 1) << "alpha must be in (0,1)";
@@ -212,15 +133,6 @@ double GrubbsCriticalValue(size_t n, double alpha) {
   const double t = StudentTQuantile(1.0 - p, nd - 2.0);
   return ((nd - 1.0) / std::sqrt(nd)) *
          std::sqrt(t * t / (nd - 2.0 + t * t));
-}
-
-bool AlmostEqual(double a, double b, double rtol, double atol) {
-  if (a == b) return true;
-  return std::abs(a - b) <= atol + rtol * std::abs(b);
-}
-
-double Clamp(double x, double lo, double hi) {
-  return std::min(std::max(x, lo), hi);
 }
 
 }  // namespace math

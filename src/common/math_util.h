@@ -19,9 +19,6 @@ double LogSumExp(const std::vector<double>& x);
 /// Returns an all-zero vector when every entry is -inf.
 std::vector<double> Softmax(const std::vector<double>& x);
 
-/// \brief Regularized lower incomplete gamma P(a, x), a > 0, x >= 0.
-double RegularizedGammaP(double a, double x);
-
 /// \brief Regularized incomplete beta I_x(a, b) for a,b > 0, x in [0,1].
 double RegularizedIncompleteBeta(double a, double b, double x);
 
@@ -34,23 +31,10 @@ double StudentTCdf(double t, double nu);
 /// \brief Quantile (inverse CDF) of Student's t with nu degrees of freedom.
 double StudentTQuantile(double p, double nu);
 
-/// \brief Standard normal CDF.
-double NormalCdf(double x);
-
-/// \brief Standard normal quantile (Acklam's rational approximation,
-/// refined with one Halley step).
-double NormalQuantile(double p);
-
 /// \brief Grubbs' test two-sided critical value for sample size n at
 /// significance alpha: G_crit = ((n-1)/sqrt(n)) * sqrt(t^2 / (n-2+t^2)),
 /// where t is the upper alpha/(2n) quantile of Student-t with n-2 dof.
 double GrubbsCriticalValue(size_t n, double alpha);
-
-/// \brief True when |a - b| <= atol + rtol * |b|.
-bool AlmostEqual(double a, double b, double rtol = 1e-9, double atol = 1e-12);
-
-/// \brief Clamps x to [lo, hi].
-double Clamp(double x, double lo, double hi);
 
 }  // namespace math
 }  // namespace pcor

@@ -105,10 +105,6 @@ double Rng::NextExponential(double rate) {
   return -std::log(NextDoublePositive()) / rate;
 }
 
-double Rng::NextLogNormal(double mu, double sigma) {
-  return std::exp(mu + sigma * NextGaussian());
-}
-
 size_t Rng::NextDiscrete(const std::vector<double>& weights) {
   PCOR_CHECK(!weights.empty()) << "NextDiscrete requires weights";
   double total = 0.0;

@@ -57,9 +57,6 @@ class Rng {
   /// \brief Exponential(rate) draw.
   double NextExponential(double rate);
 
-  /// \brief Log-normal with the given log-space mean and stddev.
-  double NextLogNormal(double mu, double sigma);
-
   /// \brief Samples index i with probability weights[i] / sum(weights).
   /// Weights must be non-negative with a positive sum.
   size_t NextDiscrete(const std::vector<double>& weights);

@@ -1,61 +1,11 @@
 #include "src/common/string_util.h"
 
-#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 
 namespace pcor {
 namespace strings {
-
-std::vector<std::string> Split(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = s.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      break;
-    }
-    out.emplace_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
-std::string Join(const std::vector<std::string>& pieces,
-                 std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    if (i) out += sep;
-    out += pieces[i];
-  }
-  return out;
-}
-
-std::string Trim(std::string_view s) {
-  size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return std::string(s.substr(b, e - b));
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
-std::string ToLower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
 
 std::string Format(const char* fmt, ...) {
   va_list args;
@@ -118,11 +68,6 @@ size_t EnvSizeOr(const char* name, size_t fallback) {
 double EnvDoubleOr(const char* name, double fallback) {
   const char* v = std::getenv(name);
   return v ? ParseDoubleOr(v, fallback) : fallback;
-}
-
-std::string EnvStringOr(const char* name, std::string_view fallback) {
-  const char* v = std::getenv(name);
-  return v ? std::string(v) : std::string(fallback);
 }
 
 }  // namespace strings

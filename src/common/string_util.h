@@ -2,26 +2,9 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace pcor {
 namespace strings {
-
-/// \brief Splits on a single character; keeps empty fields.
-std::vector<std::string> Split(std::string_view s, char sep);
-
-/// \brief Joins pieces with a separator.
-std::string Join(const std::vector<std::string>& pieces,
-                 std::string_view sep);
-
-/// \brief Strips ASCII whitespace from both ends.
-std::string Trim(std::string_view s);
-
-bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
-
-/// \brief Lower-cases ASCII characters.
-std::string ToLower(std::string_view s);
 
 /// \brief printf-style formatting into std::string.
 std::string Format(const char* fmt, ...)
@@ -39,10 +22,6 @@ double ParseDoubleOr(std::string_view s, double fallback);
 /// \brief Reads an environment variable as size_t/double, with fallback.
 size_t EnvSizeOr(const char* name, size_t fallback);
 double EnvDoubleOr(const char* name, double fallback);
-
-/// \brief Reads an environment variable as a string; returns fallback when
-/// unset (an empty-but-set variable is returned as the empty string).
-std::string EnvStringOr(const char* name, std::string_view fallback);
 
 }  // namespace strings
 }  // namespace pcor

@@ -9,14 +9,10 @@ class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}
 
-  void Restart() { start_ = Clock::now(); }
-
-  /// \brief Seconds elapsed since construction or the last Restart().
+  /// \brief Seconds elapsed since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -13,13 +13,6 @@ void ContextGraph::ForEachNeighbor(
   }
 }
 
-std::vector<ContextVec> ContextGraph::Neighbors(const ContextVec& c) const {
-  std::vector<ContextVec> out;
-  out.reserve(t_);
-  ForEachNeighbor(c, [&out](const ContextVec& n) { out.push_back(n); });
-  return out;
-}
-
 std::vector<ContextVec> ContextGraph::MatchingNeighbors(
     const OutlierVerifier& verifier, const ContextVec& c,
     uint32_t v_row) const {

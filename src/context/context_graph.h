@@ -28,12 +28,8 @@ class ContextGraph {
   void ForEachNeighbor(const ContextVec& c,
                        const std::function<void(const ContextVec&)>& fn) const;
 
-  /// \brief Materialized neighbor list (t contexts).
-  std::vector<ContextVec> Neighbors(const ContextVec& c) const;
-
-  /// \brief Neighbors that are *matching* contexts for row `v_row` — the
-  /// children generation shared by the DFS/BFS samplers (Algorithms 4/5,
-  /// lines "generating all children of C").
+  /// \brief Neighbors that are *matching* contexts for row `v_row`; the
+  /// locality measurement below walks these.
   std::vector<ContextVec> MatchingNeighbors(const OutlierVerifier& verifier,
                                             const ContextVec& c,
                                             uint32_t v_row) const;

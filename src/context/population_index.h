@@ -126,8 +126,8 @@ class PopulationProbe {
                              std::vector<double>* metric) const = 0;
 
   /// \brief Shared worker pool for scatter probes, or nullptr when this
-  /// probe runs serially. The engine runs its batch fan-out and the
-  /// intra-release scoring loop on it, so one engine never owns two pools.
+  /// probe runs serially. The engine runs its batch fan-out on it, so one
+  /// engine never owns two pools.
   virtual ThreadPool* probe_pool() const { return nullptr; }
 
   /// \brief The exact context of local row `row` — one chosen value per

@@ -93,10 +93,10 @@ struct ShardedIndexOptions {
 /// enforce the contract.
 ///
 /// Thread-safe for concurrent probes, like PopulationIndex. Probes may
-/// themselves run on pool workers (the engine's batch fan-out and
-/// intra-release scoring loop do this): ThreadPool::ParallelFor is
-/// reentrancy-safe, so a worker blocked in an outer loop drains inner
-/// segment probes itself rather than deadlocking on a saturated queue.
+/// themselves run on pool workers (the engine's batch fan-out does this):
+/// ThreadPool::ParallelFor is reentrancy-safe, so a worker blocked in an
+/// outer loop drains inner segment probes itself rather than deadlocking on
+/// a saturated queue.
 class ShardedPopulationIndex : public PopulationProbe {
  public:
   /// \brief Classic layout: `dataset` split into word-aligned shards per

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -37,17 +36,7 @@ class ReferenceTable {
   /// \brief max_{C in COE(row)} utility(C); -infinity when COE is empty.
   double MaxUtility(uint32_t row, const UtilityFunction& utility) const;
 
-  /// \brief Rows with a non-empty COE.
-  std::vector<uint32_t> RowsWithMatches() const;
-
   size_t size() const { return entries_.size(); }
-
-  /// \brief Persists as CSV lines "row,bitstring" (one context per line).
-  Status SaveCsv(const std::string& path) const;
-
-  /// \brief Loads a table previously written by SaveCsv; `t` is the context
-  /// bit length of the schema it was built against.
-  static Result<ReferenceTable> LoadCsv(const std::string& path, size_t t);
 
  private:
   std::unordered_map<uint32_t, std::vector<ContextVec>> entries_;

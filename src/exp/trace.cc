@@ -1,162 +1,12 @@
 #include "src/exp/trace.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
-#include <sstream>
 
 #include "src/common/random.h"
 #include "src/common/string_util.h"
-#include "src/data/csv.h"
 
 namespace pcor {
-
-namespace {
-
-constexpr char kTraceHeader[] = "at_us,tenant,kind,eps,rows";
-
-bool ParseStrictInt64(const std::string& field, int64_t* out) {
-  if (field.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(field.c_str(), &end, 10);
-  if (errno != 0 || end != field.c_str() + field.size()) return false;
-  *out = static_cast<int64_t>(v);
-  return true;
-}
-
-bool ParseStrictUint64(const std::string& field, uint64_t* out) {
-  if (field.empty() || field[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(field.c_str(), &end, 10);
-  if (errno != 0 || end != field.c_str() + field.size()) return false;
-  *out = static_cast<uint64_t>(v);
-  return true;
-}
-
-bool ParseStrictDouble(const std::string& field, double* out) {
-  if (field.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(field.c_str(), &end);
-  if (errno != 0 || end != field.c_str() + field.size()) return false;
-  *out = v;
-  return true;
-}
-
-Status LineError(size_t line_no, const std::string& what) {
-  return Status::InvalidArgument(
-      strings::Format("trace line %zu: %s", line_no, what.c_str()));
-}
-
-}  // namespace
-
-const char* TraceEventKindName(TraceEventKind kind) {
-  switch (kind) {
-    case TraceEventKind::kRelease:
-      return "release";
-    case TraceEventKind::kAppend:
-      return "append";
-    case TraceEventKind::kSeal:
-      return "seal";
-  }
-  return "unknown";
-}
-
-std::string FormatTrace(const std::vector<TraceEvent>& events) {
-  std::ostringstream out;
-  out << "# pcor-trace v1\n" << kTraceHeader << "\n";
-  for (const TraceEvent& e : events) {
-    out << strings::Format(
-        "%lld,%s,%s,%.17g,%llu\n", static_cast<long long>(e.at_us),
-        csv::EscapeField(e.tenant, ',').c_str(), TraceEventKindName(e.kind),
-        e.epsilon, static_cast<unsigned long long>(e.rows));
-  }
-  return out.str();
-}
-
-Result<std::vector<TraceEvent>> ParseTrace(const std::string& text,
-                                           const TraceParseOptions& options) {
-  std::vector<TraceEvent> events;
-  std::istringstream in(text);
-  std::string line;
-  size_t line_no = 0;
-  bool saw_header = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::string trimmed = strings::Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    if (!saw_header) {
-      if (trimmed != kTraceHeader) {
-        return LineError(line_no,
-                         strings::Format("expected header \"%s\", got \"%s\"",
-                                         kTraceHeader, trimmed.c_str()));
-      }
-      saw_header = true;
-      continue;
-    }
-    const std::vector<std::string> fields = csv::ParseLine(trimmed, ',');
-    if (fields.size() != 5) {
-      return LineError(
-          line_no, strings::Format("expected 5 fields, got %zu",
-                                   fields.size()));
-    }
-    TraceEvent e;
-    if (!ParseStrictInt64(fields[0], &e.at_us)) {
-      return LineError(line_no, strings::Format("malformed at_us \"%s\"",
-                                                fields[0].c_str()));
-    }
-    if (e.at_us < 0) {
-      return LineError(line_no,
-                       strings::Format("negative at_us %lld",
-                                       static_cast<long long>(e.at_us)));
-    }
-    e.tenant = fields[1];
-    if (e.tenant.empty()) return LineError(line_no, "empty tenant id");
-    if (!options.allowed_tenants.empty()) {
-      bool known = false;
-      for (const std::string& t : options.allowed_tenants) {
-        if (t == e.tenant) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        return Status::NotFound(
-            strings::Format("trace line %zu: unknown tenant \"%s\"", line_no,
-                            e.tenant.c_str()));
-      }
-    }
-    const std::string kind = strings::ToLower(fields[2]);
-    if (kind == "release") {
-      e.kind = TraceEventKind::kRelease;
-    } else if (kind == "append") {
-      e.kind = TraceEventKind::kAppend;
-    } else if (kind == "seal") {
-      e.kind = TraceEventKind::kSeal;
-    } else {
-      return LineError(line_no, strings::Format("unknown event kind \"%s\"",
-                                                fields[2].c_str()));
-    }
-    if (!ParseStrictDouble(fields[3], &e.epsilon) ||
-        !std::isfinite(e.epsilon) || e.epsilon < 0.0) {
-      return LineError(line_no, strings::Format("malformed eps \"%s\"",
-                                                fields[3].c_str()));
-    }
-    if (!ParseStrictUint64(fields[4], &e.rows)) {
-      return LineError(line_no, strings::Format("malformed rows \"%s\"",
-                                                fields[4].c_str()));
-    }
-    events.push_back(std::move(e));
-  }
-  if (!saw_header) {
-    return Status::InvalidArgument(
-        strings::Format("trace has no \"%s\" header", kTraceHeader));
-  }
-  return events;
-}
 
 std::vector<TraceEvent> MakeDiurnalTrace(const DiurnalTraceOptions& options) {
   std::vector<TraceEvent> events;

@@ -4,8 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/result.h"
-
 namespace pcor {
 
 /// \brief What one trace event asks the server to do.
@@ -18,10 +16,9 @@ enum class TraceEventKind {
 /// \brief One scheduled event of an open-loop workload trace.
 ///
 /// The open-loop contract: `at_us` is when the event FIRES, fixed when the
-/// trace is generated or recorded — never a function of how long earlier
-/// events took. The driver sleeps until `at_us` and dispatches, so a slow
-/// server makes the driver late (an observable omission gap), not the
-/// workload lighter.
+/// trace is generated — never a function of how long earlier events took.
+/// The driver sleeps until `at_us` and dispatches, so a slow server makes
+/// the driver late (an observable omission gap), not the workload lighter.
 ///
 /// Field use by kind:
 ///   kRelease: `epsilon` is the per-request total_epsilon override (0 =
@@ -39,40 +36,6 @@ struct TraceEvent {
 
   bool operator==(const TraceEvent&) const = default;
 };
-
-const char* TraceEventKindName(TraceEventKind kind);
-
-/// \brief Parse-time validation context.
-struct TraceParseOptions {
-  /// When non-empty, every event's tenant must be one of these ids;
-  /// a line naming any other tenant fails with kNotFound. Empty = any
-  /// non-empty tenant id is accepted (recorded traces carry their own
-  /// tenant universe).
-  std::vector<std::string> allowed_tenants;
-};
-
-/// \brief Serializes a trace to its recorded text form:
-///
-///     # pcor-trace v1
-///     at_us,tenant,kind,eps,rows
-///     0,acme,release,0.2,0
-///     1000,acme,append,0,64
-///     2000,acme,seal,0,0
-///
-/// Lines starting with '#' are comments; the column header is required.
-/// Epsilon is printed with %.17g, so FormatTrace -> ParseTrace round-trips
-/// to an identical event stream (bit-exact doubles included).
-std::string FormatTrace(const std::vector<TraceEvent>& events);
-
-/// \brief Parses a recorded trace. Errors are typed and name the exact
-/// 1-based line: kInvalidArgument for a missing/wrong header, wrong field
-/// count, unknown kind, malformed or negative at_us, malformed or negative
-/// eps, malformed rows, or an empty tenant; kNotFound for a tenant outside
-/// `options.allowed_tenants`. Events are returned in file order (the
-/// driver stable-sorts by at_us before dispatch, so recorded order breaks
-/// timestamp ties).
-Result<std::vector<TraceEvent>> ParseTrace(
-    const std::string& text, const TraceParseOptions& options = {});
 
 /// \brief Diurnal release load: per-tenant Poisson arrivals whose rate
 /// swings sinusoidally between trough and peak over each period — the

@@ -27,10 +27,10 @@ namespace pcor {
 /// the histogram's bin counts + rare-bin table, iqr's sorted copy, lof's
 /// radix keys + sorted positions + window starts + sorted values,
 /// k-distances and lrds) so steady-state probes allocate nothing. Detector
-/// code now also runs *on pool workers* — the engine's intra-release
-/// scoring loop and the sharded index's probes dispatch through
-/// ThreadPool::ParallelFor, and a verifier cache miss inside either runs
-/// Detect on whatever thread claimed the chunk. The buffers stay safe
+/// code also runs *on pool workers* — the engine's batch fan-out and
+/// the sharded index's probes dispatch through ThreadPool::ParallelFor,
+/// and a verifier cache miss inside either runs Detect on whatever thread
+/// claimed the chunk. The buffers stay safe
 /// because each has exactly one live user per thread: a Detect call runs
 /// start-to-finish on one thread, ParallelFor waiters only drain chunks of
 /// their *own* loop (never arbitrary queued tasks, see common/threading.h),

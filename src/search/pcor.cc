@@ -119,26 +119,10 @@ Result<PcorRelease> PcorEngine::ReleaseWithUtility(
                         sampler->Sample(request, rng));
 
   // Final Exponential-mechanism draw over the collected candidates.
-  // Scoring is free of randomness (every Rng draw happened in the sampler)
-  // and each candidate writes only its own slot, so the loop parallelizes
-  // over the index's probe pool without perturbing the draw — scores, and
-  // therefore the released context, are bit-identical for any thread count.
+  // Scoring is free of randomness: every Rng draw happened in the sampler.
   std::vector<double> scores(outcome.samples.size());
-  const size_t score_threads = options.intra_release_threads == 0
-                                   ? DefaultThreadCount()
-                                   : options.intra_release_threads;
-  ThreadPool* score_pool =
-      score_threads > 1 && scores.size() > 1 ? probe_->probe_pool() : nullptr;
-  if (score_pool != nullptr) {
-    score_pool->ParallelFor(scores.size(), score_threads,
-                            [&](size_t i) {
-                              scores[i] = utility.Score(
-                                  outcome.samples[i], v_row);
-                            });
-  } else {
-    for (size_t i = 0; i < outcome.samples.size(); ++i) {
-      scores[i] = utility.Score(outcome.samples[i], v_row);
-    }
+  for (size_t i = 0; i < outcome.samples.size(); ++i) {
+    scores[i] = utility.Score(outcome.samples[i], v_row);
   }
   ExponentialMechanism mech(eps1, utility.sensitivity());
   PCOR_ASSIGN_OR_RETURN(size_t pick, mech.Choose(scores, rng));

@@ -36,14 +36,6 @@ struct PcorOptions {
   StartingContextOptions starting_context;
   /// Probe cap forwarded to the sampler.
   size_t max_probes = 20'000'000;
-  /// Threads used *inside* this one release for the candidate-scoring loop
-  /// (1 = serial, the default; 0 = all cores). Purely a latency knob: the
-  /// Rng draws all happen in the sampler and each candidate's score lands
-  /// in its own result slot, so the released context is bit-identical for
-  /// any value — enforced by the intra-release parallelism tests. Raise it
-  /// when micro-batches are shallow (one tenant, one huge request) and
-  /// batch-level fan-out leaves cores idle; see ServeOptions.
-  size_t intra_release_threads = 1;
 
   /// Memberwise equality; the batch/serving layers use it to recognize
   /// entries that share a configuration (homogeneous sub-batches).

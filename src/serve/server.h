@@ -63,13 +63,7 @@ struct ServeOptions {
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Threads each micro-batch fans out over, the dispatcher included, on
   /// the engine's one pool (0 = all cores; capped by the pool's workers
-  /// plus one).
-  /// Trades against `release.intra_release_threads`: deep micro-batches
-  /// want cores spent here (entry-level fan-out), while a shallow batch —
-  /// one tenant, one huge request, the tail-latency case — wants
-  /// release_threads small and intra_release_threads raised so the lone
-  /// release's scoring loop owns the cores instead. Neither knob can
-  /// perturb any released context; both are latency-only.
+  /// plus one). Latency-only: no value can perturb any released context.
   size_t release_threads = 0;
   /// Server seed: every request's Rng stream derives from
   /// (seed, client_id, the client's own submission index) — never from the

@@ -44,17 +44,13 @@ TEST(BitVectorTest, BooleanAlgebraMatchesManual) {
       mb[i] = true;
     }
   }
-  BitVector and_v = a, or_v = a, andnot_v = a, xor_v = a;
+  BitVector and_v = a, or_v = a;
   and_v.AndWith(b);
   or_v.OrWith(b);
-  andnot_v.AndNotWith(b);
-  xor_v.XorWith(b);
   size_t expected_and = 0;
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(and_v.Test(i), ma[i] && mb[i]) << i;
     EXPECT_EQ(or_v.Test(i), ma[i] || mb[i]) << i;
-    EXPECT_EQ(andnot_v.Test(i), ma[i] && !mb[i]) << i;
-    EXPECT_EQ(xor_v.Test(i), ma[i] != mb[i]) << i;
     expected_and += (ma[i] && mb[i]);
   }
   EXPECT_EQ(a.AndCount(b), expected_and);
@@ -118,42 +114,18 @@ TEST(BitVectorTest, AssignAcrossWordAndChunkBoundaries) {
 }
 
 TEST(BitVectorTest, LastPartialWordStaysCleanThroughOps) {
-  // Operations that write whole words (FillAll, XorWith against a full
+  // Operations that write whole words (FillAll, OrWith against a full
   // vector) must never leak bits into the dead tail of the last word,
   // which Count and AndCount would otherwise overcount.
   BitVector b(70);
   b.FillAll(true);
   BitVector full(70, true);
-  b.XorWith(full);  // word-wise XOR: tail must stay zero
-  EXPECT_EQ(b.Count(), 0u);
+  b.OrWith(full);  // word-wise OR: tail must stay zero
+  EXPECT_EQ(b.Count(), 70u);
   b.FillAll(true);
   EXPECT_EQ(b.AndCount(full), 70u);
   b.Set(69);  // last live bit is settable and testable
   EXPECT_TRUE(b.Test(69));
-}
-
-TEST(BitVectorTest, AppendSetBitsAtBoundaries) {
-  // First/last bit of words at the front, a word boundary pair, and the
-  // final partial word — AppendSetBits must emit all of them ascending and
-  // append (not clobber) into a non-empty output vector.
-  BitVector b(130);
-  b.Set(0);
-  b.Set(63);
-  b.Set(64);
-  b.Set(128);
-  b.Set(129);
-  std::vector<uint32_t> out{7};  // pre-existing element must survive
-  b.AppendSetBits(&out);
-  EXPECT_EQ(out, (std::vector<uint32_t>{7, 0, 63, 64, 128, 129}));
-  // Empty and full vectors are the container extremes.
-  std::vector<uint32_t> none;
-  BitVector(200).AppendSetBits(&none);
-  EXPECT_TRUE(none.empty());
-  std::vector<uint32_t> all;
-  BitVector(67, true).AppendSetBits(&all);
-  ASSERT_EQ(all.size(), 67u);
-  EXPECT_EQ(all.front(), 0u);
-  EXPECT_EQ(all.back(), 66u);
 }
 
 }  // namespace

@@ -160,17 +160,5 @@ TEST(RngTest, ForkProducesIndependentStream) {
   EXPECT_LT(same, 2);
 }
 
-TEST(RngTest, LogNormalIsPositiveWithExpectedMedian) {
-  Rng rng(43);
-  const size_t n = 100001;
-  std::vector<double> xs(n);
-  for (auto& x : xs) {
-    x = rng.NextLogNormal(2.0, 0.5);
-    EXPECT_GT(x, 0.0);
-  }
-  std::nth_element(xs.begin(), xs.begin() + n / 2, xs.end());
-  EXPECT_NEAR(xs[n / 2], std::exp(2.0), 0.15);
-}
-
 }  // namespace
 }  // namespace pcor

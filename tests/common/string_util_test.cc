@@ -7,40 +7,6 @@
 namespace pcor {
 namespace {
 
-TEST(StringUtilTest, SplitKeepsEmptyFields) {
-  auto parts = strings::Split("a,b,,c", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(parts[3], "c");
-  EXPECT_EQ(strings::Split("", ',').size(), 1u);
-}
-
-TEST(StringUtilTest, JoinRoundTripsSplit) {
-  std::vector<std::string> pieces{"x", "y", "z"};
-  EXPECT_EQ(strings::Join(pieces, "-"), "x-y-z");
-  EXPECT_EQ(strings::Join({}, ","), "");
-}
-
-TEST(StringUtilTest, Trim) {
-  EXPECT_EQ(strings::Trim("  hi \t\n"), "hi");
-  EXPECT_EQ(strings::Trim(""), "");
-  EXPECT_EQ(strings::Trim("   "), "");
-  EXPECT_EQ(strings::Trim("inner space"), "inner space");
-}
-
-TEST(StringUtilTest, StartsEndsWith) {
-  EXPECT_TRUE(strings::StartsWith("hello", "he"));
-  EXPECT_FALSE(strings::StartsWith("hello", "lo"));
-  EXPECT_TRUE(strings::EndsWith("hello", "lo"));
-  EXPECT_FALSE(strings::EndsWith("hello", "he"));
-  EXPECT_TRUE(strings::StartsWith("x", ""));
-}
-
-TEST(StringUtilTest, ToLower) {
-  EXPECT_EQ(strings::ToLower("MiXeD 123"), "mixed 123");
-}
-
 TEST(StringUtilTest, Format) {
   EXPECT_EQ(strings::Format("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(strings::Format("%.2f", 1.005), "1.00");

@@ -113,7 +113,7 @@ TEST(PoolParallelForTest, NestedLoopOnSamePoolDoesNotDeadlock) {
 TEST(PoolParallelForTest, WorkerInitiatedLoopCompletes) {
   // A ParallelFor started from inside Submit'ed work (not the owner
   // thread) must complete too — this is the serving pattern, where batch
-  // workers run releases that open intra-release loops.
+  // workers run releases whose sharded probes open loops of their own.
   ThreadPool pool(2);
   std::atomic<int> counter{0};
   std::atomic<bool> done{false};

@@ -31,7 +31,9 @@ TEST_F(ContextGraphTest, NeighborsAreExactlyHammingOne) {
   ContextVec c(graph_.degree());
   c.Set(0);
   c.Set(4);
-  auto neighbors = graph_.Neighbors(c);
+  std::vector<ContextVec> neighbors;
+  graph_.ForEachNeighbor(
+      c, [&neighbors](const ContextVec& n) { neighbors.push_back(n); });
   ASSERT_EQ(neighbors.size(), graph_.degree());
   for (const auto& n : neighbors) {
     EXPECT_EQ(c.HammingDistance(n), 1u);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/data/dictionary.h"
-
 namespace pcor {
 namespace {
 
@@ -82,23 +80,6 @@ TEST(SchemaTest, Equality) {
   Schema other = MakeSchema();
   other.SetMetricName("Other");
   EXPECT_FALSE(MakeSchema() == other);
-}
-
-TEST(DictionaryTest, EncodeDecodeRoundTrip) {
-  Schema s = MakeSchema();
-  ValueDictionary dict(s.attribute(0));
-  EXPECT_EQ(dict.size(), 3u);
-  EXPECT_EQ(*dict.Encode("MedicalDoctor"), 1u);
-  EXPECT_EQ(*dict.Decode(1), "MedicalDoctor");
-  EXPECT_TRUE(dict.Encode("nope").status().IsNotFound());
-  EXPECT_TRUE(dict.Decode(3).status().IsOutOfRange());
-}
-
-TEST(DictionaryTest, SchemaDictionariesCoverAllAttributes) {
-  Schema s = MakeSchema();
-  SchemaDictionaries dicts(s);
-  EXPECT_EQ(dicts.num_attributes(), 3u);
-  EXPECT_EQ(*dicts.attribute(2).Encode("Diplomatic"), 2u);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "src/common/threading.h"
 #include "tests/testing_util.h"
@@ -76,39 +76,6 @@ TEST_F(ReferenceTest, MaxUtilityIsTheCoeMaximum) {
   EXPECT_DOUBLE_EQ(max_u, expected);
   // Unknown row yields -inf.
   EXPECT_TRUE(std::isinf(table->MaxUtility(9999, utility)));
-}
-
-TEST_F(ReferenceTest, RowsWithMatchesExcludesInliers) {
-  auto table = ReferenceTable::Build(verifier_, {grid_.v_row, 0, 1});
-  ASSERT_TRUE(table.ok());
-  auto rows = table->RowsWithMatches();
-  EXPECT_EQ(rows, std::vector<uint32_t>{grid_.v_row});
-}
-
-TEST_F(ReferenceTest, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/pcor_reference_test.csv";
-  auto table = ReferenceTable::Build(verifier_, {grid_.v_row, 0});
-  ASSERT_TRUE(table.ok());
-  ASSERT_TRUE(table->SaveCsv(path).ok());
-  auto loaded = ReferenceTable::LoadCsv(
-      path, grid_.dataset.schema().total_values());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->size(), table->size());
-  ASSERT_NE(loaded->Coe(grid_.v_row), nullptr);
-  EXPECT_EQ(*loaded->Coe(grid_.v_row), *table->Coe(grid_.v_row));
-  ASSERT_NE(loaded->Coe(0), nullptr);
-  EXPECT_TRUE(loaded->Coe(0)->empty());
-  std::remove(path.c_str());
-}
-
-TEST_F(ReferenceTest, LoadRejectsWrongBitLength) {
-  const std::string path = ::testing::TempDir() + "/pcor_reference_bad.csv";
-  auto table = ReferenceTable::Build(verifier_, {grid_.v_row});
-  ASSERT_TRUE(table.ok());
-  ASSERT_TRUE(table->SaveCsv(path).ok());
-  auto loaded = ReferenceTable::LoadCsv(path, /*t=*/3);
-  EXPECT_FALSE(loaded.ok());
-  std::remove(path.c_str());
 }
 
 }  // namespace

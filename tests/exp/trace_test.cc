@@ -1,6 +1,5 @@
-// Trace format contract: generator -> FormatTrace -> ParseTrace is an
-// identity on the event stream (bit-exact doubles included), and
-// malformed input fails with a typed error naming the exact line.
+// Trace generator contract: each generator is a pure function of its
+// options (seed included) and shapes its events as documented in trace.h.
 #include "src/exp/trace.h"
 
 #include <gtest/gtest.h>
@@ -11,33 +10,6 @@
 namespace pcor {
 namespace {
 
-void ExpectRoundTrip(const std::vector<TraceEvent>& events) {
-  const std::string text = FormatTrace(events);
-  auto parsed = ParseTrace(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->size(), events.size());
-  for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ((*parsed)[i], events[i]) << "event " << i;
-  }
-}
-
-TEST(TraceFormatTest, HandWrittenRoundTrip) {
-  std::vector<TraceEvent> events;
-  events.push_back({0, "acme", TraceEventKind::kRelease, 0.2, 3});
-  events.push_back({1'000, "acme", TraceEventKind::kAppend, 0.0, 64});
-  events.push_back({2'000, "other", TraceEventKind::kSeal, 0.0, 0});
-  // An epsilon that is NOT a round decimal: %.17g must carry it bit-exact.
-  events.push_back({3'000, "acme", TraceEventKind::kRelease, 0.1 + 0.2, 7});
-  ExpectRoundTrip(events);
-}
-
-TEST(TraceFormatTest, GeneratorRoundTrips) {
-  ExpectRoundTrip(MakeDiurnalTrace(DiurnalTraceOptions{}));
-  ExpectRoundTrip(MakeFloodTrace(FloodTraceOptions{}));
-  ExpectRoundTrip(MakeBudgetStormTrace(BudgetStormTraceOptions{}));
-  ExpectRoundTrip(MakeStreamingTrace(StreamingTraceOptions{}));
-}
-
 TEST(TraceFormatTest, GeneratorsAreDeterministic) {
   DiurnalTraceOptions options;
   options.seed = 99;
@@ -45,89 +17,6 @@ TEST(TraceFormatTest, GeneratorsAreDeterministic) {
   options.seed = 100;  // and actually seed-dependent
   EXPECT_NE(MakeDiurnalTrace(options), MakeDiurnalTrace(DiurnalTraceOptions{
                                            .seed = 99}));
-}
-
-TEST(TraceFormatTest, CommentsAndBlankLinesAreIgnored) {
-  auto parsed = ParseTrace(
-      "# recorded 2026-08-07\n"
-      "\n"
-      "at_us,tenant,kind,eps,rows\n"
-      "# mid-file comment\n"
-      "5,acme,release,0.5,2\n"
-      "\n");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->size(), 1u);
-  EXPECT_EQ((*parsed)[0].at_us, 5);
-  EXPECT_EQ((*parsed)[0].tenant, "acme");
-  EXPECT_EQ((*parsed)[0].kind, TraceEventKind::kRelease);
-  EXPECT_DOUBLE_EQ((*parsed)[0].epsilon, 0.5);
-  EXPECT_EQ((*parsed)[0].rows, 2u);
-}
-
-TEST(TraceFormatTest, MissingHeaderIsTyped) {
-  auto no_header = ParseTrace("5,acme,release,0.5,2\n");
-  EXPECT_TRUE(no_header.status().IsInvalidArgument());
-  EXPECT_NE(no_header.status().ToString().find("line 1"),
-            std::string::npos);
-  auto empty = ParseTrace("# only a comment\n");
-  EXPECT_TRUE(empty.status().IsInvalidArgument());
-  EXPECT_NE(empty.status().ToString().find("header"), std::string::npos);
-}
-
-// Every malformed-line case: the error is typed and names the exact
-// 1-based line number (comments and blanks count toward it).
-TEST(TraceFormatTest, MalformedLinesNameTheLine) {
-  const std::string header = "at_us,tenant,kind,eps,rows\n";
-
-  struct Case {
-    const char* name;
-    const char* line;       // becomes line 3 (header is 1, comment is 2)
-    const char* fragment;   // expected message substring
-  };
-  const Case cases[] = {
-      {"bad kind", "5,acme,mutate,0.5,2", "unknown event kind"},
-      {"negative at_us", "-5,acme,release,0.5,2", "negative at_us"},
-      {"unparsable at_us", "soon,acme,release,0.5,2", "malformed at_us"},
-      {"empty tenant", "5,,release,0.5,2", "empty tenant"},
-      {"bad eps", "5,acme,release,banana,2", "malformed eps"},
-      {"negative eps", "5,acme,release,-0.5,2", "malformed eps"},
-      {"bad rows", "5,acme,release,0.5,-2", "malformed rows"},
-      {"too few fields", "5,acme,release", "expected 5 fields, got 3"},
-      {"too many fields", "5,acme,release,0.5,2,9", "expected 5 fields"},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    auto parsed =
-        ParseTrace(header + "# comment\n" + c.line + "\n");
-    ASSERT_FALSE(parsed.ok());
-    EXPECT_TRUE(parsed.status().IsInvalidArgument())
-        << parsed.status().ToString();
-    const std::string message = parsed.status().ToString();
-    EXPECT_NE(message.find("line 3"), std::string::npos) << message;
-    EXPECT_NE(message.find(c.fragment), std::string::npos) << message;
-  }
-}
-
-TEST(TraceFormatTest, UnknownTenantIsNotFoundWithLineNumber) {
-  TraceParseOptions options;
-  options.allowed_tenants = {"alpha", "beta"};
-  auto parsed = ParseTrace(
-      "at_us,tenant,kind,eps,rows\n"
-      "1,alpha,release,0.2,0\n"
-      "2,gamma,release,0.2,0\n",
-      options);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_TRUE(parsed.status().IsNotFound()) << parsed.status().ToString();
-  const std::string message = parsed.status().ToString();
-  EXPECT_NE(message.find("line 3"), std::string::npos) << message;
-  EXPECT_NE(message.find("gamma"), std::string::npos) << message;
-}
-
-TEST(TraceFormatTest, QuotedTenantsSurviveRoundTrip) {
-  std::vector<TraceEvent> events;
-  events.push_back({10, "weird,tenant \"inc\"", TraceEventKind::kRelease,
-                    0.25, 1});
-  ExpectRoundTrip(events);
 }
 
 TEST(TraceGeneratorTest, FloodShapesTheBurst) {

@@ -1,11 +1,10 @@
-// Intra-release parallelism: the PcorOptions::intra_release_threads knob
-// and the engine's sharded index must be pure latency levers — the released
-// context and every deterministic release field are bit-identical for any
-// thread count and shard count. Also the detector thread_local regression:
-// releases initiated from pool workers nest ParallelFor on the engine's
-// probe pool, running detector code (with its per-thread scratch buffers)
-// on worker threads, and must still match serial main-thread output
-// exactly (see the scratch-discipline contract in outlier/detector.h).
+// Parallelism inside the engine: the sharded index must be a pure latency
+// lever — the released context and every deterministic release field are
+// bit-identical for any shard count. Also the detector thread_local
+// regression: releases initiated from pool workers run detector code (with
+// its per-thread scratch buffers) on worker threads, and must still match
+// serial main-thread output exactly (see the scratch-discipline contract in
+// outlier/detector.h).
 // And the one-executor contract: ReleaseBatch fans out on the engine's
 // probe pool, so batches issued from that pool's own workers and batches
 // racing each other on one engine must complete and stay bit-identical.
@@ -71,24 +70,6 @@ class IntraReleaseParallelTest : public ::testing::Test {
   ZscoreDetector detector_;
 };
 
-TEST_F(IntraReleaseParallelTest, ThreadCountsAreBitIdentical) {
-  PcorEngine engine(grid_.dataset, detector_);
-  PcorOptions serial = BaseOptions();
-  serial.intra_release_threads = 1;
-  Rng serial_rng(123);
-  auto reference = engine.Release(grid_.v_row, serial, &serial_rng);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  for (size_t threads : {size_t{2}, size_t{4}, size_t{0}}) {
-    PcorOptions options = BaseOptions();
-    options.intra_release_threads = threads;
-    Rng rng(123);
-    auto release = engine.Release(grid_.v_row, options, &rng);
-    ASSERT_TRUE(release.ok())
-        << "threads=" << threads << ": " << release.status().ToString();
-    ExpectSameRelease(*reference, *release);
-  }
-}
-
 TEST_F(IntraReleaseParallelTest, ShardedEngineMatchesDefaultEngine) {
   PcorEngine reference_engine(grid_.dataset, detector_);
   ShardedIndexOptions index_options;
@@ -103,7 +84,6 @@ TEST_F(IntraReleaseParallelTest, ShardedEngineMatchesDefaultEngine) {
         SamplerKind::kDfs, SamplerKind::kBfs}) {
     PcorOptions options = BaseOptions();
     options.sampler = kind;
-    options.intra_release_threads = 2;
     Rng ref_rng(321);
     Rng sharded_rng(321);
     auto reference = reference_engine.Release(grid_.v_row, options, &ref_rng);
@@ -115,7 +95,7 @@ TEST_F(IntraReleaseParallelTest, ShardedEngineMatchesDefaultEngine) {
 
 TEST_F(IntraReleaseParallelTest, WorkerInitiatedReleaseMatchesMainThread) {
   // The detector-scratch regression: for every registered detector, run a
-  // parallel sharded release from inside a foreign ThreadPool worker (so
+  // sharded release from inside a foreign ThreadPool worker (so
   // detector thread_local buffers are exercised on nested worker threads)
   // and demand exact agreement with a serial main-thread release.
   for (const std::string& name : RegisteredDetectorNames()) {
@@ -126,18 +106,15 @@ TEST_F(IntraReleaseParallelTest, WorkerInitiatedReleaseMatchesMainThread) {
     PcorEngine engine(grid_.dataset, **detector, VerifierOptions{},
                       index_options);
 
-    PcorOptions serial = BaseOptions();
-    serial.intra_release_threads = 1;
+    const PcorOptions options = BaseOptions();
     Rng serial_rng(777);
-    auto reference = engine.Release(grid_.v_row, serial, &serial_rng);
+    auto reference = engine.Release(grid_.v_row, options, &serial_rng);
 
-    PcorOptions parallel = BaseOptions();
-    parallel.intra_release_threads = 3;
     Result<PcorRelease> from_worker = Status::Internal("never ran");
     ThreadPool pool(2);
     pool.Submit([&] {
       Rng rng(777);
-      from_worker = engine.Release(grid_.v_row, parallel, &rng);
+      from_worker = engine.Release(grid_.v_row, options, &rng);
     });
     pool.Wait();
 
@@ -150,34 +127,10 @@ TEST_F(IntraReleaseParallelTest, WorkerInitiatedReleaseMatchesMainThread) {
   }
 }
 
-TEST_F(IntraReleaseParallelTest, BatchCarriesTheKnobPerRequest) {
-  // intra_release_threads rides BatchRequest::options like every other
-  // per-request field, and batch-level x intra-release nesting (batch
-  // workers opening scoring loops on the probe pool) keeps every entry
-  // bit-identical to the all-serial run.
-  PcorEngine engine(grid_.dataset, detector_);
-  std::vector<BatchRequest> requests(6);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    requests[i].v_row = grid_.v_row;
-    PcorOptions options = BaseOptions();
-    options.intra_release_threads = (i % 3 == 0) ? 2 : 1;
-    requests[i].options = options;
-  }
-  const auto serial = engine.ReleaseBatch(
-      std::span<const BatchRequest>(requests), BaseOptions(), /*seed=*/55,
-      /*num_threads=*/1);
-  const auto parallel = engine.ReleaseBatch(
-      std::span<const BatchRequest>(requests), BaseOptions(), /*seed=*/55,
-      /*num_threads=*/3);
-  ExpectSameBatch(serial, parallel);
-}
-
-/// \brief `n` releases of the grid outlier on `threads`, each entry nesting
-/// a 2-thread scoring loop on the engine's pool.
-BatchReleaseReport NestedBatch(const PcorEngine& engine, uint32_t v_row,
-                               PcorOptions options, size_t n, uint64_t seed,
-                               size_t threads) {
-  options.intra_release_threads = 2;
+/// \brief `n` releases of the grid outlier on `threads`.
+BatchReleaseReport Batch(const PcorEngine& engine, uint32_t v_row,
+                         const PcorOptions& options, size_t n, uint64_t seed,
+                         size_t threads) {
   std::vector<BatchRequest> requests(n);
   for (BatchRequest& request : requests) {
     request.v_row = v_row;
@@ -196,7 +149,7 @@ TEST_F(IntraReleaseParallelTest, BatchFromInsideTheProbePoolCompletes) {
   PcorEngine engine(grid_.dataset, detector_, VerifierOptions{},
                     index_options);
   const auto serial =
-      NestedBatch(engine, grid_.v_row, BaseOptions(), 12, /*seed=*/91, 1);
+      Batch(engine, grid_.v_row, BaseOptions(), 12, /*seed=*/91, 1);
   ASSERT_EQ(serial.failures, 0u);
 
   ThreadPool* pool = engine.probe().probe_pool();
@@ -204,7 +157,7 @@ TEST_F(IntraReleaseParallelTest, BatchFromInsideTheProbePoolCompletes) {
   BatchReleaseReport from_worker;
   pool->Submit([&] {
     from_worker =
-        NestedBatch(engine, grid_.v_row, BaseOptions(), 12, /*seed=*/91, 4);
+        Batch(engine, grid_.v_row, BaseOptions(), 12, /*seed=*/91, 4);
   });
   pool->Wait();
   ExpectSameBatch(serial, from_worker);
@@ -215,7 +168,7 @@ TEST_F(IntraReleaseParallelTest, ConcurrentBatchesShareThePoolSafely) {
   // each must match the 1-thread batch exactly.
   PcorEngine engine(grid_.dataset, detector_);
   const auto serial =
-      NestedBatch(engine, grid_.v_row, BaseOptions(), 10, /*seed=*/92, 1);
+      Batch(engine, grid_.v_row, BaseOptions(), 10, /*seed=*/92, 1);
   ASSERT_EQ(serial.failures, 0u);
 
   std::vector<BatchReleaseReport> reports(4);
@@ -223,7 +176,7 @@ TEST_F(IntraReleaseParallelTest, ConcurrentBatchesShareThePoolSafely) {
   for (size_t c = 0; c < reports.size(); ++c) {
     callers.emplace_back([&, c] {
       reports[c] =
-          NestedBatch(engine, grid_.v_row, BaseOptions(), 10, /*seed=*/92, 4);
+          Batch(engine, grid_.v_row, BaseOptions(), 10, /*seed=*/92, 4);
     });
   }
   for (std::thread& caller : callers) caller.join();

@@ -258,7 +258,7 @@ TEST_F(PcorBatchTest, ValidatePcorOptionsCatchesDegenerateConfigs) {
       engine_.Release(grid_.v_row, options, &rng).status().IsInvalidArgument());
 }
 
-TEST_F(PcorBatchTest, AggregatesProbeCapAndLatencyPercentiles) {
+TEST_F(PcorBatchTest, AggregatesProbeCap) {
   std::vector<uint32_t> rows(12, grid_.v_row);
   PcorOptions options;
   options.sampler = SamplerKind::kBfs;
@@ -288,7 +288,7 @@ TEST_F(PcorBatchTest, AggregatesProbeCapAndLatencyPercentiles) {
   EXPECT_GT(capped_report.hit_probe_cap, 0u);
 }
 
-TEST_F(PcorBatchTest, AllFailedBatchHasZeroPercentiles) {
+TEST_F(PcorBatchTest, AllFailedBatchHasZeroTotals) {
   std::vector<uint32_t> rows(3, static_cast<uint32_t>(1) << 30);
   PcorOptions options;
   const BatchReleaseReport report =

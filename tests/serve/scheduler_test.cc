@@ -99,7 +99,7 @@ TEST(WeightedFairQueueTest, FractionalWeightAccumulatesAcrossRounds) {
   EXPECT_EQ(quarter_served, 4u);
 }
 
-TEST(WeightedFairQueueTest, PerTenantOrderIsFifoUnderBothPolicies) {
+TEST(WeightedFairQueueTest, PerTenantOrderIsFifo) {
   WeightedFairQueue<Item> queue(512);
   queue.RegisterTenant("a", 5.0, 0);
   queue.RegisterTenant("b", 1.0, 0);

@@ -322,7 +322,7 @@ TEST_F(ServerDeterminismTest, ServedEntriesReplayThroughRelease) {
 // threads with racing tenant threads and a flooded queue. Seeds are fixed
 // at admission per (tenant, k); nothing downstream may depend on
 // scheduling.
-TEST_F(ServerDeterminismTest, FifoAndWeightedFairSchedulingAreBitIdentical) {
+TEST_F(ServerDeterminismTest, SerialAndRacedSchedulingAreBitIdentical) {
   struct TenantPlan {
     std::string id;
     TenantConfig config;
@@ -332,11 +332,15 @@ TEST_F(ServerDeterminismTest, FifoAndWeightedFairSchedulingAreBitIdentical) {
   // Heterogeneous per-request overrides: zeta keeps the server default,
   // eta flips sampler/epsilon per request, theta pins a cheap uniform
   // configuration — and every tenant's k==2 request targets row 1, which
-  // never releases, so error determinism is covered too.
+  // never releases, so error determinism is covered too. Uniform sampling
+  // for a row that matches no context spins until its probe cap, so the
+  // cap is kept small: at the default 20M it holds the dispatcher for
+  // seconds.
   PcorOptions cheap_uniform;
   cheap_uniform.sampler = SamplerKind::kUniform;
   cheap_uniform.num_samples = 4;
   cheap_uniform.total_epsilon = 0.1;
+  cheap_uniform.max_probes = 200'000;
   PcorOptions wide_bfs = ReleaseOptions();
   wide_bfs.num_samples = 12;
   wide_bfs.total_epsilon = 0.8;
