@@ -6,11 +6,18 @@
 //
 // Besides the ASCII table, every configuration emits one machine-readable
 // `BENCH_JSON {...}` line so CI can start tracking the hot path over time.
+//
+// A last section times the warm hit itself: ns per OutlierPopulation call
+// on a fully warm memo (mode "warm_hit"), median and quartiles over
+// repetitions — the per-probe cost of a graph walk whose f_M is all hits.
 #include <cinttypes>
+#include <utility>
 
 #include "bench/bench_json.h"
 #include "bench/bench_util.h"
 #include "src/common/simd.h"
+#include "src/common/stats.h"
+#include "src/common/timer.h"
 
 using namespace pcor;
 using namespace pcor::bench;
@@ -30,6 +37,63 @@ double HitRate(const VerifierStats& stats) {
   return probes == 0 ? 0.0
                      : static_cast<double>(stats.cache_hits) /
                            static_cast<double>(probes);
+}
+
+struct WarmHits {
+  size_t lookups = 0;  // distinct probes in one pass
+  size_t passes = 0;   // passes per repetition
+  std::vector<double> ns_per_hit;
+  bool all_hits = false;
+  size_t checksum = 0;
+};
+
+// Times OutlierPopulation on a warm, unbounded 4-shard memo. The probes are
+// each released context and its Hamming-1 neighbours that still contain
+// the released row: the contexts a walk around that release looks up.
+// Probes without the row stop at the row precheck, so they are left out.
+WarmHits MeasureWarmHits(const Setup& setup, const std::vector<uint32_t>& rows,
+                         const std::vector<ContextVec>& releases) {
+  constexpr size_t kReps = 15;
+  constexpr size_t kLookupsPerRep = 20'000;
+  VerifierOptions options;
+  options.max_cache_bytes = 0;
+  options.num_shards = 4;
+  PcorEngine engine(setup.workload.data.dataset, *setup.detector, options);
+  const OutlierVerifier& verifier = engine.verifier();
+
+  std::vector<std::pair<ContextVec, uint32_t>> probes;
+  for (size_t i = 0; i < releases.size(); ++i) {
+    ContextVec c = releases[i];
+    for (size_t bit = 0; bit <= c.num_bits(); ++bit) {
+      if (bit < c.num_bits()) c.Flip(bit);
+      if (verifier.index().ContextContainsRow(c, rows[i])) {
+        probes.emplace_back(c, rows[i]);
+      }
+      if (bit < c.num_bits()) c.Flip(bit);
+    }
+  }
+  WarmHits out;
+  out.lookups = probes.size();
+  if (probes.empty()) return out;
+  for (const auto& [c, row] : probes) verifier.OutlierPopulation(c, row);
+
+  out.passes = std::max<size_t>(1, kLookupsPerRep / probes.size());
+  const VerifierStats before = verifier.Stats();
+  for (size_t r = 0; r < kReps; ++r) {
+    WallTimer timer;
+    for (size_t pass = 0; pass < out.passes; ++pass) {
+      for (const auto& [c, row] : probes) {
+        out.checksum += verifier.OutlierPopulation(c, row).value_or(1);
+      }
+    }
+    out.ns_per_hit.push_back(timer.ElapsedSeconds() * 1e9 /
+                             static_cast<double>(out.passes * probes.size()));
+  }
+  const VerifierStats after = verifier.Stats();
+  const size_t timed = kReps * out.passes * probes.size();
+  out.all_hits = after.cache_misses == before.cache_misses &&
+                 after.cache_hits - before.cache_hits == timed;
+  return out;
 }
 
 }  // namespace
@@ -146,6 +210,24 @@ int main() {
   report::SectionHeader("f_M cache ablation");
   std::printf("%s", table.Render().c_str());
 
+  const WarmHits warm = MeasureWarmHits(*setup, rows, reference_releases);
+  const double warm_p50 = Percentile(warm.ns_per_hit, 0.5);
+  const double warm_q1 = Percentile(warm.ns_per_hit, 0.25);
+  const double warm_q3 = Percentile(warm.ns_per_hit, 0.75);
+  report::SectionHeader("warm f_M hit (unbounded sharded LRU, 4 shards)");
+  std::printf(
+      "%zu probes x %zu passes x %zu reps: %.1f ns/hit [%.1f, %.1f] "
+      "(median [quartiles]); every lookup a hit: %s (checksum %zu)\n",
+      warm.lookups, warm.passes, warm.ns_per_hit.size(), warm_p50, warm_q1,
+      warm_q3, warm.all_hits ? "yes" : "NO", warm.checksum);
+  emitter.Emit(strings::Format(
+      "{\"bench\":\"micro_verifier_cache\",\"mode\":\"warm_hit\","
+      "\"lookups\":%zu,\"reps\":%zu,\"ns_per_hit\":%.3f,"
+      "\"ns_per_hit_q1\":%.3f,\"ns_per_hit_q3\":%.3f,"
+      "\"kernel_backend\":\"%s\"}",
+      warm.lookups * warm.passes, warm.ns_per_hit.size(), warm_p50, warm_q1,
+      warm_q3, simd::ActiveBackendName()));
+
   // Acceptance: at equal budget, sharded LRU must not lose to wholesale
   // clears, and must win outright somewhere.
   bool lru_wins = false;
@@ -176,5 +258,7 @@ int main() {
   if (!emitter.ok()) {
     std::printf("BENCH_JSON validation failures: %zu\n", emitter.failures());
   }
-  return (identical && lru_wins && lru_never_loses && emitter.ok()) ? 0 : 1;
+  const bool ok = identical && lru_wins && lru_never_loses && warm.all_hits &&
+                  emitter.ok();
+  return ok ? 0 : 1;
 }

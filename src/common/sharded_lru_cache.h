@@ -1,11 +1,13 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,8 +26,8 @@ struct LruCacheOptions {
   size_t num_shards = 0;
   /// Ablation mode reproducing the pre-LRU behavior: when an insert pushes
   /// a shard over budget, the whole shard is dropped instead of evicting
-  /// entries one by one from the cold end. With num_shards = 1 this is
-  /// exactly the old single-map wholesale clear.
+  /// entries from the cold end. With num_shards = 1 this is exactly the old
+  /// single-map wholesale clear.
   bool wholesale_clear = false;
 };
 
@@ -41,16 +43,26 @@ struct LruCacheStats {
 
 /// \brief Thread-safe LRU cache sharded by key hash.
 ///
-/// N power-of-two shards, each a hash map plus an intrusive doubly-linked
-/// recency list threaded through the map's nodes (unordered_map guarantees
-/// pointer stability of elements, so the links never dangle across
-/// rehashes). A lookup takes exactly one shard mutex; distinct shards never
-/// contend. Eviction walks the cold end of the per-shard list until the
-/// shard is back under its slice of the byte/entry budgets.
+/// N power-of-two shards, each an open-addressing hash table under its own
+/// mutex: one slot array holding key and value side by side (for the
+/// verifier memo, 48 + 16 B: one cache line), and a parallel metadata array
+/// holding each slot's recency tick, charged bytes and a hash tag (0 marks
+/// an empty slot). Linear probing compares tags before keys, and erasure
+/// shifts the rest of the probe chain back, so there are no tombstones. A
+/// hit takes one shard mutex, reads the tags, compares one key and stamps
+/// one tick; distinct shards never contend.
 ///
-/// V is returned by copy from Get(), so it should be cheap to copy — a
-/// shared_ptr, an index, a small POD. The cache is a pure memo: dropping
-/// any entry at any time must be answer-invariant for the caller.
+/// Eviction is exact LRU by tick, in batches: while a shard is over its
+/// slice of the byte/entry budgets, the coldest max(1, size/8) entries go.
+/// Finding them is one O(capacity) pass, amortized O(1) per evicted entry.
+/// The entry an insert just touched is never among them. Clear() keeps each
+/// shard's capacity, so a cache refilled to the same size does not regrow.
+///
+/// K and V must be default-constructible and movable; an empty slot holds
+/// K{} and V{}. V is returned by copy from Get(), so it should be cheap to
+/// copy — a shared_ptr, an index, a small POD — or read in place with
+/// Visit(). The cache is a pure memo: dropping any entry at any time must
+/// be answer-invariant for the caller.
 template <typename K, typename V, typename Hash = std::hash<K>>
 class ShardedLruCache {
  public:
@@ -80,16 +92,17 @@ class ShardedLruCache {
   /// or move-only. `fn` must not touch this cache.
   template <typename Fn>
   bool Visit(const K& key, Fn&& fn) {
-    Shard& shard = ShardFor(key);
+    const uint64_t h = Mix(key);
+    Shard& shard = shards_[ShardIndex(h)];
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
+    const size_t i = shard.Find(key, TagOf(h));
+    if (i == kNotFound) {
+      Bump(&shard.misses, 1);
       return false;
     }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    MoveToFront(&shard, &it->second);
-    fn(static_cast<const V&>(it->second.value));
+    Bump(&shard.hits, 1);
+    shard.meta[i].tick = ++shard.clock;
+    fn(static_cast<const V&>(shard.slots[i].value));
     return true;
   }
 
@@ -97,25 +110,22 @@ class ShardedLruCache {
   /// approximation of the value's footprint; the cache adds its own
   /// per-entry bookkeeping overhead before charging the budget.
   void Put(const K& key, V value, size_t cost_bytes) {
-    const size_t charged = cost_bytes + kEntryOverhead;
-    Shard& shard = ShardFor(key);
+    const uint64_t h = Mix(key);
+    const uint32_t tag = TagOf(h);
+    const uint32_t charge = ChargeFor(cost_bytes);
+    Shard& shard = shards_[ShardIndex(h)];
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      shard.bytes += charged - it->second.charged_bytes;
-      it->second.value = std::move(value);
-      it->second.charged_bytes = charged;
-      MoveToFront(&shard, &it->second);
+    size_t i = shard.Find(key, tag);
+    if (i != kNotFound) {
+      shard.bytes = shard.bytes - shard.meta[i].charge + charge;
+      shard.slots[i].value = std::move(value);
+      shard.meta[i].charge = charge;
+      shard.meta[i].tick = ++shard.clock;
     } else {
-      auto [ins, inserted] = shard.map.try_emplace(key);
-      Node& node = ins->second;
-      node.key = &ins->first;
-      node.value = std::move(value);
-      node.charged_bytes = charged;
-      LinkFront(&shard, &node);
-      shard.bytes += charged;
+      shard.ReserveForInsert();
+      i = shard.Insert(key, std::move(value), tag, charge);
     }
-    EnforceBudget(&shard);
+    EnforceBudget(&shard, i);
   }
 
   /// \brief Erases every resident entry whose key satisfies `pred`,
@@ -124,90 +134,221 @@ class ShardedLruCache {
   /// entries, while an EraseIf sweep removes entries the caller has
   /// declared stale (e.g. superseded epochs) — the two must stay
   /// distinguishable in the stats or cache-pressure telemetry lies.
-  /// Locks one shard at a time; concurrent Get/Put on other shards
-  /// proceed, and an entry inserted into an already-swept shard during the
-  /// walk survives (callers invalidating by epoch must therefore sweep
-  /// only epochs no writer produces anymore).
+  /// `pred` sees each resident key once. Locks one shard at a time;
+  /// concurrent Get/Put on other shards proceed, and an entry inserted into
+  /// an already-swept shard during the walk survives (callers invalidating
+  /// by epoch must therefore sweep only epochs no writer produces anymore).
   template <typename Pred>
   size_t EraseIf(Pred pred) {
     size_t erased = 0;
     for (Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mu);
-      for (auto it = shard.map.begin(); it != shard.map.end();) {
-        if (pred(it->first)) {
-          Node* node = &it->second;
-          Unlink(&shard, node);
-          shard.bytes -= node->charged_bytes;
-          it = shard.map.erase(it);
-          ++erased;
-        } else {
-          ++it;
-        }
-      }
+      const size_t n = shard.EraseWhere([&](size_t i) {
+        return pred(static_cast<const K&>(shard.slots[i].key));
+      });
+      Bump(&shard.invalidations, n);
+      erased += n;
     }
-    invalidations_.fetch_add(erased, std::memory_order_relaxed);
     return erased;
   }
 
-  /// \brief Drops every entry (not counted as evictions).
+  /// \brief Drops every entry (not counted as evictions). Each shard keeps
+  /// its table capacity.
   void Clear() {
     for (Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mu);
-      shard.map.clear();
-      shard.mru = shard.lru = nullptr;
-      shard.bytes = 0;
+      shard.Reset();
     }
   }
 
   LruCacheStats Stats() const {
     LruCacheStats stats;
-    stats.hits = hits_.load(std::memory_order_relaxed);
-    stats.misses = misses_.load(std::memory_order_relaxed);
-    stats.evictions = evictions_.load(std::memory_order_relaxed);
-    stats.invalidations = invalidations_.load(std::memory_order_relaxed);
     for (const Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mu);
+      stats.hits += shard.hits.load(std::memory_order_relaxed);
+      stats.misses += shard.misses.load(std::memory_order_relaxed);
+      stats.evictions += shard.evictions.load(std::memory_order_relaxed);
+      stats.invalidations +=
+          shard.invalidations.load(std::memory_order_relaxed);
       stats.resident_bytes += shard.bytes;
-      stats.resident_entries += shard.map.size();
+      stats.resident_entries += shard.size;
     }
     return stats;
   }
 
   /// \brief Lock-free counter reads for hot-path callers that only need
   /// one number (Stats() locks every shard to sum residency).
-  size_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  size_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  size_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-  size_t invalidations() const {
-    return invalidations_.load(std::memory_order_relaxed);
-  }
+  size_t hits() const { return Sum(&Shard::hits); }
+  size_t misses() const { return Sum(&Shard::misses); }
+  size_t evictions() const { return Sum(&Shard::evictions); }
+  size_t invalidations() const { return Sum(&Shard::invalidations); }
 
   size_t num_shards() const { return shards_.size(); }
   const LruCacheOptions& options() const { return options_; }
 
  private:
-  struct Node {
-    const K* key = nullptr;  ///< points at the owning map entry's key
+  static constexpr size_t kNotFound = std::numeric_limits<size_t>::max();
+  // An occupied slot's tag has this bit set; the low bits pick its home
+  // slot, so a table holds at most 2^31 slots.
+  static constexpr uint32_t kOccupied = 0x80000000u;
+  static constexpr size_t kMinCapacity = 16;
+
+  // A slot the size of a cache line is aligned to one, so a hit reads one
+  // line of keys and values.
+  static constexpr size_t kSlotAlign =
+      (sizeof(K) + sizeof(V)) % 64 == 0 ? 64 : alignof(std::pair<K, V>);
+  struct alignas(kSlotAlign) Slot {
+    K key{};
     V value{};
-    size_t charged_bytes = 0;
-    Node* prev = nullptr;  ///< toward MRU
-    Node* next = nullptr;  ///< toward LRU
+  };
+  struct Meta {
+    uint64_t tick = 0;    ///< shard clock at the last touch; larger = hotter
+    uint32_t charge = 0;  ///< bytes charged to the budget
+    uint32_t tag = 0;     ///< kOccupied | hash bits; 0 = empty
   };
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<K, Node, Hash> map;
-    Node* mru = nullptr;
-    Node* lru = nullptr;
-    size_t bytes = 0;
-  };
-
-  // Beyond the caller's value cost, every resident entry pays for a map
-  // node (key + Node) plus hash-table control structures.
+  // Beyond the caller's value cost, every resident entry pays for its slot
+  // and metadata, plus the free share that keeps the table at most 7/8
+  // full (about 2/3 on average between doublings).
   static constexpr size_t kEntryOverhead =
-      sizeof(K) + sizeof(Node) + 4 * sizeof(void*);
+      (sizeof(Slot) + sizeof(Meta)) * 3 / 2;
+
+  struct alignas(64) Shard {
+    mutable std::mutex mu;
+    uint64_t clock = 0;
+    size_t size = 0;
+    size_t bytes = 0;
+    size_t mask = 0;  ///< capacity - 1; meaningless while capacity is 0
+    std::vector<Slot> slots;
+    std::vector<Meta> meta;
+    // Written only under `mu`; atomic so the lock-free readers above may
+    // sum them while writers run.
+    std::atomic<size_t> hits{0};
+    std::atomic<size_t> misses{0};
+    std::atomic<size_t> evictions{0};
+    std::atomic<size_t> invalidations{0};
+
+    size_t Find(const K& key, uint32_t tag) const {
+      if (size == 0) return kNotFound;
+      for (size_t i = tag & mask;; i = (i + 1) & mask) {
+        const uint32_t t = meta[i].tag;
+        if (t == 0) return kNotFound;
+        if (t == tag && slots[i].key == key) return i;
+      }
+    }
+
+    /// Grows (doubling, rehashing every entry) so one more entry keeps the
+    /// load at most 7/8.
+    void ReserveForInsert() {
+      const size_t capacity = meta.size();
+      if ((size + 1) * 8 <= capacity * 7) return;
+      const size_t grown = std::max(kMinCapacity, capacity * 2);
+      std::vector<Slot> old_slots =
+          std::exchange(slots, std::vector<Slot>(grown));
+      std::vector<Meta> old_meta =
+          std::exchange(meta, std::vector<Meta>(grown));
+      mask = grown - 1;
+      for (size_t i = 0; i < old_meta.size(); ++i) {
+        if (old_meta[i].tag == 0) continue;
+        const size_t j = FreeSlotFor(old_meta[i].tag);
+        slots[j] = std::move(old_slots[i]);
+        meta[j] = old_meta[i];
+      }
+    }
+
+    size_t FreeSlotFor(uint32_t tag) const {
+      size_t i = tag & mask;
+      while (meta[i].tag != 0) i = (i + 1) & mask;
+      return i;
+    }
+
+    /// Inserts an absent key; the caller reserved room.
+    size_t Insert(const K& key, V value, uint32_t tag, uint32_t charge) {
+      const size_t i = FreeSlotFor(tag);
+      slots[i].key = key;
+      slots[i].value = std::move(value);
+      meta[i] = Meta{++clock, charge, tag};
+      ++size;
+      bytes += charge;
+      return i;
+    }
+
+    /// Empties every slot, keeping the capacity.
+    void Reset() {
+      for (size_t i = 0; size > 0 && i < meta.size(); ++i) {
+        if (meta[i].tag == 0) continue;
+        slots[i] = Slot{};
+        meta[i] = Meta{};
+        --size;
+      }
+      bytes = 0;
+    }
+
+    /// Empties slot `i` and shifts the rest of its probe chain back: each
+    /// later entry whose home slot lies at or before the hole (cyclically)
+    /// moves into it, so no lookup ever probes past an empty slot it
+    /// should not stop at.
+    void EraseAt(size_t i) {
+      bytes -= meta[i].charge;
+      --size;
+      size_t hole = i;
+      for (size_t j = (i + 1) & mask; meta[j].tag != 0; j = (j + 1) & mask) {
+        const size_t home = meta[j].tag & mask;
+        if (((j - home) & mask) >= ((j - hole) & mask)) {
+          slots[hole] = std::move(slots[j]);
+          meta[hole] = meta[j];
+          hole = j;
+        }
+      }
+      slots[hole] = Slot{};
+      meta[hole] = Meta{};
+    }
+
+    /// Erases every occupied slot `i` with `pred(i)`, returning how many.
+    /// The walk starts just past an empty slot, so no probe chain wraps
+    /// across its start: a backward shift only moves entries the walk has
+    /// not reached yet, and `pred` sees each entry once.
+    template <typename Pred>
+    size_t EraseWhere(Pred pred) {
+      if (size == 0) return 0;
+      const size_t capacity = meta.size();
+      size_t start = 0;
+      while (meta[start].tag != 0) ++start;
+      size_t erased = 0;
+      for (size_t step = 1; step < capacity;) {
+        const size_t i = (start + step) & mask;
+        if (meta[i].tag != 0 && pred(i)) {
+          EraseAt(i);  // the next chain entry may now sit at i: look again
+          ++erased;
+        } else {
+          ++step;
+        }
+      }
+      return erased;
+    }
+  };
+
+  static uint32_t ChargeFor(size_t cost_bytes) {
+    // Saturates: a single value of 4 GiB overflows any budget anyway.
+    const size_t charged = std::min<size_t>(
+        cost_bytes, std::numeric_limits<uint32_t>::max() - kEntryOverhead);
+    return static_cast<uint32_t>(charged + kEntryOverhead);
+  }
+
+  // Increments a counter only its shard's lock holder writes: a plain
+  // load-and-store, no read-modify-write.
+  static void Bump(std::atomic<size_t>* counter, size_t n) {
+    counter->store(counter->load(std::memory_order_relaxed) + n,
+                   std::memory_order_relaxed);
+  }
+
+  size_t Sum(std::atomic<size_t> Shard::*counter) const {
+    size_t total = 0;
+    for (const Shard& shard : shards_) {
+      total += (shard.*counter).load(std::memory_order_relaxed);
+    }
+    return total;
+  }
 
   static size_t ResolveShardCount(size_t requested) {
     size_t n = requested;
@@ -223,87 +364,56 @@ class ShardedLruCache {
     return pow2;
   }
 
-  Shard& ShardFor(const K& key) {
-    // unordered_map consumes the low bits of the same hash, so pick the
-    // shard from well-mixed high bits to keep the two partitions
-    // independent even for weak hashes.
-    const uint64_t h =
-        static_cast<uint64_t>(Hash{}(key)) * 0x9e3779b97f4a7c15ULL;
-    return shards_[(h >> 48) & shard_mask_];
+  // One multiplicative mix of the key's hash: the shard comes from its top
+  // bits, the tag (and with it the home slot) from bits 16..46, so the two
+  // partitions stay independent even for weak hashes.
+  static uint64_t Mix(const K& key) {
+    return static_cast<uint64_t>(Hash{}(key)) * 0x9e3779b97f4a7c15ULL;
   }
-
-  void LinkFront(Shard* shard, Node* node) {
-    node->prev = nullptr;
-    node->next = shard->mru;
-    if (shard->mru != nullptr) shard->mru->prev = node;
-    shard->mru = node;
-    if (shard->lru == nullptr) shard->lru = node;
-  }
-
-  void Unlink(Shard* shard, Node* node) {
-    if (node->prev != nullptr) {
-      node->prev->next = node->next;
-    } else {
-      shard->mru = node->next;
-    }
-    if (node->next != nullptr) {
-      node->next->prev = node->prev;
-    } else {
-      shard->lru = node->prev;
-    }
-    node->prev = node->next = nullptr;
-  }
-
-  void MoveToFront(Shard* shard, Node* node) {
-    if (shard->mru == node) return;
-    Unlink(shard, node);
-    LinkFront(shard, node);
+  size_t ShardIndex(uint64_t h) const { return (h >> 48) & shard_mask_; }
+  static uint32_t TagOf(uint64_t h) {
+    return static_cast<uint32_t>(h >> 16) | kOccupied;
   }
 
   bool OverBudget(const Shard& shard) const {
     if (shard_max_bytes_ != 0 && shard.bytes > shard_max_bytes_) return true;
-    if (shard_max_entries_ != 0 && shard.map.size() > shard_max_entries_) {
+    if (shard_max_entries_ != 0 && shard.size > shard_max_entries_) {
       return true;
     }
     return false;
   }
 
-  void EnforceBudget(Shard* shard) {
-    if (!OverBudget(*shard)) return;
+  /// Brings `shard` back under budget after a Put that touched slot
+  /// `touched`, which always survives: a single value larger than the
+  /// shard budget still has to be servable right after its own insert.
+  void EnforceBudget(Shard* shard, size_t touched) {
+    if (!OverBudget(*shard) || shard->size < 2) return;
     if (options_.wholesale_clear) {
       // Pre-LRU semantics: drop everything except the entry just touched
       // (the old single-map code cleared, then inserted the new result).
-      Node* keep = shard->mru;
-      if (keep == nullptr) return;
-      const size_t dropped = shard->map.size() - 1;
-      if (dropped == 0) return;
-      K key = *keep->key;
-      Node survivor = std::move(*keep);
-      shard->map.clear();
-      shard->mru = shard->lru = nullptr;
-      shard->bytes = 0;
-      auto [ins, inserted] = shard->map.try_emplace(std::move(key));
-      ins->second.value = std::move(survivor.value);
-      ins->second.charged_bytes = survivor.charged_bytes;
-      ins->second.key = &ins->first;
-      LinkFront(shard, &ins->second);
-      shard->bytes = survivor.charged_bytes;
-      evictions_.fetch_add(dropped, std::memory_order_relaxed);
+      Slot keep = std::move(shard->slots[touched]);
+      const Meta keep_meta = shard->meta[touched];
+      Bump(&shard->evictions, shard->size - 1);
+      shard->Reset();
+      shard->Insert(keep.key, std::move(keep.value), keep_meta.tag,
+                    keep_meta.charge);
       return;
     }
-    // Real per-entry eviction from the cold end. Never evict the MRU entry:
-    // a single value larger than the shard budget still has to be servable
-    // right after its own insert.
-    while (OverBudget(*shard) && shard->lru != nullptr &&
-           shard->lru != shard->mru) {
-      Node* victim = shard->lru;
-      Unlink(shard, victim);
-      shard->bytes -= victim->charged_bytes;
-      // find() only reads the key before the node dies, and erasing by
-      // iterator neither copies nor re-hashes it — this is the hottest
-      // path under memory pressure.
-      shard->map.erase(shard->map.find(*victim->key));
-      evictions_.fetch_add(1, std::memory_order_relaxed);
+    std::vector<uint64_t> ticks;
+    while (OverBudget(*shard) && shard->size > 1) {
+      // The batch's k coldest ticks; ticks are unique per shard, so exactly
+      // k entries are at or below the cutoff, and the touched entry (the
+      // hottest) is not one of them since k < size.
+      const size_t k = std::max<size_t>(1, shard->size / 8);
+      ticks.clear();
+      for (const Meta& m : shard->meta) {
+        if (m.tag != 0) ticks.push_back(m.tick);
+      }
+      std::nth_element(ticks.begin(), ticks.begin() + (k - 1), ticks.end());
+      const uint64_t cutoff = ticks[k - 1];
+      const size_t evicted = shard->EraseWhere(
+          [&](size_t i) { return shard->meta[i].tick <= cutoff; });
+      Bump(&shard->evictions, evicted);
     }
   }
 
@@ -312,10 +422,6 @@ class ShardedLruCache {
   size_t shard_mask_ = 0;
   size_t shard_max_bytes_ = 0;
   size_t shard_max_entries_ = 0;
-  std::atomic<size_t> hits_{0};
-  std::atomic<size_t> misses_{0};
-  std::atomic<size_t> evictions_{0};
-  std::atomic<size_t> invalidations_{0};
 };
 
 }  // namespace pcor

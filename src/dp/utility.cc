@@ -20,6 +20,11 @@ double PopulationSizeUtility::Score(const ContextVec& c,
   return population ? static_cast<double>(*population) : kNegInf;
 }
 
+double PopulationSizeUtility::ScoreMatch(const ContextVec&, uint32_t,
+                                         size_t population) const {
+  return static_cast<double>(population);
+}
+
 OverlapUtility::OverlapUtility(const OutlierVerifier& verifier,
                                const ContextVec& starting_context)
     : verifier_(&verifier),
@@ -28,6 +33,11 @@ OverlapUtility::OverlapUtility(const OutlierVerifier& verifier,
 
 double OverlapUtility::Score(const ContextVec& c, uint32_t v_row) const {
   if (!verifier_->IsOutlierInContext(c, v_row)) return kNegInf;
+  return ScoreMatch(c, v_row, 0);
+}
+
+double OverlapUtility::ScoreMatch(const ContextVec& c, uint32_t,
+                                  size_t) const {
   // Per-thread scratch: Score runs on every probe of every sampler thread,
   // so it must not allocate a fresh |D|-bit population each time.
   thread_local PopulationScratch scratch;

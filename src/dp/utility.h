@@ -23,6 +23,17 @@ class UtilityFunction {
   /// \brief u_V(D, C); -infinity when f_M(D_C, V) is false.
   virtual double Score(const ContextVec& c, uint32_t v_row) const = 0;
 
+  /// \brief u_V(D, C) for a context the caller has already verified:
+  /// f_M(D_C, V) holds and |D_C| = `population`, both from one
+  /// OutlierVerifier::OutlierPopulation lookup. The DP-DFS/BFS samplers
+  /// score every matching neighbour this way, so a utility that needs only
+  /// |D_C| costs no second memo lookup. The default calls Score.
+  virtual double ScoreMatch(const ContextVec& c, uint32_t v_row,
+                            size_t population) const {
+    (void)population;
+    return Score(c, v_row);
+  }
+
   /// \brief Delta-u: max change of Score under one record add/remove.
   virtual double sensitivity() const { return 1.0; }
 };
@@ -36,6 +47,8 @@ class PopulationSizeUtility : public UtilityFunction {
 
   std::string name() const override { return "population_size"; }
   double Score(const ContextVec& c, uint32_t v_row) const override;
+  double ScoreMatch(const ContextVec& c, uint32_t v_row,
+                    size_t population) const override;
 
  private:
   const OutlierVerifier* verifier_;
@@ -51,6 +64,8 @@ class OverlapUtility : public UtilityFunction {
 
   std::string name() const override { return "overlap"; }
   double Score(const ContextVec& c, uint32_t v_row) const override;
+  double ScoreMatch(const ContextVec& c, uint32_t v_row,
+                    size_t population) const override;
 
   const ContextVec& starting_context() const { return starting_context_; }
 

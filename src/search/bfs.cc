@@ -1,5 +1,6 @@
 #include "src/search/bfs.h"
 
+#include <optional>
 #include <unordered_set>
 
 #include "src/dp/mechanism.h"
@@ -11,7 +12,9 @@ Result<SamplerOutcome> BfsSampler::Sample(const SamplerRequest& request,
   const OutlierVerifier& verifier = *request.verifier;
   const size_t t = verifier.index().schema().total_values();
 
-  if (!verifier.IsOutlierInContext(request.start_context, request.v_row)) {
+  const std::optional<size_t> start_population =
+      verifier.OutlierPopulation(request.start_context, request.v_row);
+  if (!start_population) {
     return Status::InvalidArgument(
         "BFS requires a matching starting context C_V");
   }
@@ -25,8 +28,8 @@ Result<SamplerOutcome> BfsSampler::Sample(const SamplerRequest& request,
   // Frontier with cached utility scores, treated as a priority queue whose
   // "pop" is an Exponential-mechanism draw.
   std::vector<ContextVec> frontier{request.start_context};
-  std::vector<double> frontier_scores{
-      request.utility->Score(request.start_context, request.v_row)};
+  std::vector<double> frontier_scores{request.utility->ScoreMatch(
+      request.start_context, request.v_row, *start_population)};
   std::unordered_set<ContextVec, ContextVecHash> seen;  // frontier ∪ visited
   seen.insert(request.start_context);
   std::unordered_set<ContextVec, ContextVecHash> visited;
@@ -50,12 +53,15 @@ Result<SamplerOutcome> BfsSampler::Sample(const SamplerRequest& request,
     for (size_t bit = 0; bit < t; ++bit) {
       neighbor.Flip(bit);
       ++out.probes;
-      if (!seen.count(neighbor) &&
-          verifier.IsOutlierInContext(neighbor, request.v_row)) {
-        seen.insert(neighbor);
-        frontier.push_back(neighbor);
-        frontier_scores.push_back(
-            request.utility->Score(neighbor, request.v_row));
+      // One memo lookup gives both the f_M verdict and |D_C| for the score.
+      if (!seen.count(neighbor)) {
+        if (const std::optional<size_t> population =
+                verifier.OutlierPopulation(neighbor, request.v_row)) {
+          seen.insert(neighbor);
+          frontier.push_back(neighbor);
+          frontier_scores.push_back(request.utility->ScoreMatch(
+              neighbor, request.v_row, *population));
+        }
       }
       neighbor.Flip(bit);
     }

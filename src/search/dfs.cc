@@ -1,5 +1,6 @@
 #include "src/search/dfs.h"
 
+#include <optional>
 #include <unordered_set>
 
 #include "src/dp/mechanism.h"
@@ -42,10 +43,14 @@ Result<SamplerOutcome> DfsSampler::Sample(const SamplerRequest& request,
     for (size_t bit = 0; bit < t; ++bit) {
       neighbor.Flip(bit);
       ++out.probes;
-      if (!visited.count(neighbor) &&
-          verifier.IsOutlierInContext(neighbor, request.v_row)) {
-        children.push_back(neighbor);
-        scores.push_back(request.utility->Score(neighbor, request.v_row));
+      // One memo lookup gives both the f_M verdict and |D_C| for the score.
+      if (!visited.count(neighbor)) {
+        if (const std::optional<size_t> population =
+                verifier.OutlierPopulation(neighbor, request.v_row)) {
+          children.push_back(neighbor);
+          scores.push_back(request.utility->ScoreMatch(
+              neighbor, request.v_row, *population));
+        }
       }
       neighbor.Flip(bit);
     }

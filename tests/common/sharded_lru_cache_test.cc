@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <list>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "src/common/random.h"
 
 namespace pcor {
 namespace {
@@ -213,6 +220,292 @@ TEST(ShardedLruCacheTest, SharedPtrValuesSurviveEviction) {
   EXPECT_EQ(*held, "alpha");
 }
 
+// ---------------------------------------------------------------------------
+// Differential model check against a reference LRU.
+//
+// The cache mixes a key's hash as h = hash * kGolden, takes the shard from
+// h's top bits (48 and up) and the home slot from bits 16 and up. ModelHash
+// inverts that multiply so each key states its own shard and home slot:
+// most keys crowd the last two slots and the first two of the table, at
+// every capacity, so probe chains wrap around the end and erasures
+// backward-shift entries across the wrap.
+
+constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+
+constexpr uint64_t InverseMod64(uint64_t a) {
+  uint64_t x = a;  // Newton: each step doubles the correct low bits
+  for (int i = 0; i < 6; ++i) x *= 2 - a * x;
+  return x;
+}
+static_assert(kGolden * InverseMod64(kGolden) == 1);
+
+struct ModelKey {
+  uint32_t id = 0;
+  bool operator==(const ModelKey& other) const { return id == other.id; }
+};
+
+uint32_t ModelHome(uint32_t id) {
+  // All-ones low bits land on the last slot whatever the capacity.
+  static constexpr uint32_t kHomes[] = {0x7fffffff, 0x7ffffffe, 0, 1};
+  return id % 5 < 4 ? kHomes[id % 5] : id * 2654435761u;
+}
+
+struct ModelHash {
+  size_t operator()(const ModelKey& key) const {
+    const uint64_t mixed = (uint64_t{key.id % 4} << 48) |
+                           (uint64_t{ModelHome(key.id) & 0x7fffffff} << 16) |
+                           (key.id & 0xffff);
+    return static_cast<size_t>(mixed * InverseMod64(kGolden));
+  }
+};
+
+// The reference: per shard, a recency list (front = most recent) and a map
+// from key to its value, charge and list position. Budgets are sliced per
+// shard as the cache does; over budget, the coldest max(1, size/8) entries
+// go per round, never the entry just touched.
+class ReferenceLru {
+ public:
+  ReferenceLru(size_t num_shards, size_t shard_max_bytes,
+               size_t shard_max_entries, bool wholesale, size_t overhead)
+      : shards_(num_shards),
+        max_bytes_(shard_max_bytes),
+        max_entries_(shard_max_entries),
+        wholesale_(wholesale),
+        overhead_(overhead) {}
+
+  std::optional<int> Get(uint32_t id) {
+    Shard& shard = ShardOf(id);
+    auto it = shard.map.find(id);
+    if (it == shard.map.end()) {
+      ++stats_.misses;
+      return std::nullopt;
+    }
+    ++stats_.hits;
+    shard.order.splice(shard.order.begin(), shard.order, it->second.pos);
+    return it->second.value;
+  }
+
+  void Put(uint32_t id, int value, size_t cost) {
+    Shard& shard = ShardOf(id);
+    auto it = shard.map.find(id);
+    if (it != shard.map.end()) {
+      shard.bytes -= it->second.charge;
+      shard.order.erase(it->second.pos);
+      shard.map.erase(it);
+    }
+    shard.order.push_front(id);
+    shard.map[id] = Entry{value, cost + overhead_, shard.order.begin()};
+    shard.bytes += cost + overhead_;
+    while (OverBudget(shard) && shard.map.size() > 1) {
+      size_t k = std::max<size_t>(1, shard.map.size() / 8);
+      if (wholesale_) k = shard.map.size() - 1;
+      largest_batch_ = std::max(largest_batch_, k);
+      for (size_t i = 0; i < k; ++i) {
+        const uint32_t victim = shard.order.back();
+        shard.order.pop_back();
+        shard.bytes -= shard.map[victim].charge;
+        shard.map.erase(victim);
+        ++stats_.evictions;
+      }
+    }
+  }
+
+  template <typename Pred>
+  size_t EraseIf(Pred pred) {
+    size_t erased = 0;
+    for (Shard& shard : shards_) {
+      for (auto it = shard.map.begin(); it != shard.map.end();) {
+        if (pred(it->first)) {
+          shard.bytes -= it->second.charge;
+          shard.order.erase(it->second.pos);
+          it = shard.map.erase(it);
+          ++erased;
+        } else {
+          ++it;
+        }
+      }
+    }
+    stats_.invalidations += erased;
+    return erased;
+  }
+
+  void Clear() {
+    for (Shard& shard : shards_) {
+      shard.map.clear();
+      shard.order.clear();
+      shard.bytes = 0;
+    }
+  }
+
+  LruCacheStats Stats() const {
+    LruCacheStats stats = stats_;
+    for (const Shard& shard : shards_) {
+      stats.resident_bytes += shard.bytes;
+      stats.resident_entries += shard.map.size();
+    }
+    return stats;
+  }
+
+  size_t largest_batch() const { return largest_batch_; }
+
+  std::set<uint32_t> Keys() const {
+    std::set<uint32_t> keys;
+    for (const Shard& shard : shards_) {
+      for (const auto& [id, entry] : shard.map) keys.insert(id);
+    }
+    return keys;
+  }
+
+ private:
+  struct Entry {
+    int value;
+    size_t charge;
+    std::list<uint32_t>::iterator pos;
+  };
+  struct Shard {
+    std::list<uint32_t> order;
+    std::map<uint32_t, Entry> map;
+    size_t bytes = 0;
+  };
+
+  Shard& ShardOf(uint32_t id) { return shards_[id % 4 % shards_.size()]; }
+
+  bool OverBudget(const Shard& shard) const {
+    return (max_bytes_ != 0 && shard.bytes > max_bytes_) ||
+           (max_entries_ != 0 && shard.map.size() > max_entries_);
+  }
+
+  std::vector<Shard> shards_;
+  size_t max_bytes_, max_entries_;
+  bool wholesale_;
+  size_t overhead_;
+  size_t largest_batch_ = 0;
+  LruCacheStats stats_;
+};
+
+using ModelCache = ShardedLruCache<ModelKey, int, ModelHash>;
+
+size_t EntryOverhead() {
+  // The per-entry bookkeeping charge, read off an empty cache.
+  ModelCache cache(SingleShard(/*max_bytes=*/0));
+  cache.Put(ModelKey{0}, 0, 0);
+  return cache.Stats().resident_bytes;
+}
+
+void ExpectSameState(ModelCache& cache, const ReferenceLru& reference) {
+  const LruCacheStats got = cache.Stats();
+  const LruCacheStats want = reference.Stats();
+  ASSERT_EQ(got.hits, want.hits);
+  ASSERT_EQ(got.misses, want.misses);
+  ASSERT_EQ(got.evictions, want.evictions);
+  ASSERT_EQ(got.invalidations, want.invalidations);
+  ASSERT_EQ(got.resident_entries, want.resident_entries);
+  ASSERT_EQ(got.resident_bytes, want.resident_bytes);
+  // A sweep that erases nothing lists the resident keys without touching
+  // their recency or the counters.
+  std::set<uint32_t> resident;
+  const size_t erased = cache.EraseIf([&](const ModelKey& key) {
+    EXPECT_TRUE(resident.insert(key.id).second) << key.id << " seen twice";
+    return false;
+  });
+  ASSERT_EQ(erased, 0u);
+  ASSERT_EQ(resident, reference.Keys());
+}
+
+struct ModelConfig {
+  size_t num_shards;
+  size_t max_bytes;  // 0 = unbounded, as in LruCacheOptions
+  size_t max_entries;
+  bool wholesale;
+  uint32_t key_space;
+};
+
+TEST(ShardedLruCacheTest, MatchesReferenceLruUnderRandomOperations) {
+  const size_t overhead = EntryOverhead();
+  const size_t typical = overhead + 100;
+  std::vector<ModelConfig> configs;
+  // Unbounded: the tables grow.
+  configs.push_back({1, 0, 0, false, 96});
+  configs.push_back({4, 0, 0, false, 160});
+  // Entry budgets; the larger ones evict batches of up to 5.
+  configs.push_back({1, 0, 11, false, 40});
+  configs.push_back({4, 0, 24, false, 60});
+  configs.push_back({1, 0, 40, false, 96});
+  configs.push_back({4, 0, 64, false, 240});
+  // Byte budgets, then both budgets at once.
+  configs.push_back({1, 7 * typical, 0, false, 40});
+  configs.push_back({4, 24 * typical, 0, false, 60});
+  configs.push_back({1, 40 * typical, 0, false, 96});
+  configs.push_back({1, 9 * typical, 13, false, 40});
+  // Wholesale clear.
+  configs.push_back({1, 0, 9, true, 40});
+  configs.push_back({4, 16 * typical, 0, true, 60});
+  for (size_t c = 0; c < configs.size(); ++c) {
+    const ModelConfig& config = configs[c];
+    LruCacheOptions options;
+    options.num_shards = config.num_shards;
+    options.max_bytes = config.max_bytes;
+    options.max_entries = config.max_entries;
+    options.wholesale_clear = config.wholesale;
+    ModelCache cache(options);
+    const size_t n = config.num_shards;
+    const size_t shard_bytes = (config.max_bytes + n - 1) / n;
+    const size_t shard_entries = (config.max_entries + n - 1) / n;
+    ReferenceLru reference(n, shard_bytes, shard_entries, config.wholesale,
+                           overhead);
+    Rng rng(1000 + c);
+    for (int op = 0; op < 4000; ++op) {
+      const uint32_t id =
+          static_cast<uint32_t>(rng.NextBounded(config.key_space));
+      const uint64_t kind = rng.NextBounded(1000);
+      SCOPED_TRACE(::testing::Message() << "config " << c << " op " << op);
+      if (kind < 450) {
+        const int value = static_cast<int>(rng.NextBounded(1'000'000));
+        const size_t cost = 50 + rng.NextBounded(101);
+        cache.Put(ModelKey{id}, value, cost);
+        reference.Put(id, value, cost);
+      } else if (kind < 700) {
+        int value = -1;
+        const bool hit = cache.Get(ModelKey{id}, &value);
+        const std::optional<int> want = reference.Get(id);
+        ASSERT_EQ(hit, want.has_value());
+        if (hit) {
+          ASSERT_EQ(value, *want);
+        }
+      } else if (kind < 950) {
+        int seen = -1;
+        const bool hit =
+            cache.Visit(ModelKey{id}, [&](const int& v) { seen = v; });
+        const std::optional<int> want = reference.Get(id);
+        ASSERT_EQ(hit, want.has_value());
+        if (hit) {
+          ASSERT_EQ(seen, *want);
+        }
+      } else if (kind < 998) {
+        const uint32_t modulus = 2 + static_cast<uint32_t>(rng.NextBounded(5));
+        const uint32_t residue = id % modulus;
+        auto pred = [&](uint32_t key) { return key % modulus == residue; };
+        const size_t got =
+            cache.EraseIf([&](const ModelKey& key) { return pred(key.id); });
+        ASSERT_EQ(got, reference.EraseIf(pred));
+      } else {
+        cache.Clear();
+        reference.Clear();
+      }
+      ExpectSameState(cache, reference);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // Every budget binds, and the larger ones evict in batches.
+    const bool budgeted = config.max_bytes != 0 || config.max_entries != 0;
+    EXPECT_EQ(cache.Stats().evictions > 0, budgeted) << "config " << c;
+    const size_t entries_per_shard =
+        std::max(config.max_bytes / typical, config.max_entries) / n;
+    if (budgeted && !config.wholesale && entries_per_shard >= 16) {
+      EXPECT_GE(reference.largest_batch(), 2u) << "config " << c;
+    }
+  }
+}
+
 TEST(ShardedLruCacheTest, ConcurrentHammerKeepsValuesConsistent) {
   // 8 threads × mixed Get/Put over a small key space with a budget tight
   // enough to evict constantly. Values are a pure function of the key, so
@@ -247,6 +540,51 @@ TEST(ShardedLruCacheTest, ConcurrentHammerKeepsValuesConsistent) {
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<size_t>(8) * kOpsPerThread);
+
+  // Again from an empty, unbounded cache over a wider key space: every
+  // shard's table grows while readers Visit it and a sweeper keeps erasing
+  // a rotating residue class (backward shifts under the same locks).
+  LruCacheOptions unbounded;
+  unbounded.num_shards = 4;
+  unbounded.max_bytes = 0;
+  ShardedLruCache<int, int> growing(unbounded);
+  constexpr int kGrowKeys = 4096;
+  std::atomic<bool> done{false};
+  std::thread sweeper([&] {
+    for (int round = 0; !done.load(std::memory_order_relaxed); ++round) {
+      growing.EraseIf([round](int key) { return key % 7 == round % 7; });
+    }
+  });
+  threads.clear();
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      uint64_t state = 0x2545f4914f6cdd1dULL * (t + 1);
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        const int key = static_cast<int>((state >> 33) % kGrowKeys);
+        const bool hit = growing.Visit(key, [&](const int& value) {
+          if (value != key * 3) bad.fetch_add(1);
+        });
+        if (!hit) growing.Put(key, key * 3, 8);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  done.store(true, std::memory_order_relaxed);
+  sweeper.join();
+  EXPECT_EQ(bad.load(), 0);
+  const LruCacheStats grown = growing.Stats();
+  EXPECT_EQ(grown.hits + grown.misses,
+            static_cast<size_t>(4) * kOpsPerThread);
+  EXPECT_EQ(grown.evictions, 0u);
+  EXPECT_LE(grown.resident_entries, static_cast<size_t>(kGrowKeys));
+  // Whatever survived the sweeps is still served with its own value.
+  for (int key = 0; key < kGrowKeys; ++key) {
+    int value = -1;
+    if (growing.Get(key, &value)) {
+      EXPECT_EQ(value, key * 3) << key;
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_set>
+
 #include "src/context/coe.h"
 #include "src/context/starting_context.h"
 #include "src/search/bfs.h"
@@ -216,6 +219,120 @@ TEST_F(SamplersTest, BfsPrefersLargePopulationsMoreThanRandomWalk) {
     bfs_avg += bsum / b->samples.size();
   }
   EXPECT_GE(bfs_avg, rwalk_avg * 0.9);
+}
+
+// Memo lookups (hits plus misses) the verifier served while `fn` ran.
+template <typename Fn>
+size_t MemoLookupsDuring(const OutlierVerifier& verifier, Fn fn) {
+  const VerifierStats before = verifier.Stats();
+  fn();
+  const VerifierStats after = verifier.Stats();
+  return (after.cache_hits + after.cache_misses) -
+         (before.cache_hits + before.cache_misses);
+}
+
+TEST_F(SamplersTest, BfsMakesOneMemoLookupPerUnseenNeighbourContainingV) {
+  // The f_M verdict and |D_C| come from one OutlierPopulation lookup, and
+  // the score is taken from it: one lookup for C_V, then one per unseen
+  // neighbour that contains V (the others fail the row precheck).
+  BfsSampler sampler;
+  for (uint64_t seed : {21, 22, 23}) {
+    const SamplerRequest request = MakeRequest(8);
+    {
+      Rng warm(seed);
+      ASSERT_TRUE(sampler.Sample(request, &warm).ok());
+    }
+    Rng rng(seed);
+    Result<SamplerOutcome> outcome = Status::Internal("not run");
+    const size_t misses_before = verifier_.Stats().cache_misses;
+    const size_t lookups = MemoLookupsDuring(
+        verifier_, [&] { outcome = sampler.Sample(request, &rng); });
+    ASSERT_TRUE(outcome.ok());
+    EXPECT_EQ(verifier_.Stats().cache_misses, misses_before);  // warm
+
+    // Replay the expansion order from the samples: BFS expands every
+    // context it visits, and `seen` grows by the matching neighbours.
+    std::unordered_set<ContextVec, ContextVecHash> seen{start_};
+    size_t expected = 1;  // C_V's verdict and score
+    size_t matches = 0;
+    for (const ContextVec& current : outcome->samples) {
+      ContextVec neighbor = current;
+      for (size_t bit = 0; bit < neighbor.num_bits(); ++bit) {
+        neighbor.Flip(bit);
+        if (!seen.count(neighbor) &&
+            index_.ContextContainsRow(neighbor, grid_.v_row)) {
+          ++expected;
+          if (verifier_.IsOutlierInContext(neighbor, grid_.v_row)) {
+            seen.insert(neighbor);
+            ++matches;
+          }
+        }
+        neighbor.Flip(bit);
+      }
+    }
+    EXPECT_GT(matches, 0u) << "seed " << seed;
+    EXPECT_EQ(lookups, expected) << "seed " << seed;
+  }
+}
+
+TEST_F(SamplersTest, DfsMakesOneMemoLookupPerUnseenNeighbourContainingV) {
+  DfsSampler sampler;
+  for (uint64_t seed : {31, 32, 33}) {
+    const SamplerRequest request = MakeRequest(8);
+    {
+      Rng warm(seed);
+      ASSERT_TRUE(sampler.Sample(request, &warm).ok());
+    }
+    Rng rng(seed);
+    Result<SamplerOutcome> outcome = Status::Internal("not run");
+    const size_t misses_before = verifier_.Stats().cache_misses;
+    const size_t lookups = MemoLookupsDuring(
+        verifier_, [&] { outcome = sampler.Sample(request, &rng); });
+    ASSERT_TRUE(outcome.ok());
+    EXPECT_EQ(verifier_.Stats().cache_misses, misses_before);  // warm
+
+    // Replay the walk: the stack top is expanded each round, popped when
+    // it has no unvisited matching neighbour, and otherwise the next
+    // sample (one of those neighbours) is pushed.
+    const std::vector<ContextVec>& samples = outcome->samples;
+    std::unordered_set<ContextVec, ContextVecHash> visited;
+    std::vector<ContextVec> stack{start_};
+    size_t expected = 1;  // C_V's own check
+    size_t next = 1;
+    size_t matches = 0;
+    while (visited.size() < request.num_samples && !stack.empty()) {
+      const ContextVec current = stack.back();
+      visited.insert(current);
+      std::vector<ContextVec> children;
+      ContextVec neighbor = current;
+      for (size_t bit = 0; bit < neighbor.num_bits(); ++bit) {
+        neighbor.Flip(bit);
+        if (!visited.count(neighbor) &&
+            index_.ContextContainsRow(neighbor, grid_.v_row)) {
+          ++expected;
+          if (verifier_.IsOutlierInContext(neighbor, grid_.v_row)) {
+            children.push_back(neighbor);
+            ++matches;
+          }
+        }
+        neighbor.Flip(bit);
+      }
+      if (children.empty()) {
+        stack.pop_back();
+        continue;
+      }
+      // With n contexts visited, the last push is never visited.
+      if (visited.size() == request.num_samples) break;
+      ASSERT_LT(next, samples.size()) << "seed " << seed;
+      const auto child =
+          std::find(children.begin(), children.end(), samples[next]);
+      ASSERT_NE(child, children.end()) << "seed " << seed;
+      stack.push_back(samples[next++]);
+    }
+    EXPECT_EQ(next, samples.size()) << "seed " << seed;
+    EXPECT_GT(matches, 0u) << "seed " << seed;
+    EXPECT_EQ(lookups, expected) << "seed " << seed;
+  }
 }
 
 }  // namespace
