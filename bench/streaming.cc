@@ -7,8 +7,9 @@
 //     periodic incremental (segmented) seals — the honest cost of the
 //     default seal path (see docs/streaming.md).
 //   * `streaming_release` — T = PCOR_STREAM_RELEASES continual releases
-//     against the sealed tip via ReleaseAsOfNow, reporting releases/s,
-//     the memo invalidation count and the stream's epsilon spent.
+//     against the sealed tip via Pin()->engine->Release, each charged its
+//     total_epsilon to a BudgetAccountant first, reporting releases/s,
+//     the memo invalidation count and the ledger's epsilon spent.
 //   * `streaming_seal` — seals/s at PCOR_STREAM_SEAL_EPOCHS (default 64)
 //     evenly-sized epochs, segmented (default compaction) vs copy-on-seal
 //     (CompactionOptions::max_segments = 1), timing SealEpoch calls only;
@@ -24,11 +25,11 @@
 //   * NEVER RELAXED: both seal modes release bit-identically from their
 //     tips under the same seed — the segment layout may never move an
 //     answer;
-//   * NEVER RELAXED: the stream's StreamingStats::epsilon_spent equals the
-//     sum of the releases' own epsilon_spent to within summation ulp —
-//     releases compose sequentially, and the engine must charge every one
-//     in full. Only the seals/s bar is timing; the equivalence and
-//     arithmetic bars always hold.
+//   * NEVER RELAXED: the ledger's TotalSpent() equals the sum of the
+//     releases' own epsilon_spent to within summation ulp — what admission
+//     charges (total_epsilon) must be what the Epsilon1ForTotal /
+//     TotalForEpsilon1 schedule reports as spent. Only the seals/s bar is
+//     timing; the equivalence and arithmetic bars always hold.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -39,6 +40,7 @@
 #include "src/common/simd.h"
 #include "src/common/timer.h"
 #include "src/search/streaming.h"
+#include "src/serve/budget_accountant.h"
 
 using namespace pcor;
 using namespace pcor::bench;
@@ -106,14 +108,18 @@ int main() {
       static_cast<unsigned long long>(final_epoch),
       simd::ActiveBackendName()));
 
-  // Phase 2: continual releases against the sealed tip.
+  // Phase 2: continual releases against the sealed tip. Each is charged
+  // its total_epsilon before it runs, and the charge is kept if it fails,
+  // as a streaming PcorServer charges at admission.
+  BudgetAccountant ledger;
   WallTimer release_timer;
   size_t failures = 0;
   double eps_sum = 0.0;
   for (size_t t = 0; t < releases_target; ++t) {
     const uint32_t v_row = setup->outliers[t % setup->outliers.size()];
+    ledger.Charge("owner", release.total_epsilon).CheckOK();
     Rng rng(env.seed + t);
-    auto released = stream.ReleaseAsOfNow(v_row, release, &rng);
+    auto released = stream.Pin()->engine->Release(v_row, release, &rng);
     if (!released.ok()) {
       ++failures;
       continue;
@@ -122,15 +128,16 @@ int main() {
   }
   const double release_wall = release_timer.ElapsedSeconds();
   const StreamingStats stats = stream.stats();
+  const size_t releases = releases_target - failures;
+  const double spent = ledger.TotalSpent();
   const double releases_per_s =
-      static_cast<double>(stats.releases) / std::max(release_wall, 1e-9);
+      static_cast<double>(releases) / std::max(release_wall, 1e-9);
   report::SectionHeader(
       "continual release (as-of-now, sequentially composed)");
-  std::printf("%llu releases in %.3fs (%.1f releases/s), %zu failures, "
+  std::printf("%zu releases in %.3fs (%.1f releases/s), %zu failures, "
               "%zu memo invalidations across seals, epsilon spent %.4f\n",
-              static_cast<unsigned long long>(stats.releases), release_wall,
-              releases_per_s, failures, stats.cache_invalidations,
-              stats.epsilon_spent);
+              releases, release_wall, releases_per_s, failures,
+              stats.cache_invalidations, spent);
   if (failures != 0) {
     std::printf("ERROR: %zu continual releases failed (planted outliers "
                 "must verify at the tip epoch)\n",
@@ -138,24 +145,24 @@ int main() {
     ok = false;
   }
   // Never relaxed: both sides add the same releases in the same order, so
-  // anything beyond summation ulp is a lost or discounted charge.
-  const double ulp_bound = static_cast<double>(stats.releases) *
+  // anything beyond summation ulp is a charge that differs from what the
+  // release reports as spent (or a release that failed and kept its charge).
+  const double ulp_bound = static_cast<double>(releases) *
                            std::numeric_limits<double>::epsilon() * eps_sum;
-  if (std::fabs(stats.epsilon_spent - eps_sum) > ulp_bound) {
-    std::printf("ERROR: stream epsilon_spent %.12f != sum of release "
-                "epsilons %.12f (never relaxed)\n",
-                stats.epsilon_spent, eps_sum);
+  if (std::fabs(spent - eps_sum) > ulp_bound) {
+    std::printf("ERROR: charged epsilon %.12f != sum of release epsilons "
+                "%.12f (never relaxed)\n",
+                spent, eps_sum);
     ok = false;
   }
   emitter.Emit(strings::Format(
-      "{\"bench\":\"streaming_release\",\"releases\":%llu,\"failures\":%zu,"
+      "{\"bench\":\"streaming_release\",\"releases\":%zu,\"failures\":%zu,"
       "\"wall_s\":%.6f,\"releases_per_s\":%.2f,\"epoch\":%llu,"
       "\"cache_invalidations\":%zu,\"epsilon_spent\":%.4f,"
       "\"kernel_backend\":\"%s\"}",
-      static_cast<unsigned long long>(stats.releases), failures, release_wall,
-      releases_per_s, static_cast<unsigned long long>(stats.epoch),
-      stats.cache_invalidations, stats.epsilon_spent,
-      simd::ActiveBackendName()));
+      releases, failures, release_wall, releases_per_s,
+      static_cast<unsigned long long>(stats.epoch), stats.cache_invalidations,
+      spent, simd::ActiveBackendName()));
 
   // Phase 3: seal cost, segmented vs copy-on-seal. Same rows, same epoch
   // boundaries, same everything except the compaction policy's

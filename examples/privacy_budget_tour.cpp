@@ -11,6 +11,7 @@
 #include "src/exp/workloads.h"
 #include "src/outlier/iqr.h"
 #include "src/search/pcor.h"
+#include "src/serve/budget_accountant.h"
 
 using namespace pcor;
 
@@ -53,36 +54,41 @@ int main() {
   auto outliers = SelectQueryOutliers(
       engine.verifier(), workload->data.planted_outlier_rows, 3, &rng);
 
-  PrivacyAccountant accountant(/*budget=*/0.5);
+  // One ledger entry for the data owner. A release is charged before it
+  // runs and keeps its charge if it fails, as in the serving front-end.
+  BudgetAccountant budget(/*per_client_cap=*/0.5);
+  const char* const kOwner = "owner";
+  size_t charged = 0;
   PcorOptions options;
   options.sampler = SamplerKind::kBfs;
   options.num_samples = 20;
   options.total_epsilon = 0.2;
   for (uint32_t row : outliers) {
-    if (!accountant.CanAfford(options.total_epsilon)) {
+    const Status admitted = budget.Charge(kOwner, options.total_epsilon);
+    if (admitted.IsPrivacyBudgetExceeded()) {
       std::printf("budget exhausted after %zu releases — refusing more.\n",
-                  accountant.releases());
+                  charged);
       break;
     }
+    admitted.CheckOK();
+    ++charged;
     auto release = engine.Release(row, options, &rng);
     if (!release.ok()) continue;
-    accountant.Charge(release->epsilon_spent).CheckOK();
     std::printf("released |D_C| = %.0f for row %u (spent %.2f / %.2f)\n",
-                release->utility_score, row, accountant.spent(),
-                accountant.budget());
+                release->utility_score, row, budget.SpentBy(kOwner),
+                budget.cap());
   }
 
   std::printf("\n== 4. Composing with a Laplace count release ==\n");
-  if (accountant.CanAfford(0.1)) {
+  if (budget.Charge(kOwner, 0.1).ok()) {
+    ++charged;
     LaplaceMechanism laplace(/*epsilon=*/0.1, /*sensitivity=*/1.0);
     const size_t true_count = workload->data.dataset.num_rows();
     const double noisy = laplace.NoisyCount(true_count, &rng);
-    accountant.Charge(0.1).CheckOK();
     std::printf("noisy dataset size: %.0f (true %zu), eps 0.1 charged\n",
                 noisy, true_count);
   }
   std::printf("final budget: %.2f spent of %.2f across %zu releases\n",
-              accountant.spent(), accountant.budget(),
-              accountant.releases());
+              budget.SpentBy(kOwner), budget.cap(), charged);
   return 0;
 }

@@ -8,6 +8,7 @@
 
 #include "src/outlier/zscore.h"
 #include "src/search/pcor.h"
+#include "src/serve/budget_accountant.h"
 
 using namespace pcor;
 
@@ -66,13 +67,20 @@ int main() {
   ZscoreDetector detector(zopts);
   PcorEngine engine(dataset, detector);
 
-  // 4. One private release: BFS sampling (the paper's final choice),
+  // 4. The owner's privacy budget. Releases compose sequentially, so each
+  //    is charged its total epsilon before it runs, and the charge stays
+  //    even if the release fails, as in the serving front-end.
+  BudgetAccountant budget(/*per_client_cap=*/0.5);
+  const char* const kOwner = "owner";
+
+  // 5. One private release: BFS sampling (the paper's final choice),
   //    population-size utility, total OCDP budget eps = 0.2.
   PcorOptions options;
   options.sampler = SamplerKind::kBfs;
   options.num_samples = 20;
   options.total_epsilon = 0.2;
 
+  budget.Charge(kOwner, options.total_epsilon).CheckOK();
   Rng rng(2021);
   auto release = engine.Release(v_row, options, &rng);
   if (!release.ok()) {
@@ -88,12 +96,10 @@ int main() {
   std::printf("candidates sampled: %zu, detector runs: %zu\n",
               release->num_candidates, release->f_evaluations);
 
-  // 5. Composition: a second release for the same dataset must fit in the
-  //    owner's total budget.
-  PrivacyAccountant accountant(/*budget=*/0.5);
-  accountant.Charge(release->epsilon_spent).CheckOK();
-  std::printf("privacy budget: spent %.2f of %.2f (%.2f left)\n",
-              accountant.spent(), accountant.budget(),
-              accountant.remaining());
+  // 6. Composition: a second release for the same dataset must fit in
+  //    what is left of the owner's budget.
+  const double spent = budget.SpentBy(kOwner);
+  std::printf("privacy budget: spent %.2f of %.2f (%.2f left)\n", spent,
+              budget.cap(), budget.cap() - spent);
   return 0;
 }

@@ -11,6 +11,7 @@
 #include "src/exp/workloads.h"
 #include "src/outlier/lof.h"
 #include "src/search/pcor.h"
+#include "src/serve/budget_accountant.h"
 
 using namespace pcor;
 
@@ -46,26 +47,33 @@ int main(int argc, char** argv) {
   options.num_samples = 30;
   options.total_epsilon = 0.2;
 
-  PrivacyAccountant accountant(/*budget=*/1.0);
+  // Each release is charged before it runs; a failed release keeps its
+  // charge, because its status still tells something about the data.
+  BudgetAccountant budget(/*per_client_cap=*/1.0);
+  const char* const kOwner = "owner";
+  size_t released = 0;
   for (uint32_t row : outliers) {
-    if (!accountant.CanAfford(options.total_epsilon)) {
+    const Status charged = budget.Charge(kOwner, options.total_epsilon);
+    if (charged.IsPrivacyBudgetExceeded()) {
       std::printf("privacy budget exhausted; stopping releases.\n");
       break;
     }
+    charged.CheckOK();
     auto release = engine.Release(row, options, &rng);
     if (!release.ok()) {
       std::printf("row %u: %s\n", row, release.status().ToString().c_str());
       continue;
     }
-    accountant.Charge(release->epsilon_spent).CheckOK();
+    ++released;
     std::printf("outlier: %s\n", dataset.DescribeRow(row).c_str());
     std::printf("  context : %s\n", release->description.c_str());
     std::printf("  |D_C|   : %.0f of %zu records\n", release->utility_score,
                 dataset.num_rows());
     std::printf("  privacy : eps %.3g spent, %.3g budget left\n\n",
-                release->epsilon_spent, accountant.remaining());
+                release->epsilon_spent,
+                budget.cap() - budget.SpentBy(kOwner));
   }
-  std::printf("total releases: %zu, total epsilon: %.3g\n",
-              accountant.releases(), accountant.spent());
+  std::printf("total releases: %zu, total epsilon: %.3g\n", released,
+              budget.SpentBy(kOwner));
   return 0;
 }

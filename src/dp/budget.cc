@@ -1,7 +1,6 @@
 #include "src/dp/budget.h"
 
 #include "src/common/logging.h"
-#include "src/common/string_util.h"
 
 namespace pcor {
 
@@ -19,15 +18,6 @@ std::string SamplerKindName(SamplerKind kind) {
       return "bfs";
   }
   return "unknown";
-}
-
-Result<SamplerKind> SamplerKindFromName(const std::string& name) {
-  if (name == "direct") return SamplerKind::kDirect;
-  if (name == "uniform") return SamplerKind::kUniform;
-  if (name == "random_walk" || name == "rwalk") return SamplerKind::kRandomWalk;
-  if (name == "dfs") return SamplerKind::kDfs;
-  if (name == "bfs") return SamplerKind::kBfs;
-  return Status::NotFound("no sampler named '" + name + "'");
 }
 
 double Epsilon1ForTotal(SamplerKind kind, double total_epsilon,
@@ -59,28 +49,6 @@ double TotalForEpsilon1(SamplerKind kind, double epsilon1,
       return (2.0 * static_cast<double>(num_samples) + 2.0) * epsilon1;
   }
   return 2.0 * epsilon1;
-}
-
-PrivacyAccountant::PrivacyAccountant(double budget) : budget_(budget) {
-  PCOR_CHECK(budget > 0) << "privacy budget must be positive";
-}
-
-Status PrivacyAccountant::Charge(double epsilon) {
-  if (epsilon <= 0) {
-    return Status::InvalidArgument("charged epsilon must be positive");
-  }
-  if (!CanAfford(epsilon)) {
-    return Status::PrivacyBudgetExceeded(strings::Format(
-        "charge %.6g exceeds remaining budget %.6g", epsilon, remaining()));
-  }
-  spent_ += epsilon;
-  ++releases_;
-  return Status::OK();
-}
-
-bool PrivacyAccountant::CanAfford(double epsilon) const {
-  // Tolerate tiny floating error so budget==sum-of-charges works exactly.
-  return spent_ + epsilon <= budget_ * (1.0 + 1e-12) + 1e-15;
 }
 
 }  // namespace pcor

@@ -1,8 +1,7 @@
 #pragma once
 
+#include <cstddef>
 #include <string>
-
-#include "src/common/result.h"
 
 namespace pcor {
 
@@ -16,7 +15,6 @@ enum class SamplerKind {
 };
 
 std::string SamplerKindName(SamplerKind kind);
-Result<SamplerKind> SamplerKindFromName(const std::string& name);
 
 /// \brief OCDP budget accounting for each algorithm.
 ///
@@ -31,29 +29,5 @@ double Epsilon1ForTotal(SamplerKind kind, double total_epsilon,
                         size_t num_samples);
 double TotalForEpsilon1(SamplerKind kind, double epsilon1,
                         size_t num_samples);
-
-/// \brief Tracks cumulative privacy spend across multiple releases against
-/// a fixed budget (sequential composition).
-class PrivacyAccountant {
- public:
-  explicit PrivacyAccountant(double budget);
-
-  /// \brief Records a release costing `epsilon`; fails (and records
-  /// nothing) if it would exceed the budget.
-  Status Charge(double epsilon);
-
-  /// \brief True when a release costing `epsilon` would still fit.
-  bool CanAfford(double epsilon) const;
-
-  double budget() const { return budget_; }
-  double spent() const { return spent_; }
-  double remaining() const { return budget_ - spent_; }
-  size_t releases() const { return releases_; }
-
- private:
-  double budget_;
-  double spent_ = 0.0;
-  size_t releases_ = 0;
-};
 
 }  // namespace pcor

@@ -73,10 +73,10 @@ struct PcorRelease {
   /// row count; under continual release it identifies which snapshot the
   /// release was pinned to (see src/search/streaming.h).
   uint64_t epoch = 0;
-  /// Continual-release metadata, zero outside streaming mode: the 1-based
-  /// position of this release in its stream (the engine's charge order,
-  /// or the tenant's submission order on a served stream). A streamed
-  /// release costs its epsilon_spent, exactly like a classic one.
+  /// Continual-release metadata, zero unless a streaming PcorServer served
+  /// this release: the tenant's 1-based submission position, stamped by
+  /// the server, which also charges the release at admission exactly like
+  /// a classic one.
   uint64_t stream_release_index = 0;
 };
 

@@ -77,7 +77,7 @@ StreamingPcorEngine::StreamingPcorEngine(Schema schema,
       memo_(std::make_shared<VerifierMemo>(options.verifier)),
       pool_(std::make_shared<ThreadPool>(DefaultThreadCount())) {
   // Epoch 0: an empty sealed view — no segments, no probe, no engine.
-  // Pin() is still total; releases fail with kFailedPrecondition.
+  // Pin() is still total; its engine is null until the first seal.
   snapshot_ = std::make_shared<EpochSnapshot>();
 }
 
@@ -182,50 +182,6 @@ std::shared_ptr<const EpochSnapshot> StreamingPcorEngine::Pin() const {
   return snapshot_;
 }
 
-void StreamingPcorEngine::Charge(PcorRelease* release) {
-  std::lock_guard<std::mutex> lock(mu_);
-  release->stream_release_index = ++releases_;
-  epsilon_spent_ += release->epsilon_spent;
-}
-
-Result<PcorRelease> StreamingPcorEngine::ReleaseAsOfNow(
-    uint32_t v_row, const PcorOptions& options, Rng* rng) {
-  const std::shared_ptr<const EpochSnapshot> snapshot = Pin();
-  if (snapshot->engine == nullptr) {
-    return Status::FailedPrecondition(
-        "no sealed epoch yet: Append rows and SealEpoch before releasing");
-  }
-  PCOR_ASSIGN_OR_RETURN(PcorRelease release,
-                        snapshot->engine->Release(v_row, options, rng));
-  Charge(&release);
-  return release;
-}
-
-BatchReleaseReport StreamingPcorEngine::ReleaseBatchAsOfNow(
-    std::span<const BatchRequest> requests, const PcorOptions& options,
-    uint64_t seed, size_t num_threads) {
-  const std::shared_ptr<const EpochSnapshot> snapshot = Pin();
-  if (snapshot->engine == nullptr) {
-    BatchReleaseReport report;
-    report.entries.resize(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-      report.entries[i].v_row = requests[i].v_row;
-      report.entries[i].status = Status::FailedPrecondition(
-          "no sealed epoch yet: Append rows and SealEpoch before releasing");
-    }
-    report.failures = requests.size();
-    return report;
-  }
-  BatchReleaseReport report =
-      snapshot->engine->ReleaseBatch(requests, options, seed, num_threads);
-  // Charge in entry order, after the parallel section: stream positions
-  // are identical for any thread count.
-  for (BatchEntry& entry : report.entries) {
-    if (entry.status.ok()) Charge(&entry.release);
-  }
-  return report;
-}
-
 uint64_t StreamingPcorEngine::current_epoch() const {
   std::lock_guard<std::mutex> lock(mu_);
   return snapshot_->epoch;
@@ -245,8 +201,6 @@ StreamingStats StreamingPcorEngine::stats() const {
     stats.appends = appends_;
     stats.seals = seals_;
     stats.segments = snapshot_->probe ? snapshot_->probe->segment_count() : 0;
-    stats.releases = releases_;
-    stats.epsilon_spent = epsilon_spent_;
   }
   stats.compactions = compactions_.load(std::memory_order_relaxed);
   stats.retained_epochs = retained_epochs_.load(std::memory_order_relaxed);

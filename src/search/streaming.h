@@ -83,16 +83,14 @@ struct StreamingStats {
   size_t segments = 0;         ///< segment fan-out of the current snapshot
   uint64_t compactions = 0;    ///< segment merges performed at seals
   size_t retained_epochs = 0;  ///< epochs currently inside the retain window
-  uint64_t releases = 0;       ///< continual releases charged so far
-  /// Sum of the charged releases' epsilon_spent: sequential composition.
-  double epsilon_spent = 0.0;
   size_t cache_invalidations = 0;  ///< memo entries swept at seals
 };
 
 /// \brief PCOR over data that arrives forever: appends land in a mutable
 /// tail, SealEpoch turns the accumulated tail into a new immutable epoch
-/// snapshot, and "as of now" releases run against the latest sealed
-/// snapshot, each charged its full epsilon.
+/// snapshot, and releases run on a pinned snapshot's engine
+/// (Pin()->engine). The engine charges no epsilon: a streaming PcorServer
+/// is the one path that charges a stream's releases and numbers them.
 ///
 /// Contracts (tested, see tests/search/streaming_engine_test.cc):
 ///   - **Snapshot consistency.** A release (or batch) pinned to epoch k is
@@ -108,13 +106,6 @@ struct StreamingStats {
 ///     entry by (epoch, context); a query at epoch e can only see entries
 ///     computed at epoch e. Epoch retirement (retain_epochs) is storage
 ///     reclamation, not a correctness mechanism.
-///   - **Accounting.** Every successful release re-runs the sampler and
-///     the exponential mechanism, so it is charged its own epsilon_spent
-///     and releases compose sequentially: stats().epsilon_spent is the
-///     plain sum. The engine charges in completion order (entry order
-///     within a batch); the serving front-end instead charges per tenant
-///     at admission (see PcorServer streaming mode), which is the
-///     authoritative ledger in multi-tenant deployments.
 ///
 /// Costs, stated plainly: SealEpoch indexes only the tail rows into a new
 /// immutable segment — O(tail), plus amortized O(log total) per row of
@@ -165,22 +156,6 @@ class StreamingPcorEngine {
   /// follow.
   std::shared_ptr<const EpochSnapshot> Pin() const;
 
-  /// \brief Releases a private valid context for `v_row` (a sealed row
-  /// id) "as of now": against the latest sealed snapshot, charged its
-  /// epsilon_spent. kFailedPrecondition before the first seal; other
-  /// errors as PcorEngine::Release. Only successful releases are charged.
-  Result<PcorRelease> ReleaseAsOfNow(uint32_t v_row,
-                                     const PcorOptions& options, Rng* rng);
-
-  /// \brief Batch variant: pins one snapshot for the whole batch (batches
-  /// never straddle epochs), executes PcorEngine::ReleaseBatch, then
-  /// charges successful entries in entry order — deterministic for any
-  /// thread count. Entries carry epoch and stream_release_index. Before
-  /// the first seal every entry fails with kFailedPrecondition.
-  BatchReleaseReport ReleaseBatchAsOfNow(
-      std::span<const BatchRequest> requests, const PcorOptions& options,
-      uint64_t seed, size_t num_threads = 0);
-
   uint64_t current_epoch() const;
   size_t buffered_rows() const;
   StreamingStats stats() const;
@@ -191,8 +166,6 @@ class StreamingPcorEngine {
  private:
   /// \brief Schema validation shared by Append and AppendRows.
   Status ValidateRow(const std::vector<uint32_t>& codes) const;
-  /// \brief Charges a successful release and stamps its stream position.
-  void Charge(PcorRelease* release);
 
   Schema schema_;
   const OutlierDetector* detector_;
@@ -200,14 +173,12 @@ class StreamingPcorEngine {
   std::shared_ptr<VerifierMemo> memo_;
   std::shared_ptr<ThreadPool> pool_;
 
-  // Guards the tail, the current snapshot and the four counters below.
+  // Guards the tail, the current snapshot and the two counters below.
   mutable std::mutex mu_;
   std::vector<Row> tail_;
   std::shared_ptr<const EpochSnapshot> snapshot_;
   uint64_t appends_ = 0;
   uint64_t seals_ = 0;
-  uint64_t releases_ = 0;
-  double epsilon_spent_ = 0.0;
 
   // Serializes SealEpoch calls and guards sealed_epochs_. Held across the
   // whole (lock-free for appenders) segment build; never taken by the

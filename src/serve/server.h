@@ -157,11 +157,10 @@ class PcorServer {
   PcorServer(const PcorEngine& engine, ServeOptions options);
 
   /// \brief Streaming mode: serve continual releases over an evolving
-  /// stream. The streaming engine must outlive the server. The server
-  /// charges tenants at admission and is then the authoritative ledger —
-  /// it drives PcorEngine::ReleaseBatch on pinned snapshots directly and
-  /// does NOT also charge the engine-level StreamingStats::epsilon_spent
-  /// (which meters the single-owner ReleaseAsOfNow path).
+  /// stream. The streaming engine must outlive the server. The server is
+  /// the one source of a stream's charges and stream positions: it charges
+  /// tenants at admission, runs PcorEngine::ReleaseBatch on pinned
+  /// snapshots and stamps each release's stream_release_index.
   PcorServer(StreamingPcorEngine& stream, ServeOptions options);
 
   /// \brief Drains and stops (Shutdown(true)).

@@ -5,16 +5,13 @@
 namespace pcor {
 namespace {
 
-TEST(SamplerKindTest, NamesRoundTrip) {
-  for (SamplerKind kind :
-       {SamplerKind::kDirect, SamplerKind::kUniform, SamplerKind::kRandomWalk,
-        SamplerKind::kDfs, SamplerKind::kBfs}) {
-    auto parsed = SamplerKindFromName(SamplerKindName(kind));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, kind);
-  }
-  EXPECT_TRUE(SamplerKindFromName("nope").status().IsNotFound());
-  EXPECT_EQ(*SamplerKindFromName("rwalk"), SamplerKind::kRandomWalk);
+TEST(SamplerKindTest, NamesAreStable) {
+  // The table benches print these names as row labels.
+  EXPECT_EQ(SamplerKindName(SamplerKind::kDirect), "direct");
+  EXPECT_EQ(SamplerKindName(SamplerKind::kUniform), "uniform");
+  EXPECT_EQ(SamplerKindName(SamplerKind::kRandomWalk), "random_walk");
+  EXPECT_EQ(SamplerKindName(SamplerKind::kDfs), "dfs");
+  EXPECT_EQ(SamplerKindName(SamplerKind::kBfs), "bfs");
 }
 
 TEST(BudgetTest, SingleDrawAlgorithmsSpendTwoEpsilonOne) {
@@ -51,31 +48,6 @@ TEST(BudgetTest, MoreSamplesMeansSmallerEpsilonOne) {
   // The cancellation effect behind Table 11's n=200 utility drop.
   EXPECT_GT(Epsilon1ForTotal(SamplerKind::kBfs, 0.2, 25),
             Epsilon1ForTotal(SamplerKind::kBfs, 0.2, 200));
-}
-
-TEST(PrivacyAccountantTest, ChargesUntilExhausted) {
-  PrivacyAccountant accountant(1.0);
-  EXPECT_TRUE(accountant.Charge(0.4).ok());
-  EXPECT_TRUE(accountant.Charge(0.4).ok());
-  EXPECT_DOUBLE_EQ(accountant.spent(), 0.8);
-  EXPECT_NEAR(accountant.remaining(), 0.2, 1e-12);
-  EXPECT_TRUE(accountant.Charge(0.4).IsPrivacyBudgetExceeded());
-  EXPECT_DOUBLE_EQ(accountant.spent(), 0.8);  // failed charge records nothing
-  EXPECT_EQ(accountant.releases(), 2u);
-}
-
-TEST(PrivacyAccountantTest, ExactBudgetFits) {
-  PrivacyAccountant accountant(0.6);
-  EXPECT_TRUE(accountant.Charge(0.2).ok());
-  EXPECT_TRUE(accountant.Charge(0.2).ok());
-  EXPECT_TRUE(accountant.Charge(0.2).ok());
-  EXPECT_FALSE(accountant.CanAfford(0.01));
-}
-
-TEST(PrivacyAccountantTest, RejectsNonPositiveCharge) {
-  PrivacyAccountant accountant(1.0);
-  EXPECT_TRUE(accountant.Charge(0.0).IsInvalidArgument());
-  EXPECT_TRUE(accountant.Charge(-0.1).IsInvalidArgument());
 }
 
 }  // namespace

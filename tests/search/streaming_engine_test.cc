@@ -66,19 +66,6 @@ TEST_F(StreamingEngineTest, NoSealedEpochFailsTyped) {
   StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
   EXPECT_EQ(stream.current_epoch(), 0u);
   EXPECT_EQ(stream.Pin()->engine, nullptr);
-  Rng rng(1);
-  EXPECT_TRUE(stream.ReleaseAsOfNow(0, BfsOptions(), &rng)
-                  .status()
-                  .IsFailedPrecondition());
-  std::vector<BatchRequest> requests(3);
-  const BatchReleaseReport report =
-      stream.ReleaseBatchAsOfNow(requests, BfsOptions(), /*seed=*/1);
-  EXPECT_EQ(report.failures, 3u);
-  for (const BatchEntry& entry : report.entries) {
-    EXPECT_TRUE(entry.status.IsFailedPrecondition());
-  }
-  // Failed releases are never charged.
-  EXPECT_EQ(stream.stats().releases, 0u);
   // Sealing with an empty tail is a no-op at epoch 0 too.
   EXPECT_EQ(stream.SealEpoch(), 0u);
 }
@@ -237,7 +224,8 @@ TEST_F(StreamingEngineTest, SealSweepsEpochsOutsideRetainWindow) {
   stream.SealEpoch();
   // Warm the memo at epoch 1.
   Rng rng(3);
-  ASSERT_TRUE(stream.ReleaseAsOfNow(grid_.v_row, BfsOptions(), &rng).ok());
+  ASSERT_TRUE(
+      stream.Pin()->engine->Release(grid_.v_row, BfsOptions(), &rng).ok());
   const size_t entries_before = stream.memo()->CacheStats().resident_entries;
   ASSERT_GT(entries_before, 0u);
 
@@ -262,7 +250,7 @@ TEST_F(StreamingEngineTest, SealSweepsEpochsOutsideRetainWindow) {
   packrat.SealEpoch();
   Rng rng2(3);
   ASSERT_TRUE(
-      packrat.ReleaseAsOfNow(grid_.v_row, BfsOptions(), &rng2).ok());
+      packrat.Pin()->engine->Release(grid_.v_row, BfsOptions(), &rng2).ok());
   const size_t warm = packrat.memo()->CacheStats().resident_entries;
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(packrat.Append({1, 1}, 100.0).ok());
@@ -270,58 +258,6 @@ TEST_F(StreamingEngineTest, SealSweepsEpochsOutsideRetainWindow) {
   packrat.SealEpoch();
   EXPECT_EQ(packrat.memo()->CacheStats().invalidations, 0u);
   EXPECT_EQ(packrat.memo()->CacheStats().resident_entries, warm);
-}
-
-TEST_F(StreamingEngineTest, ContinualReleasesComposeSequentially) {
-  StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
-  ASSERT_TRUE(stream.AppendRows(RowsOf(grid_.dataset)).ok());
-  stream.SealEpoch();
-
-  // A cheap release first, then three expensive ones. Each release re-runs
-  // the sampler and the exponential mechanism, so the stream's loss is the
-  // plain sum of the four: no later release may ride on the first one's
-  // cheaper charge.
-  const double budgets[] = {0.05, 0.4, 0.4, 0.4};
-  double sum = 0.0;
-  for (uint64_t t = 1; t <= 4; ++t) {
-    PcorOptions options = BfsOptions();
-    options.total_epsilon = budgets[t - 1];
-    Rng rng(100 + t);
-    auto released = stream.ReleaseAsOfNow(grid_.v_row, options, &rng);
-    ASSERT_TRUE(released.ok()) << released.status().ToString();
-    EXPECT_EQ(released->stream_release_index, t);
-    EXPECT_EQ(released->epoch, grid_.dataset.num_rows());
-    sum += released->epsilon_spent;
-  }
-  EXPECT_NEAR(sum, 1.25, 1e-9);
-  const StreamingStats stats = stream.stats();
-  EXPECT_EQ(stats.releases, 4u);
-  EXPECT_DOUBLE_EQ(stats.epsilon_spent, sum);
-
-  // Batch charging happens in entry order after the parallel section, so
-  // stream positions — and every annotation — are thread-count invariant.
-  StreamingPcorEngine one(testing_util::GridSchema(), detector_);
-  StreamingPcorEngine many(testing_util::GridSchema(), detector_);
-  for (StreamingPcorEngine* s : {&one, &many}) {
-    ASSERT_TRUE(s->AppendRows(RowsOf(grid_.dataset)).ok());
-    s->SealEpoch();
-  }
-  std::vector<BatchRequest> requests(12);
-  for (auto& r : requests) r.v_row = grid_.v_row;
-  const BatchReleaseReport a =
-      one.ReleaseBatchAsOfNow(requests, BfsOptions(), /*seed=*/5, 1);
-  const BatchReleaseReport b =
-      many.ReleaseBatchAsOfNow(requests, BfsOptions(), /*seed=*/5, 8);
-  ASSERT_EQ(a.failures, 0u);
-  ASSERT_EQ(b.failures, 0u);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    SCOPED_TRACE(i);
-    ExpectSameRelease(a.entries[i].release, b.entries[i].release);
-    EXPECT_EQ(a.entries[i].release.stream_release_index, i + 1);
-    EXPECT_EQ(b.entries[i].release.stream_release_index, i + 1);
-  }
-  EXPECT_DOUBLE_EQ(one.stats().epsilon_spent, many.stats().epsilon_spent);
-  EXPECT_DOUBLE_EQ(one.stats().epsilon_spent, a.total_epsilon_spent);
 }
 
 // Appends `rows` one at a time, sealing after every row whose (1-based)

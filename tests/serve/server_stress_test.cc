@@ -1,7 +1,7 @@
 // Failure-path hardening for the serving front-end: shutdown with pending
 // work (drain and abort), queue-full backpressure under both policies,
-// exception propagation through futures, admission after shutdown, and
-// the queue high-water mark.
+// exception propagation through futures, admission after shutdown, the
+// charge a failed release keeps, and the queue high-water mark.
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/search/streaming.h"
 #include "src/serve/server.h"
 #include "tests/testing_util.h"
 
@@ -142,6 +143,31 @@ TEST_F(ServerStressTest, ShutdownAbortFailsPendingWithTypedStatusAndRefunds) {
   // the accumulation residue of ten 0.2 add/subtract round trips).
   EXPECT_NEAR(server.accountant().SpentBy("aborted"), 0.0, 1e-12);
   EXPECT_EQ(server.stats().released, 1u);  // the gate request alone
+}
+
+TEST_F(ServerStressTest, FailedReleaseKeepsItsChargeInBothModes) {
+  // Refund table: a release that fails server-side keeps its admission
+  // charge, because its kNoValidContext status reveals something about
+  // the data. Row 1 is no contextual outlier, so BFS finds no starting
+  // context for it.
+  StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
+  ASSERT_TRUE(stream.AppendRows(testing_util::RowsOf(grid_.dataset)).ok());
+  ASSERT_EQ(stream.SealEpoch(), grid_.dataset.num_rows());
+  PcorServer classic(engine_, BaseOptions());
+  PcorServer streaming(stream, BaseOptions());
+  for (PcorServer* server : {&classic, &streaming}) {
+    SCOPED_TRACE(server->streaming() ? "streaming" : "classic");
+    BatchRequest request;
+    request.v_row = 1;
+    auto submitted = server->SubmitAsync(request, "prober");
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    const BatchEntry entry = submitted->Get();
+    EXPECT_TRUE(entry.status.IsNoValidContext()) << entry.status.ToString();
+    server->Shutdown(/*drain=*/true);
+    EXPECT_DOUBLE_EQ(server->accountant().SpentBy("prober"),
+                     BaseOptions().release.total_epsilon);
+    EXPECT_EQ(server->stats().failed, 1u);
+  }
 }
 
 TEST_F(ServerStressTest, SubmitAfterShutdownIsUnavailable) {

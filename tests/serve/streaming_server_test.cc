@@ -102,13 +102,15 @@ TEST_F(StreamingServerTest, DefaultPolicyChargesFullEpsilonPerRelease) {
   // The ledger grows by each release's full effective epsilon — exactly
   // classic sequential composition, so per_client_epsilon_cap bounds
   // actual DP loss. A cheap first release must not discount the
-  // expensive ones after it.
+  // expensive ones after it, and what admission charged is what the
+  // releases themselves report as spent.
   StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
   PcorServer server(stream, Options());
   SeedStream(&stream);
 
   const double budgets[] = {0.05, 0.4, 0.4, 0.4, 0.2};
   double spent = 0.0;
+  double released_sum = 0.0;
   for (size_t k = 0; k < 5; ++k) {
     BatchRequest request;
     request.v_row = grid_.v_row;
@@ -119,9 +121,14 @@ TEST_F(StreamingServerTest, DefaultPolicyChargesFullEpsilonPerRelease) {
     const BatchEntry entry = submitted->Get();
     ASSERT_TRUE(entry.status.ok()) << entry.status.ToString();
     EXPECT_EQ(entry.release.stream_release_index, k + 1);
+    EXPECT_EQ(entry.release.epoch, grid_.dataset.num_rows());
+    EXPECT_NEAR(entry.release.epsilon_spent, budgets[k], 1e-12);
     spent += budgets[k];
+    released_sum += entry.release.epsilon_spent;
     EXPECT_DOUBLE_EQ(server.accountant().SpentBy("tenant"), spent);
   }
+  EXPECT_NEAR(released_sum, 1.45, 1e-9);
+  EXPECT_NEAR(server.accountant().SpentBy("tenant"), released_sum, 1e-12);
 }
 
 TEST_F(StreamingServerTest, RequestsBeforeFirstSealFailTypedAndCharged) {
@@ -317,6 +324,10 @@ TEST_F(StreamingServerTest, InterleavingsAreBitIdenticalAcrossThreadCounts) {
       for (size_t t = 0; t < kTenants; ++t) submit_plan(t);
     }
     server.Shutdown(/*drain=*/true);
+    // One full charge per release, whatever the thread count or races.
+    EXPECT_NEAR(server.accountant().TotalSpent(),
+                kTenants * kPerTenant * Options().release.total_epsilon,
+                1e-9);
     return results;
   };
 
@@ -335,10 +346,15 @@ TEST_F(StreamingServerTest, InterleavingsAreBitIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(b.status.ok());
     EXPECT_EQ(a.rng_seed, b.rng_seed);
     EXPECT_EQ(a.release.context, b.release.context);
+    EXPECT_EQ(a.release.starting_context, b.release.starting_context);
     EXPECT_EQ(a.release.description, b.release.description);
+    EXPECT_DOUBLE_EQ(a.release.epsilon_spent, b.release.epsilon_spent);
+    EXPECT_EQ(a.release.num_candidates, b.release.num_candidates);
     EXPECT_DOUBLE_EQ(a.release.utility_score, b.release.utility_score);
     EXPECT_EQ(a.release.probes, b.release.probes);
     EXPECT_EQ(a.release.epoch, b.release.epoch);
+    // The tenant's k-th submission sits at stream position k + 1.
+    EXPECT_EQ(a.release.stream_release_index, key.second + 1);
     EXPECT_EQ(a.release.stream_release_index, b.release.stream_release_index);
   }
 }
