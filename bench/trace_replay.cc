@@ -13,8 +13,8 @@
 // Sections (each emits one `trace_replay` BENCH_JSON line; the flood
 // section adds one `trace_replay_tenant` line per tenant):
 //   * flood    — steady tenants plus a burst aggressor over a small
-//                admission queue (kBlock backpressure), the canonical
-//                omission demonstration;
+//                admission queue (submitters block while it is full),
+//                the canonical omission demonstration;
 //   * diurnal  — sinusoidal Poisson arrivals, the day/night curve;
 //   * storm    — budget-exhaustion: admission order equals trace order,
 //                so the typed kPrivacyBudgetExceeded rejection count is
@@ -157,12 +157,11 @@ int main() {
     ServeOptions serve;
     serve.release = release;
     serve.max_batch = 16;
-    // Small queue + blocking backpressure: the flood fills the queue, the
-    // dispatch loop blocks in SubmitAsync, and every event scheduled
-    // behind the burst goes out late — which is exactly what the
+    // Small queue, and admission blocks when it is full: the flood fills the
+    // queue, the dispatch loop blocks in SubmitAsync, and every event
+    // scheduled behind the burst goes out late — which is exactly what the
     // scheduled percentiles are there to expose.
     serve.queue_capacity = 64;
-    serve.backpressure = BackpressurePolicy::kBlock;
     serve.seed = env.seed;
     PcorServer server(*setup->engine, serve);
 

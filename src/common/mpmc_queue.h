@@ -11,12 +11,11 @@
 namespace pcor {
 
 /// \brief Outcome of a queue operation; lets callers translate each failure
-/// mode into its own typed Status (full -> ResourceExhausted backpressure,
+/// mode into its own typed Status (tenant full -> ResourceExhausted,
 /// closed -> Unavailable shutdown) instead of collapsing them into a bool.
 enum class QueueOp {
   kOk = 0,
-  kFull,       ///< TryPush on a queue at capacity
-  kEmpty,      ///< TryPop on an empty (but open) queue
+  kEmpty,      ///< TryPop on an empty (but open) WeightedFairQueue
   kClosed,     ///< Push after Close(), or Pop after Close() drained everything
   kTenantFull, ///< push past a per-tenant depth bound (WeightedFairQueue)
 };
@@ -24,9 +23,8 @@ enum class QueueOp {
 /// \brief Bounded multi-producer multi-consumer FIFO queue.
 ///
 /// Many threads push and pop (the trace driver's completion queue is one).
-/// Blocking and non-blocking variants cover the two backpressure policies
-/// (block vs. reject); the serving admission queue, WeightedFairQueue,
-/// mirrors these semantics.
+/// Both block: Push while the queue is full, Pop while it is empty. The
+/// serving admission queue, WeightedFairQueue, mirrors these semantics.
 ///
 /// Close() semantics follow Go channels: after Close() every push fails
 /// with kClosed, but pops continue to drain already-accepted elements and
@@ -55,30 +53,17 @@ class BoundedMpmcQueue {
     return QueueOp::kOk;
   }
 
-  /// \brief Non-blocking push: kFull when at capacity (item untouched).
-  QueueOp TryPush(T&& item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (closed_) return QueueOp::kClosed;
-    if (items_.size() >= capacity_) return QueueOp::kFull;
-    items_.push_back(std::move(item));
-    lock.unlock();
-    not_empty_.notify_one();
-    return QueueOp::kOk;
-  }
-
   /// \brief Blocks until an element is available or the queue is closed
   /// *and* drained.
   QueueOp Pop(T* out) {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    return PopLocked(out, &lock);
-  }
-
-  /// \brief Non-blocking pop.
-  QueueOp TryPop(T* out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (items_.empty()) return closed_ ? QueueOp::kClosed : QueueOp::kEmpty;
-    return PopLocked(out, &lock);
+    if (items_.empty()) return QueueOp::kClosed;
+    *out = std::move(items_.front());
+    items_.pop_front();
+    lock.unlock();
+    not_full_.notify_one();
+    return QueueOp::kOk;
   }
 
   /// \brief Closes the queue: wakes every waiter, fails future pushes,
@@ -103,16 +88,6 @@ class BoundedMpmcQueue {
   }
 
  private:
-  // Precondition: lock held and the wait predicate satisfied.
-  QueueOp PopLocked(T* out, std::unique_lock<std::mutex>* lock) {
-    if (items_.empty()) return QueueOp::kClosed;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    lock->unlock();
-    not_full_.notify_one();
-    return QueueOp::kOk;
-  }
-
   const size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable not_empty_;

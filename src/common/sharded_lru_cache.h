@@ -18,8 +18,6 @@ struct LruCacheOptions {
   /// Approximate resident-byte budget across all shards (caller-supplied
   /// per-entry costs plus a fixed bookkeeping overhead). 0 = unbounded.
   size_t max_bytes = size_t{64} << 20;
-  /// Upper bound on resident entries across all shards. 0 = unbounded.
-  size_t max_entries = 0;
   /// Number of shards; rounded up to a power of two. 0 = one shard per
   /// hardware thread (also rounded up), capped at 64; explicit requests
   /// are honored beyond the cap.
@@ -53,7 +51,7 @@ struct LruCacheStats {
 /// one tick; distinct shards never contend.
 ///
 /// Eviction is exact LRU by tick, in batches: while a shard is over its
-/// slice of the byte/entry budgets, the coldest max(1, size/8) entries go.
+/// slice of the byte budget, the coldest max(1, size/8) entries go.
 /// Finding them is one O(capacity) pass, amortized O(1) per evicted entry.
 /// The entry an insert just touched is never among them. Clear() keeps each
 /// shard's capacity, so a cache refilled to the same size does not regrow.
@@ -70,12 +68,10 @@ class ShardedLruCache {
       : options_(options), shards_(ResolveShardCount(options.num_shards)) {
     const size_t n = shards_.size();
     shard_mask_ = n - 1;
-    // Per-shard slices of the global budgets (rounded up so tiny budgets
+    // Per-shard slice of the global budget (rounded up so tiny budgets
     // still admit at least something per shard).
     shard_max_bytes_ =
         options_.max_bytes == 0 ? 0 : (options_.max_bytes + n - 1) / n;
-    shard_max_entries_ =
-        options_.max_entries == 0 ? 0 : (options_.max_entries + n - 1) / n;
   }
 
   ShardedLruCache(const ShardedLruCache&) = delete;
@@ -376,11 +372,7 @@ class ShardedLruCache {
   }
 
   bool OverBudget(const Shard& shard) const {
-    if (shard_max_bytes_ != 0 && shard.bytes > shard_max_bytes_) return true;
-    if (shard_max_entries_ != 0 && shard.size > shard_max_entries_) {
-      return true;
-    }
-    return false;
+    return shard_max_bytes_ != 0 && shard.bytes > shard_max_bytes_;
   }
 
   /// Brings `shard` back under budget after a Put that touched slot
@@ -421,7 +413,6 @@ class ShardedLruCache {
   std::vector<Shard> shards_;
   size_t shard_mask_ = 0;
   size_t shard_max_bytes_ = 0;
-  size_t shard_max_entries_ = 0;
 };
 
 }  // namespace pcor

@@ -144,22 +144,14 @@ inline size_t BitWidth(uint64_t v) {
 
 }  // namespace
 
-LatencyHistogram::LatencyHistogram() : LatencyHistogram(Options()) {}
+LatencyHistogram::LatencyHistogram()
+    : counts_(BucketIndex(kMaxValueUs) + 1, 0) {}
 
-LatencyHistogram::LatencyHistogram(Options options)
-    : options_(options) {
-  PCOR_CHECK(options_.max_value_us > 0)
-      << "LatencyHistogram range must be non-empty";
-  PCOR_CHECK(options_.precision_bits >= 2 && options_.precision_bits <= 14)
-      << "LatencyHistogram precision_bits must be in [2, 14]";
-  counts_.assign(BucketIndex(options_.max_value_us) + 1, 0);
-}
-
-size_t LatencyHistogram::BucketIndex(int64_t value_us) const {
+size_t LatencyHistogram::BucketIndex(int64_t value_us) {
   if (value_us < 0) value_us = 0;
-  if (value_us > options_.max_value_us) value_us = options_.max_value_us;
+  if (value_us > kMaxValueUs) value_us = kMaxValueUs;
   const uint64_t v = static_cast<uint64_t>(value_us);
-  const size_t bits = options_.precision_bits;
+  const size_t bits = kPrecisionBits;
   const uint64_t sub_count = uint64_t{1} << bits;  // S
   if (v < sub_count) return static_cast<size_t>(v);
   // v lives in octave [2^m, 2^(m+1)) with m >= bits; the octave splits
@@ -171,8 +163,8 @@ size_t LatencyHistogram::BucketIndex(int64_t value_us) const {
   return static_cast<size_t>(sub_count + (octave - 1) * half + sub);
 }
 
-int64_t LatencyHistogram::BucketUpperEdge(size_t index) const {
-  const size_t bits = options_.precision_bits;
+int64_t LatencyHistogram::BucketUpperEdge(size_t index) {
+  const size_t bits = kPrecisionBits;
   const uint64_t sub_count = uint64_t{1} << bits;
   if (index < sub_count) return static_cast<int64_t>(index);  // exact
   const uint64_t half = sub_count / 2;
@@ -185,8 +177,8 @@ int64_t LatencyHistogram::BucketUpperEdge(size_t index) const {
 
 void LatencyHistogram::Record(int64_t value_us) {
   if (value_us < 0) value_us = 0;
-  if (value_us > options_.max_value_us) {
-    value_us = options_.max_value_us;
+  if (value_us > kMaxValueUs) {
+    value_us = kMaxValueUs;
     ++saturated_;
   }
   ++counts_[BucketIndex(value_us)];
@@ -201,9 +193,6 @@ void LatencyHistogram::Record(int64_t value_us) {
 }
 
 void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  PCOR_CHECK(options_.max_value_us == other.options_.max_value_us &&
-             options_.precision_bits == other.options_.precision_bits)
-      << "merging LatencyHistograms with different bucket layouts";
   if (other.count_ == 0) return;
   for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   if (count_ == 0) {
@@ -243,8 +232,8 @@ int64_t LatencyHistogram::PercentileUs(double q) const {
   return max_;  // unreachable: cumulative == count_ by the loop's end
 }
 
-double LatencyHistogram::RelativeErrorBound() const {
-  return std::ldexp(1.0, 1 - static_cast<int>(options_.precision_bits));
+double LatencyHistogram::RelativeErrorBound() {
+  return std::ldexp(1.0, 1 - static_cast<int>(kPrecisionBits));
 }
 
 RuntimeSummary SummarizeRuntimes(const std::vector<double>& seconds) {

@@ -81,8 +81,8 @@ class HistogramBuilder {
 /// bucket layout) — the bounded-memory replacement for unbounded
 /// `latencies_s` vectors on million-event traces.
 ///
-/// Values are non-negative integer microseconds. With precision bits b and
-/// S = 2^b, values below S get exact unit-width buckets; every octave
+/// Values are non-negative integer microseconds. With b = kPrecisionBits
+/// and S = 2^b, values below S get exact unit-width buckets; every octave
 /// [2^m, 2^(m+1)) beyond splits into S/2 equal sub-buckets of width
 /// 2^(m-b+1). PercentileUs(q) returns the upper edge of the bucket holding
 /// the ceil(q * count)-th smallest recorded value, so for the k-th order
@@ -92,8 +92,8 @@ class HistogramBuilder {
 ///
 /// (the relative error bound, see RelativeErrorBound(); the +1 absorbs the
 /// integer bucket edge). min/max/mean are exact. Values above
-/// `max_value_us` clamp into the top bucket and are counted in
-/// `saturated()` — never dropped silently.
+/// kMaxValueUs clamp into the top bucket and are counted in `saturated()`
+/// — never dropped silently.
 ///
 /// Not internally synchronized: record into one histogram per thread and
 /// Merge() at the end. Merge is an element-wise sum, so it is associative
@@ -101,25 +101,21 @@ class HistogramBuilder {
 /// yields bit-identical counts and percentiles.
 class LatencyHistogram {
  public:
-  struct Options {
-    /// Top of the tracked range; larger values saturate into the last
-    /// bucket. 60 s covers any sane serving latency.
-    int64_t max_value_us = 60'000'000;
-    /// Precision: relative error bound 2^(1-bits). 6 bits = 64 exact unit
-    /// buckets + 32 sub-buckets per octave = <= 3.2% error at ~750
-    /// buckets for the 60 s range.
-    size_t precision_bits = 6;
-  };
+  /// Top of the tracked range; larger values saturate into the last
+  /// bucket. 60 s covers any sane serving latency.
+  static constexpr int64_t kMaxValueUs = 60'000'000;
+  /// Precision: relative error bound 2^(1-bits). 6 bits = 64 exact unit
+  /// buckets + 32 sub-buckets per octave = <= 3.2% error at ~750 buckets
+  /// for the 60 s range.
+  static constexpr size_t kPrecisionBits = 6;
 
-  LatencyHistogram();  ///< default Options
-  explicit LatencyHistogram(Options options);
+  LatencyHistogram();
 
   /// \brief Records one value (negative clamps to 0, above-range clamps
-  /// to max_value_us and counts as saturated).
+  /// to kMaxValueUs and counts as saturated).
   void Record(int64_t value_us);
 
-  /// \brief Element-wise sum. Layouts (max_value_us, precision_bits) must
-  /// match — merging differently-shaped histograms is a programming bug.
+  /// \brief Element-wise sum (every histogram has the same layout).
   void Merge(const LatencyHistogram& other);
 
   size_t count() const { return count_; }
@@ -134,16 +130,12 @@ class LatencyHistogram {
   int64_t PercentileUs(double q) const;
 
   /// \brief Guaranteed bound on PercentileUs overshoot: 2^(1-bits).
-  double RelativeErrorBound() const;
-
-  const Options& options() const { return options_; }
-  size_t bucket_count() const { return counts_.size(); }
+  static double RelativeErrorBound();
 
  private:
-  size_t BucketIndex(int64_t value_us) const;
-  int64_t BucketUpperEdge(size_t index) const;
+  static size_t BucketIndex(int64_t value_us);
+  static int64_t BucketUpperEdge(size_t index);
 
-  Options options_;
   std::vector<size_t> counts_;
   size_t count_ = 0;
   size_t saturated_ = 0;

@@ -11,7 +11,6 @@ namespace {
 LruCacheOptions ToCacheOptions(const VerifierOptions& options) {
   LruCacheOptions cache_options;
   cache_options.max_bytes = options.max_cache_bytes;
-  cache_options.max_entries = options.max_cache_entries;
   cache_options.num_shards = options.num_shards;
   cache_options.wholesale_clear = options.wholesale_clear;
   return cache_options;

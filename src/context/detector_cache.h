@@ -21,8 +21,6 @@ struct VerifierOptions {
   /// exceeded — it is persistent across batches, never cleared wholesale.
   /// 0 = unbounded.
   size_t max_cache_bytes = size_t{256} << 20;
-  /// Optional additional bound on resident entries. 0 = unbounded.
-  size_t max_cache_entries = 0;
   /// Cache shards (rounded up to a power of two); 0 = one per hardware
   /// thread. More shards = less mutex contention between sampler threads.
   size_t num_shards = 0;

@@ -6,15 +6,11 @@ namespace pcor {
 
 namespace {
 
-ContextVec ExactOf(const OutlierVerifier& verifier, uint32_t v_row) {
-  return verifier.index().ExactContextOf(v_row);
-}
-
 bool TryGreedyGrow(const OutlierVerifier& verifier, uint32_t v_row,
                    ContextVec* out) {
   const Schema& schema = verifier.index().schema();
   const size_t t = schema.total_values();
-  ContextVec current = ExactOf(verifier, v_row);
+  ContextVec current = verifier.index().ExactContextOf(v_row);
   while (true) {
     if (verifier.IsOutlierInContext(current, v_row)) {
       *out = current;
@@ -89,44 +85,23 @@ bool TryBestOfRandom(const OutlierVerifier& verifier, uint32_t v_row,
 
 }  // namespace
 
-Result<ContextVec> FindStartingContext(const OutlierVerifier& verifier,
-                                       uint32_t v_row,
-                                       const StartingContextOptions& options,
-                                       Rng* rng) {
+Result<ContextVec> FindStartingContext(
+    const OutlierVerifier& verifier, uint32_t v_row,
+    const StartingContextOptions& /*options*/, Rng* rng) {
   if (v_row >= verifier.index().num_rows()) {
     return Status::OutOfRange("v_row outside dataset");
   }
+  constexpr size_t kBestOfTries = 8;
+  constexpr size_t kRandomValidTries = 512;
   ContextVec found;
-  for (StartingContextStrategy strategy : options.pipeline) {
-    switch (strategy) {
-      case StartingContextStrategy::kExactRecord: {
-        ContextVec c = ExactOf(verifier, v_row);
-        if (verifier.IsOutlierInContext(c, v_row)) return c;
-        break;
-      }
-      case StartingContextStrategy::kFullDomain: {
-        ContextVec c = context_ops::FullContext(verifier.index().schema());
-        if (verifier.IsOutlierInContext(c, v_row)) return c;
-        break;
-      }
-      case StartingContextStrategy::kGreedyGrow:
-        if (TryGreedyGrow(verifier, v_row, &found)) return found;
-        break;
-      case StartingContextStrategy::kRandomValid:
-        if (rng != nullptr &&
-            TryRandomValid(verifier, v_row, options.random_attempts, rng,
-                           &found)) {
-          return found;
-        }
-        break;
-      case StartingContextStrategy::kBestOfRandom:
-        if (rng != nullptr &&
-            TryBestOfRandom(verifier, v_row, options.best_of_tries, rng,
-                            &found)) {
-          return found;
-        }
-        break;
-    }
+  if (rng != nullptr &&
+      TryBestOfRandom(verifier, v_row, kBestOfTries, rng, &found)) {
+    return found;
+  }
+  if (TryGreedyGrow(verifier, v_row, &found)) return found;
+  if (rng != nullptr &&
+      TryRandomValid(verifier, v_row, kRandomValidTries, rng, &found)) {
+    return found;
   }
   return Status::NoValidContext(
       "no matching context found for row " + std::to_string(v_row) +

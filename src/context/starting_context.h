@@ -1,7 +1,5 @@
 #pragma once
 
-#include <vector>
-
 #include "src/common/random.h"
 #include "src/common/result.h"
 #include "src/context/context.h"
@@ -9,52 +7,34 @@
 
 namespace pcor {
 
-/// \brief Strategies for obtaining the starting context C_V that the
-/// graph-based samplers walk from (the paper assumes the data owner "can
-/// obtain this context through an initial search", footnote 5).
-enum class StartingContextStrategy {
-  /// The narrowest context: exactly V's own attribute values.
-  kExactRecord,
-  /// The widest context: every domain value of every attribute.
-  kFullDomain,
-  /// Start from the exact context and greedily add the value whose
-  /// addition grows the population most, until f_M matches (deterministic).
-  kGreedyGrow,
-  /// Random contexts containing V until one matches (bounded attempts).
-  kRandomValid,
-  /// The best (largest-population) of `best_of_tries` random matching
-  /// contexts containing V — a cheap stand-in for the data owner's
-  /// "initial search": it lands on a mid-utility valid context, which is
-  /// what puts the DP-BFS/DFS Exponential-mechanism draws into their
-  /// directed regime (eps1 * u >> 1) from the first step.
-  kBestOfRandom,
-};
-
-/// \brief Options for FindStartingContext.
+/// \brief Options for FindStartingContext. The start search is one fixed
+/// sequence, so this struct has no fields. It stays, with
+/// PcorOptions::starting_context and FindStartingContext's options
+/// parameter, so that existing callers keep compiling.
 struct StartingContextOptions {
-  /// Strategies tried in order; the first one that yields a matching
-  /// context wins.
-  std::vector<StartingContextStrategy> pipeline = {
-      StartingContextStrategy::kBestOfRandom,
-      StartingContextStrategy::kExactRecord,
-      StartingContextStrategy::kGreedyGrow,
-      StartingContextStrategy::kFullDomain,
-      StartingContextStrategy::kRandomValid,
-  };
-  /// Attempt budget for kRandomValid.
-  size_t random_attempts = 512;
-  /// Attempt budget for kBestOfRandom.
-  size_t best_of_tries = 8;
-
   /// Memberwise equality, so per-request PcorOptions overrides can be
   /// compared against a batch's defaults (see BatchRequest::options).
   bool operator==(const StartingContextOptions&) const = default;
 };
 
-/// \brief Finds a matching (valid) context for row `v_row`, or
-/// NoValidContext when every strategy fails — in that case V is simply not
-/// a contextual outlier under this detector and PCOR has nothing to
-/// release. `rng` is only consumed by kRandomValid.
+/// \brief Finds a matching (valid) context for row `v_row`: the starting
+/// context C_V that the graph-based samplers walk from (the paper assumes
+/// the data owner "can obtain this context through an initial search",
+/// footnote 5). The search is one fixed sequence; the first step that
+/// yields a matching context wins:
+///   1. Best of 8 random contexts containing V: the matching one with the
+///      largest population. It lands on a mid-utility valid context, which
+///      puts the DP-BFS/DFS Exponential-mechanism draws into their directed
+///      regime (eps1 * u >> 1) from the first step.
+///   2. Greedy growth: start from V's exact record and add, one value at a
+///      time, a value that makes the context match, else the one that grows
+///      the population most (ties to the smallest bit), up to the full
+///      domain. Deterministic; it checks the exact and the full context.
+///   3. Up to 512 random contexts containing V, the first matching one.
+/// Steps 1 and 3 draw from `rng` and are skipped when it is null.
+///
+/// Returns NoValidContext when every step fails: V is then not a
+/// contextual outlier under this detector and PCOR has nothing to release.
 Result<ContextVec> FindStartingContext(const OutlierVerifier& verifier,
                                        uint32_t v_row,
                                        const StartingContextOptions& options,

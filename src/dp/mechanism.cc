@@ -13,9 +13,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }
 
 ExponentialMechanism::ExponentialMechanism(double epsilon1,
-                                           double sensitivity,
-                                           ExpMechSampling sampling)
-    : epsilon1_(epsilon1), sensitivity_(sensitivity), sampling_(sampling) {
+                                           double sensitivity)
+    : epsilon1_(epsilon1), sensitivity_(sensitivity) {
   PCOR_CHECK(epsilon1 > 0) << "epsilon1 must be positive";
   PCOR_CHECK(sensitivity > 0) << "sensitivity must be positive";
 }
@@ -27,44 +26,21 @@ Result<size_t> ExponentialMechanism::Choose(const std::vector<double>& scores,
   }
   const double scale = epsilon1_ / (2.0 * sensitivity_);
 
-  if (sampling_ == ExpMechSampling::kGumbel) {
-    double best = -kInf;
-    size_t arg = scores.size();
-    for (size_t i = 0; i < scores.size(); ++i) {
-      if (scores[i] == -kInf) continue;
-      const double key = scale * scores[i] + rng->NextGumbel();
-      if (arg == scores.size() || key > best) {
-        best = key;
-        arg = i;
-      }
-    }
-    if (arg == scores.size()) {
-      return Status::NoValidContext(
-          "every candidate has -inf utility; nothing valid to release");
-    }
-    return arg;
-  }
-
-  // Normalized inverse-CDF sampling in log space.
-  std::vector<double> logw(scores.size(), -kInf);
+  double best = -kInf;
+  size_t arg = scores.size();
   for (size_t i = 0; i < scores.size(); ++i) {
-    if (scores[i] != -kInf) logw[i] = scale * scores[i];
+    if (scores[i] == -kInf) continue;
+    const double key = scale * scores[i] + rng->NextGumbel();
+    if (arg == scores.size() || key > best) {
+      best = key;
+      arg = i;
+    }
   }
-  const double lse = math::LogSumExp(logw);
-  if (lse == -kInf) {
+  if (arg == scores.size()) {
     return Status::NoValidContext(
         "every candidate has -inf utility; nothing valid to release");
   }
-  const double target = rng->NextDoublePositive();
-  double cum = 0.0;
-  size_t last_valid = scores.size();
-  for (size_t i = 0; i < logw.size(); ++i) {
-    if (logw[i] == -kInf) continue;
-    last_valid = i;
-    cum += std::exp(logw[i] - lse);
-    if (target <= cum) return i;
-  }
-  return last_valid;  // floating-point slack: return final valid candidate
+  return arg;
 }
 
 std::vector<double> ExponentialMechanism::Probabilities(

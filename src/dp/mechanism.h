@@ -7,28 +7,20 @@
 
 namespace pcor {
 
-/// \brief Sampling strategy for the Exponential mechanism.
-enum class ExpMechSampling {
-  /// Gumbel-max trick: argmax_i (eps1*u_i/(2*sens) + Gumbel_i). Exactly the
-  /// Exponential mechanism's distribution, numerically robust for widely
-  /// spread scores.
-  kGumbel,
-  /// Normalized inverse-CDF sampling in log space (explicit probabilities).
-  kNormalized,
-};
-
 /// \brief The Exponential mechanism of McSherry-Talwar (Definition 2.3):
 /// choose candidate r with probability proportional to
 /// exp(eps1 * u(D, r) / (2 * sensitivity)).
 ///
-/// Candidates with score -infinity (the paper's encoding of non-valid
-/// contexts) have exactly zero probability. By Theorem 2.1 a draw from this
+/// Choose samples with the Gumbel-max trick: argmax_i (eps1*u_i/(2*sens) +
+/// Gumbel_i), exactly the Exponential mechanism's distribution and
+/// numerically robust for widely spread scores. Candidates with score
+/// -infinity (the paper's encoding of non-valid contexts) have exactly zero
+/// probability. By Theorem 2.1 a draw from this
 /// mechanism is (2 * eps1 * sensitivity)-differentially private; the budget
 /// accounting in dp/budget.h builds on that.
 class ExponentialMechanism {
  public:
-  ExponentialMechanism(double epsilon1, double sensitivity,
-                       ExpMechSampling sampling = ExpMechSampling::kGumbel);
+  ExponentialMechanism(double epsilon1, double sensitivity);
 
   /// \brief Draws one index from `scores`. Fails with NoValidContext when
   /// every score is -infinity or the vector is empty.
@@ -47,7 +39,6 @@ class ExponentialMechanism {
  private:
   double epsilon1_;
   double sensitivity_;
-  ExpMechSampling sampling_;
 };
 
 }  // namespace pcor

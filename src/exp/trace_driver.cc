@@ -97,8 +97,6 @@ struct InFlight {
 /// (histogram merge is an element-wise sum, so the merged result is
 /// independent of which collector handled which future).
 struct TenantAccum {
-  explicit TenantAccum(const LatencyHistogram::Options& layout)
-      : scheduled(layout), submitted(layout) {}
   LatencyHistogram scheduled;
   LatencyHistogram submitted;
   size_t released = 0;
@@ -190,16 +188,8 @@ Result<TraceReplayResult> ReplayTrace(PcorServer& server,
   std::condition_variable outstanding_cv;
   size_t outstanding = 0;
 
-  std::vector<std::vector<TenantAccum>> collector_accums;
-  collector_accums.reserve(n_collectors);
-  for (size_t c = 0; c < n_collectors; ++c) {
-    std::vector<TenantAccum> accums;
-    accums.reserve(tenant_ids.size());
-    for (size_t t = 0; t < tenant_ids.size(); ++t) {
-      accums.emplace_back(options.histogram);
-    }
-    collector_accums.push_back(std::move(accums));
-  }
+  std::vector<std::vector<TenantAccum>> collector_accums(
+      n_collectors, std::vector<TenantAccum>(tenant_ids.size()));
 
   std::vector<std::thread> collectors;
   collectors.reserve(n_collectors);
@@ -237,21 +227,13 @@ Result<TraceReplayResult> ReplayTrace(PcorServer& server,
 
   // Dispatcher-side accumulator: admission rejections terminate at the
   // admission call itself, so the dispatch thread records them.
-  std::vector<TenantAccum> reject_accums;
-  reject_accums.reserve(tenant_ids.size());
-  for (size_t t = 0; t < tenant_ids.size(); ++t) {
-    reject_accums.emplace_back(options.histogram);
-  }
+  std::vector<TenantAccum> reject_accums(tenant_ids.size());
 
   TraceReplayResult result;
   result.tenants.resize(tenant_ids.size());
   for (size_t t = 0; t < tenant_ids.size(); ++t) {
     result.tenants[t].id = tenant_ids[t];
-    result.tenants[t].scheduled = LatencyHistogram(options.histogram);
-    result.tenants[t].submitted = LatencyHistogram(options.histogram);
   }
-  result.scheduled = LatencyHistogram(options.histogram);
-  result.submitted = LatencyHistogram(options.histogram);
 
   size_t release_slot = 0;
   uint64_t append_index = 0;
@@ -319,7 +301,7 @@ Result<TraceReplayResult> ReplayTrace(PcorServer& server,
         break;
       }
       case TraceEventKind::kSeal: {
-        if (options.seal_barrier) {
+        {
           std::unique_lock<std::mutex> lock(outstanding_mu);
           outstanding_cv.wait(lock, [&] { return outstanding == 0; });
         }

@@ -95,14 +95,6 @@ struct TraceReplayOptions {
   /// determinism contract — the streaming integration test replays at 1
   /// and 16 and asserts bit-identical digests.
   size_t collector_threads = 1;
-  /// Drain every in-flight release before dispatching a Seal event. This
-  /// pins each release to a deterministic epoch (a micro-batch pins
-  /// whichever snapshot is current at dispatch, so sealing under open
-  /// releases would make their epoch a race). Required for bit-identical
-  /// streaming replays; turn off only to measure seal/release contention.
-  bool seal_barrier = true;
-  /// Bucket layout for all latency histograms.
-  LatencyHistogram::Options histogram;
   /// Synthesizes the i-th appended row (global append index). Required
   /// when the trace has Append events; see MakeUniformRowSource.
   std::function<Row(uint64_t)> row_source;
@@ -150,7 +142,11 @@ uint64_t DigestBatchEntry(const BatchEntry& entry);
 /// submitting releases / appends / seals as scheduled;
 /// options.collector_threads background threads block on the returned
 /// futures and record both latency families. Release events pick their
-/// target row as outlier_pool[event.rows % pool.size()].
+/// target row as outlier_pool[event.rows % pool.size()]. A Seal event
+/// first waits for every in-flight release to complete: a micro-batch
+/// pins whichever snapshot is current at dispatch, so sealing under open
+/// releases would make their epoch a race, and streaming replays would
+/// not be bit-identical.
 ///
 /// Fails fast with kInvalidArgument (nothing dispatched) when the trace
 /// has releases but the pool is empty, has appends but no

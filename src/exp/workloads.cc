@@ -61,7 +61,7 @@ std::vector<uint32_t> SelectQueryOutliers(
     const std::vector<uint32_t>& candidates, size_t max_outliers, Rng* rng) {
   std::vector<uint32_t> shuffled = candidates;
   rng->Shuffle(&shuffled);
-  StartingContextOptions options;  // deterministic pipeline first
+  StartingContextOptions options;  // no fields: the start search is fixed
   std::vector<uint32_t> selected;
   for (uint32_t row : shuffled) {
     if (selected.size() >= max_outliers) break;

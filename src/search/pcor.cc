@@ -84,7 +84,6 @@ Result<PcorRelease> PcorEngine::ReleaseWithUtility(
 
   PcorRelease release;
   const size_t evals_before = verifier_.evaluations();
-  const size_t hits_before = verifier_.cache_hits();
 
   const bool needs_start = options.sampler == SamplerKind::kRandomWalk ||
                            options.sampler == SamplerKind::kDfs ||
@@ -136,10 +135,8 @@ Result<PcorRelease> PcorEngine::ReleaseWithUtility(
   release.num_candidates = outcome.samples.size();
   release.probes = outcome.probes;
   release.f_evaluations = verifier_.evaluations() - evals_before;
-  release.cache_hits = verifier_.cache_hits() - hits_before;
   release.utility_score = scores[pick];
   release.hit_probe_cap = outcome.hit_probe_cap;
-  release.kernel_backend = simd::ActiveBackendName();
   release.epoch = verifier_.epoch();
   release.seconds = timer.ElapsedSeconds();
   return release;

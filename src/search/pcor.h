@@ -60,14 +60,13 @@ struct PcorRelease {
   double epsilon1 = 0.0;         ///< per-draw mechanism parameter
   size_t num_candidates = 0;     ///< |C_M| the final draw chose from
   size_t probes = 0;             ///< candidate contexts examined
-  size_t f_evaluations = 0;      ///< detector runs (cache misses)
-  size_t cache_hits = 0;         ///< verifier cache hits during the release
+  /// Detector runs (cache misses) during the release. Exact when the
+  /// release ran alone; in a multi-threaded batch concurrent releases
+  /// interleave on the shared cache, so it is only an attribution estimate.
+  size_t f_evaluations = 0;
   double utility_score = 0.0;    ///< u_V(D, C_p) — private to the owner
   double seconds = 0.0;          ///< wall time of the release
   bool hit_probe_cap = false;
-  /// Detector kernel path the release ran on ("scalar", "sse2", "avx2" or
-  /// "avx512"); recorded so perf numbers are attributable to a backend.
-  std::string kernel_backend;
   /// Epoch (sealed-row count) of the dataset view this release ran
   /// against. For a classic load-once engine this is simply the dataset's
   /// row count; under continual release it identifies which snapshot the
@@ -121,10 +120,10 @@ struct BatchEntry {
 /// \brief Aggregated outcome of ReleaseBatch. Entries keep input order.
 ///
 /// `total_f_evaluations` / `cache_hits` / `cache_evictions` are exact
-/// batch-level deltas of the shared verifier's counters; the per-entry
-/// `release.f_evaluations` / `release.cache_hits` are only attribution
-/// estimates when the batch runs multi-threaded (concurrent releases
-/// interleave on the shared cache).
+/// batch-level deltas of the shared verifier's counters, and
+/// `kernel_backend` names the detector kernel path; the per-entry
+/// `release.f_evaluations` is only an attribution estimate when the batch
+/// runs multi-threaded.
 struct BatchReleaseReport {
   std::vector<BatchEntry> entries;
   size_t threads = 1;             ///< parallelism cap, caller included

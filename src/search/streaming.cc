@@ -161,19 +161,12 @@ uint64_t StreamingPcorEngine::SealEpoch() {
     ++seals_;
   }
 
-  // Retire epochs that fell out of the retain window. Safe under pin —
-  // swept epochs recompute on lookup instead of hitting — so this is
-  // memory reclamation only; correctness lives in the (epoch, context)
-  // cache key. With retain_epochs == 0 the window is unused entirely:
-  // tracking it would only grow the deque without bound.
-  if (options_.retain_epochs > 0) {
-    sealed_epochs_.push_back(next->epoch);
-    while (sealed_epochs_.size() > options_.retain_epochs) {
-      sealed_epochs_.pop_front();
-    }
-    retained_epochs_.store(sealed_epochs_.size(), std::memory_order_relaxed);
-    memo_->InvalidateEpochsBefore(sealed_epochs_.front());
-  }
+  // Retire every epoch older than the previous one (base, epoch 0 before
+  // the first seal). Safe under pin — swept epochs recompute on lookup
+  // instead of hitting — so this is memory reclamation only; correctness
+  // lives in the (epoch, context) cache key.
+  retained_epochs_.store(base->epoch == 0 ? 1 : 2, std::memory_order_relaxed);
+  memo_->InvalidateEpochsBefore(base->epoch);
   return next->epoch;
 }
 

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -37,16 +36,6 @@ struct StreamingOptions {
   /// Verifier memo configuration (byte budget, shards, ...). One memo is
   /// shared by every epoch's verifier, keyed by (epoch, context).
   VerifierOptions verifier;
-  /// How many most-recent sealed epochs keep their memo entries across a
-  /// seal. Sealing epoch e sweeps every entry older than the retain
-  /// window (VerifierMemo::InvalidateEpochsBefore) — counted as cache
-  /// *invalidations*, never evictions. 2 keeps the new epoch plus the one
-  /// in-flight batches are most likely still pinned to; 0 disables the
-  /// sweep entirely (the LRU byte budget then does all shedding).
-  /// Sweeping an epoch a batch is still pinned to is safe — its lookups
-  /// recompute instead of hit — so this knob trades memory for warmth,
-  /// never correctness.
-  size_t retain_epochs = 2;
   /// Segment compaction policy.
   CompactionOptions compaction;
 };
@@ -82,7 +71,9 @@ struct StreamingStats {
   uint64_t seals = 0;          ///< SealEpoch calls that advanced the epoch
   size_t segments = 0;         ///< segment fan-out of the current snapshot
   uint64_t compactions = 0;    ///< segment merges performed at seals
-  size_t retained_epochs = 0;  ///< epochs currently inside the retain window
+  /// Sealed epochs whose memo entries survive seals: the current one and
+  /// the one before it (see SealEpoch).
+  size_t retained_epochs = 0;
   size_t cache_invalidations = 0;  ///< memo entries swept at seals
 };
 
@@ -104,7 +95,7 @@ struct StreamingStats {
 ///     bit-identical releases at any thread count.
 ///   - **Stale-epoch isolation.** The shared verifier memo keys every
 ///     entry by (epoch, context); a query at epoch e can only see entries
-///     computed at epoch e. Epoch retirement (retain_epochs) is storage
+///     computed at epoch e. Epoch retirement (see SealEpoch) is storage
 ///     reclamation, not a correctness mechanism.
 ///
 /// Costs, stated plainly: SealEpoch indexes only the tail rows into a new
@@ -145,9 +136,14 @@ class StreamingPcorEngine {
 
   /// \brief Seals every buffered row into a new immutable epoch snapshot
   /// and returns the new epoch id (= total sealed rows). A no-op
-  /// returning the current epoch when nothing is buffered. Sweeps memo
-  /// entries older than the retain window (see StreamingOptions). The
-  /// index build runs outside the append lock (see class comment).
+  /// returning the current epoch when nothing is buffered. The retain
+  /// window is the new epoch and the one before it: every memo entry of
+  /// an older epoch is swept (VerifierMemo::InvalidateEpochsBefore),
+  /// counted as a cache *invalidation*, never an eviction. The previous
+  /// epoch stays warm because in-flight batches are most likely still
+  /// pinned to it; sweeping an epoch a batch is still pinned to is safe
+  /// anyway — its lookups recompute instead of hit. The index build runs
+  /// outside the append lock (see class comment).
   uint64_t SealEpoch();
 
   /// \brief Pins the current snapshot: the returned EpochSnapshot (and
@@ -180,11 +176,10 @@ class StreamingPcorEngine {
   uint64_t appends_ = 0;
   uint64_t seals_ = 0;
 
-  // Serializes SealEpoch calls and guards sealed_epochs_. Held across the
-  // whole (lock-free for appenders) segment build; never taken by the
-  // append/pin/stats paths, so a long seal cannot block them.
+  // Serializes SealEpoch calls. Held across the whole (lock-free for
+  // appenders) segment build; never taken by the append/pin/stats paths,
+  // so a long seal cannot block them.
   std::mutex seal_mu_;
-  std::deque<uint64_t> sealed_epochs_;  // most-recent retain window
   // Mirrors for stats(): readable without touching seal_mu_ (a stats call
   // must never block behind an in-flight index build).
   std::atomic<uint64_t> compactions_{0};

@@ -29,9 +29,9 @@ struct TenantConfig {
   /// finite and positive.
   double weight = 1.0;
   /// Bound on this tenant's admitted-but-undispatched requests; pushing
-  /// past it is a typed door rejection (kResourceExhausted, refunded)
-  /// regardless of the backpressure policy — a tenant at its depth bound
-  /// must fail fast, never dig into the shared capacity by blocking.
+  /// past it is a typed door rejection (kResourceExhausted, refunded) — a
+  /// tenant at its depth bound must fail fast, never dig into the shared
+  /// capacity by blocking.
   /// 0 means no per-tenant bound (the global queue_capacity still applies).
   size_t max_queue_depth = 0;
   /// Per-tenant override of ServeOptions::per_client_epsilon_cap; nullopt
@@ -48,11 +48,11 @@ Status ValidateTenantConfig(const TenantConfig& config);
 /// dispatcher pops; many client threads push.
 ///
 /// Semantics mirror BoundedMpmcQueue: Push blocks while the *global*
-/// capacity is exhausted, TryPush fails fast with kFull, and Close() lets
-/// pops drain every accepted element before reporting kClosed. The one
-/// addition is the per-tenant depth bound: a push for a tenant at its
-/// max_queue_depth returns kTenantFull immediately (never blocks), so one
-/// tenant's backlog is surfaced to that tenant alone.
+/// capacity is exhausted, and Close() wakes blocked pushers with kClosed
+/// and lets pops drain every accepted element before reporting kClosed.
+/// The one addition is the per-tenant depth bound: a push for a tenant at
+/// its max_queue_depth returns kTenantFull immediately (never blocks), so
+/// one tenant's backlog is surfaced to that tenant alone.
 ///
 /// Fairness: each tenant owns a FIFO deque and pops are picked by deficit
 /// round robin — on reaching the front of the active list a tenant's
@@ -106,24 +106,6 @@ class WeightedFairQueue {
       if (size_ < capacity_) break;
       not_full_.wait(lock);
     }
-    PushLocked(tenant, std::move(item), cost);
-    lock.unlock();
-    not_empty_.notify_one();
-    return QueueOp::kOk;
-  }
-
-  /// \brief Non-blocking push: kFull when the global capacity is exhausted
-  /// (item untouched), otherwise as Push.
-  QueueOp TryPush(std::string_view tenant_id, T&& item, double cost = 1.0) {
-    PCOR_CHECK(std::isfinite(cost) && cost > 0.0)
-        << "request cost must be positive and finite";
-    std::unique_lock<std::mutex> lock(mu_);
-    if (closed_) return QueueOp::kClosed;
-    Tenant* tenant = FindOrCreateLocked(tenant_id);
-    if (tenant->max_depth > 0 && tenant->items.size() >= tenant->max_depth) {
-      return QueueOp::kTenantFull;
-    }
-    if (size_ >= capacity_) return QueueOp::kFull;
     PushLocked(tenant, std::move(item), cost);
     lock.unlock();
     not_empty_.notify_one();

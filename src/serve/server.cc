@@ -104,10 +104,7 @@ Result<Future<BatchEntry>> PcorServer::SubmitAsync(
   // The DRR charge is the request's epsilon, so a tenant's fair share
   // holds in privacy budget per second: one expensive release costs as
   // many scheduling credits as many cheap ones.
-  QueueOp pushed =
-      options_.backpressure == BackpressurePolicy::kBlock
-          ? queue_.Push(client_id, std::move(pending), eps)
-          : queue_.TryPush(client_id, std::move(pending), eps);
+  const QueueOp pushed = queue_.Push(client_id, std::move(pending), eps);
   if (pushed != QueueOp::kOk) {
     // Nothing ran against the data: roll the admission back. state_mu_
     // was released between admission and this push, so a concurrent
@@ -128,9 +125,6 @@ Result<Future<BatchEntry>> PcorServer::SubmitAsync(
       return Status::ResourceExhausted("tenant queue depth exceeded");
     }
     ++stats_.rejected_queue;
-    if (pushed == QueueOp::kFull) {
-      return Status::ResourceExhausted("admission queue is full");
-    }
     return Status::Unavailable("server is shutting down");
   }
   {

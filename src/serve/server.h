@@ -42,12 +42,6 @@ class ServeError : public std::exception {
   char what_[256];
 };
 
-/// \brief What SubmitAsync does when the admission queue is full.
-enum class BackpressurePolicy {
-  kBlock,   ///< block the submitting thread until space frees up
-  kReject,  ///< fail fast with a typed kResourceExhausted status
-};
-
 /// \brief Serving front-end configuration.
 struct ServeOptions {
   /// Default release configuration (sampler, epsilon, n, ...) for requests
@@ -58,9 +52,10 @@ struct ServeOptions {
   /// to this bound. Bigger batches give the engine pool's entry-level
   /// fan-out more to spread and keep the shared verifier cache hot.
   size_t max_batch = 64;
-  /// Bound on requests admitted but not yet dispatched.
+  /// Bound on requests admitted but not yet dispatched. A submission that
+  /// finds the queue full blocks until the dispatcher frees a slot (or
+  /// Shutdown wakes it with kUnavailable).
   size_t queue_capacity = 1024;
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Threads each micro-batch fans out over, the dispatcher included, on
   /// the engine's one pool (0 = all cores; capped by the pool's workers
   /// plus one). Latency-only: no value can perturb any released context.
@@ -86,7 +81,7 @@ struct ServerStats {
   size_t released = 0;         ///< entries completed with OK status
   size_t failed = 0;           ///< entries completed with an error status
   size_t rejected_budget = 0;  ///< submissions refused: budget cap
-  size_t rejected_queue = 0;   ///< submissions refused: queue full/shutdown
+  size_t rejected_queue = 0;   ///< submissions refused: shutdown
   size_t rejected_depth = 0;   ///< submissions refused: tenant depth bound
   size_t rejected_invalid = 0; ///< submissions refused: bad request options
   size_t batches = 0;          ///< micro-batches executed
@@ -143,14 +138,15 @@ struct ServerStats {
 /// including entries failed for lack of a sealed epoch.
 ///
 /// Admission rollback (both modes): a door rejection after the charge
-/// (queue full, tenant depth) always refunds, and returns the slot only
-/// when no later submission of the same tenant has claimed the next one;
-/// a slot that cannot be returned is burned, so two releases never share
-/// an Rng stream.
+/// (tenant depth, or a submitter blocked on a full queue and woken by
+/// Shutdown) always refunds, and returns the slot only when no later
+/// submission of the same tenant has claimed the next one; a slot that
+/// cannot be returned is burned, so two releases never share an Rng
+/// stream.
 ///
 /// Thread-safety: every public method may be called concurrently from any
-/// thread. SubmitAsync blocks only under BackpressurePolicy::kBlock with a
-/// full queue; Shutdown blocks until the dispatcher exits.
+/// thread. SubmitAsync blocks only while the global queue is full;
+/// Shutdown blocks until the dispatcher exits.
 class PcorServer {
  public:
   /// \brief The engine must outlive the server.
@@ -185,11 +181,11 @@ class PcorServer {
   /// completes with the request's BatchEntry, or a typed error:
   /// kInvalidArgument (the effective options — the per-request override,
   /// else ServeOptions::release — fail ValidatePcorOptions; nothing
-  /// charged), kPrivacyBudgetExceeded (cap), kResourceExhausted
-  /// (tenant depth bound, or queue full under kReject), kUnavailable
-  /// (shutting down). Blocks only when the global queue is full under
-  /// BackpressurePolicy::kBlock — a tenant at its own depth bound is
-  /// rejected immediately and its charge refunded.
+  /// charged), kPrivacyBudgetExceeded (cap), kResourceExhausted (tenant
+  /// depth bound), kUnavailable (shutting down, including a submission
+  /// blocked on a full queue when Shutdown lands; its charge is refunded).
+  /// Blocks only while the global queue is full — a tenant at its own
+  /// depth bound is rejected immediately and its charge refunded.
   Result<Future<BatchEntry>> SubmitAsync(const BatchRequest& request,
                                          std::string_view client_id);
 

@@ -17,48 +17,36 @@ using std::chrono::milliseconds;
 TEST(BoundedMpmcQueueTest, FifoSingleThread) {
   BoundedMpmcQueue<int> q(4);
   EXPECT_EQ(q.capacity(), 4u);
-  EXPECT_EQ(q.TryPush(1), QueueOp::kOk);
-  EXPECT_EQ(q.TryPush(2), QueueOp::kOk);
+  EXPECT_EQ(q.Push(1), QueueOp::kOk);
+  EXPECT_EQ(q.Push(2), QueueOp::kOk);
   EXPECT_EQ(q.size(), 2u);
   int out = 0;
-  EXPECT_EQ(q.TryPop(&out), QueueOp::kOk);
+  EXPECT_EQ(q.Pop(&out), QueueOp::kOk);
   EXPECT_EQ(out, 1);
-  EXPECT_EQ(q.TryPop(&out), QueueOp::kOk);
+  EXPECT_EQ(q.Pop(&out), QueueOp::kOk);
   EXPECT_EQ(out, 2);
-  EXPECT_EQ(q.TryPop(&out), QueueOp::kEmpty);
-}
-
-TEST(BoundedMpmcQueueTest, TryPushReportsFull) {
-  BoundedMpmcQueue<int> q(2);
-  EXPECT_EQ(q.TryPush(1), QueueOp::kOk);
-  EXPECT_EQ(q.TryPush(2), QueueOp::kOk);
-  EXPECT_EQ(q.TryPush(3), QueueOp::kFull);
-  int out = 0;
-  EXPECT_EQ(q.TryPop(&out), QueueOp::kOk);
-  EXPECT_EQ(q.TryPush(3), QueueOp::kOk);
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(BoundedMpmcQueueTest, CloseFailsPushesButDrainsPops) {
   BoundedMpmcQueue<int> q(4);
-  ASSERT_EQ(q.TryPush(10), QueueOp::kOk);
-  ASSERT_EQ(q.TryPush(11), QueueOp::kOk);
+  ASSERT_EQ(q.Push(10), QueueOp::kOk);
+  ASSERT_EQ(q.Push(11), QueueOp::kOk);
   q.Close();
   EXPECT_TRUE(q.closed());
-  EXPECT_EQ(q.TryPush(12), QueueOp::kClosed);
   EXPECT_EQ(q.Push(12), QueueOp::kClosed);
   int out = 0;
   EXPECT_EQ(q.Pop(&out), QueueOp::kOk);
   EXPECT_EQ(out, 10);
-  EXPECT_EQ(q.TryPop(&out), QueueOp::kOk);
+  EXPECT_EQ(q.Pop(&out), QueueOp::kOk);
   EXPECT_EQ(out, 11);
-  // Drained: every flavor of pop now reports closed instead of blocking.
+  // Drained: pop now reports closed instead of blocking.
   EXPECT_EQ(q.Pop(&out), QueueOp::kClosed);
-  EXPECT_EQ(q.TryPop(&out), QueueOp::kClosed);
 }
 
 TEST(BoundedMpmcQueueTest, BlockedPushWakesOnPop) {
   BoundedMpmcQueue<int> q(1);
-  ASSERT_EQ(q.TryPush(1), QueueOp::kOk);
+  ASSERT_EQ(q.Push(1), QueueOp::kOk);
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
     EXPECT_EQ(q.Push(2), QueueOp::kOk);  // blocks until the pop below
@@ -76,7 +64,7 @@ TEST(BoundedMpmcQueueTest, BlockedPushWakesOnPop) {
 
 TEST(BoundedMpmcQueueTest, CloseWakesBlockedPush) {
   BoundedMpmcQueue<int> q(1);
-  ASSERT_EQ(q.TryPush(1), QueueOp::kOk);
+  ASSERT_EQ(q.Push(1), QueueOp::kOk);
   std::thread producer([&] { EXPECT_EQ(q.Push(2), QueueOp::kClosed); });
   std::this_thread::sleep_for(milliseconds(5));
   q.Close();
@@ -96,7 +84,7 @@ TEST(BoundedMpmcQueueTest, CloseWakesBlockedPop) {
 
 TEST(BoundedMpmcQueueTest, MoveOnlyElements) {
   BoundedMpmcQueue<std::unique_ptr<int>> q(2);
-  EXPECT_EQ(q.TryPush(std::make_unique<int>(7)), QueueOp::kOk);
+  EXPECT_EQ(q.Push(std::make_unique<int>(7)), QueueOp::kOk);
   std::unique_ptr<int> out;
   EXPECT_EQ(q.Pop(&out), QueueOp::kOk);
   ASSERT_NE(out, nullptr);

@@ -21,12 +21,21 @@ namespace {
 
 using IntCache = ShardedLruCache<int, int>;
 
-LruCacheOptions SingleShard(size_t max_bytes, size_t max_entries = 0) {
+LruCacheOptions SingleShard(size_t max_bytes) {
   LruCacheOptions options;
   options.num_shards = 1;
   options.max_bytes = max_bytes;
-  options.max_entries = max_entries;
   return options;
+}
+
+// The bytes one entry of value cost `cost` charges to the budget (cost plus
+// the cache's per-entry bookkeeping), read off an unbounded cache. An entry
+// budget of k is a byte budget of k times this, when every cost is equal.
+template <typename K, typename V, typename Hash = std::hash<K>>
+size_t EntryCharge(size_t cost) {
+  ShardedLruCache<K, V, Hash> cache(SingleShard(/*max_bytes=*/0));
+  cache.Put(K{}, V{}, cost);
+  return cache.Stats().resident_bytes;
 }
 
 TEST(ShardedLruCacheTest, PutGetRoundtrip) {
@@ -58,9 +67,9 @@ TEST(ShardedLruCacheTest, PutRefreshesExistingKey) {
 }
 
 TEST(ShardedLruCacheTest, EvictsFromTheColdEnd) {
-  // Entry budget 3 on one shard: inserting a fourth key evicts exactly the
-  // least recently used one.
-  IntCache cache(SingleShard(/*max_bytes=*/0, /*max_entries=*/3));
+  // A budget of 3 entries on one shard: inserting a fourth key evicts
+  // exactly the least recently used one.
+  IntCache cache(SingleShard(3 * EntryCharge<int, int>(1)));
   cache.Put(1, 10, 1);
   cache.Put(2, 20, 1);
   cache.Put(3, 30, 1);
@@ -103,7 +112,7 @@ TEST(ShardedLruCacheTest, OversizedEntryStaysServableAfterInsert) {
 }
 
 TEST(ShardedLruCacheTest, WholesaleClearDropsAllButNewest) {
-  LruCacheOptions options = SingleShard(/*max_bytes=*/0, /*max_entries=*/4);
+  LruCacheOptions options = SingleShard(4 * EntryCharge<int, int>(1));
   options.wholesale_clear = true;
   IntCache cache(options);
   for (int k = 0; k < 5; ++k) cache.Put(k, k, 1);
@@ -144,7 +153,7 @@ TEST(ShardedLruCacheTest, EraseIfDropsExactlyTheMatchingKeys) {
 TEST(ShardedLruCacheTest, EraseIfReleasesBytesAndListLinks) {
   // After sweeping, the freed bytes must be reusable and the recency list
   // intact: filling the budget again evicts cleanly from the cold end.
-  IntCache cache(SingleShard(/*max_bytes=*/0, /*max_entries=*/4));
+  IntCache cache(SingleShard(4 * EntryCharge<int, int>(8)));
   for (int k = 0; k < 4; ++k) cache.Put(k, k, 8);
   EXPECT_EQ(cache.EraseIf([](int key) { return key == 1 || key == 2; }), 2u);
   EXPECT_EQ(cache.Stats().resident_entries, 2u);
@@ -209,8 +218,9 @@ TEST(ShardedLruCacheTest, ShardCountRoundsUpToPowerOfTwo) {
 TEST(ShardedLruCacheTest, SharedPtrValuesSurviveEviction) {
   // The verifier's usage pattern: values are shared_ptrs, and a copy handed
   // out by Get() must stay valid after the entry is evicted.
-  ShardedLruCache<int, std::shared_ptr<const std::string>> cache(
-      SingleShard(/*max_bytes=*/0, /*max_entries=*/1));
+  // A budget of one entry.
+  ShardedLruCache<int, std::shared_ptr<const std::string>> cache(SingleShard(
+      EntryCharge<int, std::shared_ptr<const std::string>>(5)));
   cache.Put(1, std::make_shared<const std::string>("alpha"), 5);
   std::shared_ptr<const std::string> held;
   ASSERT_TRUE(cache.Get(1, &held));
@@ -265,11 +275,10 @@ struct ModelHash {
 // go per round, never the entry just touched.
 class ReferenceLru {
  public:
-  ReferenceLru(size_t num_shards, size_t shard_max_bytes,
-               size_t shard_max_entries, bool wholesale, size_t overhead)
+  ReferenceLru(size_t num_shards, size_t shard_max_bytes, bool wholesale,
+               size_t overhead)
       : shards_(num_shards),
         max_bytes_(shard_max_bytes),
-        max_entries_(shard_max_entries),
         wholesale_(wholesale),
         overhead_(overhead) {}
 
@@ -371,12 +380,11 @@ class ReferenceLru {
   Shard& ShardOf(uint32_t id) { return shards_[id % 4 % shards_.size()]; }
 
   bool OverBudget(const Shard& shard) const {
-    return (max_bytes_ != 0 && shard.bytes > max_bytes_) ||
-           (max_entries_ != 0 && shard.map.size() > max_entries_);
+    return max_bytes_ != 0 && shard.bytes > max_bytes_;
   }
 
   std::vector<Shard> shards_;
-  size_t max_bytes_, max_entries_;
+  size_t max_bytes_;
   bool wholesale_;
   size_t overhead_;
   size_t largest_batch_ = 0;
@@ -384,13 +392,6 @@ class ReferenceLru {
 };
 
 using ModelCache = ShardedLruCache<ModelKey, int, ModelHash>;
-
-size_t EntryOverhead() {
-  // The per-entry bookkeeping charge, read off an empty cache.
-  ModelCache cache(SingleShard(/*max_bytes=*/0));
-  cache.Put(ModelKey{0}, 0, 0);
-  return cache.Stats().resident_bytes;
-}
 
 void ExpectSameState(ModelCache& cache, const ReferenceLru& reference) {
   const LruCacheStats got = cache.Stats();
@@ -415,44 +416,37 @@ void ExpectSameState(ModelCache& cache, const ReferenceLru& reference) {
 struct ModelConfig {
   size_t num_shards;
   size_t max_bytes;  // 0 = unbounded, as in LruCacheOptions
-  size_t max_entries;
   bool wholesale;
   uint32_t key_space;
 };
 
 TEST(ShardedLruCacheTest, MatchesReferenceLruUnderRandomOperations) {
-  const size_t overhead = EntryOverhead();
+  const size_t overhead = EntryCharge<ModelKey, int, ModelHash>(0);
   const size_t typical = overhead + 100;
   std::vector<ModelConfig> configs;
   // Unbounded: the tables grow.
-  configs.push_back({1, 0, 0, false, 96});
-  configs.push_back({4, 0, 0, false, 160});
-  // Entry budgets; the larger ones evict batches of up to 5.
-  configs.push_back({1, 0, 11, false, 40});
-  configs.push_back({4, 0, 24, false, 60});
-  configs.push_back({1, 0, 40, false, 96});
-  configs.push_back({4, 0, 64, false, 240});
-  // Byte budgets, then both budgets at once.
-  configs.push_back({1, 7 * typical, 0, false, 40});
-  configs.push_back({4, 24 * typical, 0, false, 60});
-  configs.push_back({1, 40 * typical, 0, false, 96});
-  configs.push_back({1, 9 * typical, 13, false, 40});
+  configs.push_back({1, 0, false, 96});
+  configs.push_back({4, 0, false, 160});
+  // Byte budgets of k typical entries; the larger ones evict batches of
+  // up to 5.
+  configs.push_back({1, 7 * typical, false, 40});
+  configs.push_back({1, 11 * typical, false, 40});
+  configs.push_back({4, 24 * typical, false, 60});
+  configs.push_back({1, 40 * typical, false, 96});
+  configs.push_back({4, 64 * typical, false, 240});
   // Wholesale clear.
-  configs.push_back({1, 0, 9, true, 40});
-  configs.push_back({4, 16 * typical, 0, true, 60});
+  configs.push_back({1, 9 * typical, true, 40});
+  configs.push_back({4, 16 * typical, true, 60});
   for (size_t c = 0; c < configs.size(); ++c) {
     const ModelConfig& config = configs[c];
     LruCacheOptions options;
     options.num_shards = config.num_shards;
     options.max_bytes = config.max_bytes;
-    options.max_entries = config.max_entries;
     options.wholesale_clear = config.wholesale;
     ModelCache cache(options);
     const size_t n = config.num_shards;
     const size_t shard_bytes = (config.max_bytes + n - 1) / n;
-    const size_t shard_entries = (config.max_entries + n - 1) / n;
-    ReferenceLru reference(n, shard_bytes, shard_entries, config.wholesale,
-                           overhead);
+    ReferenceLru reference(n, shard_bytes, config.wholesale, overhead);
     Rng rng(1000 + c);
     for (int op = 0; op < 4000; ++op) {
       const uint32_t id =
@@ -496,10 +490,9 @@ TEST(ShardedLruCacheTest, MatchesReferenceLruUnderRandomOperations) {
       if (::testing::Test::HasFatalFailure()) return;
     }
     // Every budget binds, and the larger ones evict in batches.
-    const bool budgeted = config.max_bytes != 0 || config.max_entries != 0;
+    const bool budgeted = config.max_bytes != 0;
     EXPECT_EQ(cache.Stats().evictions > 0, budgeted) << "config " << c;
-    const size_t entries_per_shard =
-        std::max(config.max_bytes / typical, config.max_entries) / n;
+    const size_t entries_per_shard = config.max_bytes / typical / n;
     if (budgeted && !config.wholesale && entries_per_shard >= 16) {
       EXPECT_GE(reference.largest_batch(), 2u) << "config " << c;
     }

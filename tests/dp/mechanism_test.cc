@@ -34,16 +34,13 @@ TEST(ExponentialMechanismTest, NegativeInfinityGetsZeroProbability) {
 }
 
 TEST(ExponentialMechanismTest, ChooseNeverPicksInvalidCandidates) {
-  for (auto sampling :
-       {ExpMechSampling::kGumbel, ExpMechSampling::kNormalized}) {
-    ExponentialMechanism mech(0.5, 1.0, sampling);
-    Rng rng(5);
-    std::vector<double> scores{-kInf, 3.0, -kInf, 1.0};
-    for (int i = 0; i < 500; ++i) {
-      auto pick = mech.Choose(scores, &rng);
-      ASSERT_TRUE(pick.ok());
-      EXPECT_TRUE(*pick == 1 || *pick == 3);
-    }
+  ExponentialMechanism mech(0.5, 1.0);
+  Rng rng(5);
+  std::vector<double> scores{-kInf, 3.0, -kInf, 1.0};
+  for (int i = 0; i < 500; ++i) {
+    auto pick = mech.Choose(scores, &rng);
+    ASSERT_TRUE(pick.ok());
+    EXPECT_TRUE(*pick == 1 || *pick == 3);
   }
 }
 
@@ -54,9 +51,9 @@ TEST(ExponentialMechanismTest, ErrorsOnDegenerateInput) {
   EXPECT_TRUE(mech.Choose({-kInf, -kInf}, &rng).status().IsNoValidContext());
 }
 
-void CheckEmpiricalDistribution(ExpMechSampling sampling) {
+TEST(ExponentialMechanismTest, GumbelSamplingMatchesTheory) {
   const double eps1 = 1.0;
-  ExponentialMechanism mech(eps1, 1.0, sampling);
+  ExponentialMechanism mech(eps1, 1.0);
   std::vector<double> scores{0.0, 1.0, 2.0, -kInf};
   auto expected = mech.Probabilities(scores);
   Rng rng(42);
@@ -72,16 +69,8 @@ void CheckEmpiricalDistribution(ExpMechSampling sampling) {
     const double freq = static_cast<double>(counts[i]) / n;
     const double se = std::sqrt(expected[i] * (1 - expected[i]) / n);
     EXPECT_NEAR(freq, expected[i], 6.0 * se + 1e-4)
-        << "sampling mode " << static_cast<int>(sampling) << " index " << i;
+        << "index " << i;
   }
-}
-
-TEST(ExponentialMechanismTest, GumbelSamplingMatchesTheory) {
-  CheckEmpiricalDistribution(ExpMechSampling::kGumbel);
-}
-
-TEST(ExponentialMechanismTest, NormalizedSamplingMatchesTheory) {
-  CheckEmpiricalDistribution(ExpMechSampling::kNormalized);
 }
 
 TEST(ExponentialMechanismTest, EqualScoresAreUniform) {

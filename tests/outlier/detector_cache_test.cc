@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <thread>
@@ -87,13 +88,30 @@ TEST_F(VerifierTest, CacheDisableAlwaysRecomputes) {
 }
 
 TEST_F(VerifierTest, EntryBudgetEvictsLruButStaysCorrect) {
+  // A byte budget of 4 entries: 4 times the smallest charge any queried
+  // context takes in an unbounded memo, so at most 4 stay resident.
+  const size_t t = grid_.dataset.schema().total_values();
+  size_t smallest_charge = SIZE_MAX;
+  {
+    VerifierOptions unbounded;
+    unbounded.max_cache_bytes = 0;
+    unbounded.num_shards = 1;
+    OutlierVerifier sizer(index_, detector_, unbounded);
+    for (size_t bit = 0; bit < t; ++bit) {
+      ContextVec c = FullCtx();
+      c.Clear(bit);
+      const size_t before = sizer.Stats().resident_bytes;
+      sizer.OutliersInContext(c);
+      smallest_charge =
+          std::min(smallest_charge, sizer.Stats().resident_bytes - before);
+    }
+  }
   VerifierOptions options;
-  options.max_cache_entries = 4;
+  options.max_cache_bytes = 4 * smallest_charge;
   options.num_shards = 1;
   OutlierVerifier verifier(index_, detector_, options);
-  // Query more distinct contexts than the cap: the cold end is evicted
-  // entry by entry, never the whole cache.
-  const size_t t = grid_.dataset.schema().total_values();
+  // Query more distinct contexts than the budget holds: the cold end is
+  // evicted in batches, never the whole cache.
   for (size_t bit = 0; bit < t; ++bit) {
     ContextVec c = FullCtx();
     c.Clear(bit);

@@ -216,48 +216,47 @@ TEST_F(StreamingEngineTest, SharedMemoNeverLeaksAcrossEpochs) {
 }
 
 TEST_F(StreamingEngineTest, SealSweepsEpochsOutsideRetainWindow) {
-  StreamingOptions options;
-  options.retain_epochs = 1;
-  StreamingPcorEngine stream(testing_util::GridSchema(), detector_,
-                             options);
+  StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
   ASSERT_TRUE(stream.AppendRows(RowsOf(grid_.dataset)).ok());
   stream.SealEpoch();
+  EXPECT_EQ(stream.stats().retained_epochs, 1u);
   // Warm the memo at epoch 1.
   Rng rng(3);
   ASSERT_TRUE(
       stream.Pin()->engine->Release(grid_.v_row, BfsOptions(), &rng).ok());
-  const size_t entries_before = stream.memo()->CacheStats().resident_entries;
-  ASSERT_GT(entries_before, 0u);
+  const size_t first_epoch_entries =
+      stream.memo()->CacheStats().resident_entries;
+  ASSERT_GT(first_epoch_entries, 0u);
+  auto append_and_seal = [&] {
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(stream.Append({1, 1}, 100.0).ok());
+    }
+    stream.SealEpoch();
+  };
 
-  // Sealing the next epoch retires epoch 1's entries as INVALIDATIONS —
-  // distinct from LRU pressure evictions, which stay zero here.
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(stream.Append({1, 1}, 100.0).ok());
-  }
-  stream.SealEpoch();
-  const LruCacheStats cache = stream.memo()->CacheStats();
-  EXPECT_EQ(cache.invalidations, entries_before);
-  EXPECT_EQ(cache.evictions, 0u);
-  EXPECT_EQ(cache.resident_entries, 0u);
-  EXPECT_EQ(stream.stats().cache_invalidations, entries_before);
-
-  // retain_epochs = 0 disables the sweep entirely.
-  StreamingOptions keep_all = options;
-  keep_all.retain_epochs = 0;
-  StreamingPcorEngine packrat(testing_util::GridSchema(), detector_,
-                              keep_all);
-  ASSERT_TRUE(packrat.AppendRows(RowsOf(grid_.dataset)).ok());
-  packrat.SealEpoch();
-  Rng rng2(3);
+  // The retain window is the new epoch and the one before it: sealing
+  // epoch 2 keeps epoch 1 warm.
+  append_and_seal();
+  EXPECT_EQ(stream.stats().retained_epochs, 2u);
+  EXPECT_EQ(stream.memo()->CacheStats().invalidations, 0u);
+  EXPECT_EQ(stream.memo()->CacheStats().resident_entries,
+            first_epoch_entries);
+  Rng rng2(4);
   ASSERT_TRUE(
-      packrat.Pin()->engine->Release(grid_.v_row, BfsOptions(), &rng2).ok());
-  const size_t warm = packrat.memo()->CacheStats().resident_entries;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(packrat.Append({1, 1}, 100.0).ok());
-  }
-  packrat.SealEpoch();
-  EXPECT_EQ(packrat.memo()->CacheStats().invalidations, 0u);
-  EXPECT_EQ(packrat.memo()->CacheStats().resident_entries, warm);
+      stream.Pin()->engine->Release(grid_.v_row, BfsOptions(), &rng2).ok());
+  const size_t second_epoch_entries =
+      stream.memo()->CacheStats().resident_entries - first_epoch_entries;
+  ASSERT_GT(second_epoch_entries, 0u);
+
+  // Sealing epoch 3 retires epoch 1's entries as INVALIDATIONS — distinct
+  // from LRU pressure evictions, which stay zero here — and keeps epoch
+  // 2's.
+  append_and_seal();
+  const LruCacheStats cache = stream.memo()->CacheStats();
+  EXPECT_EQ(cache.invalidations, first_epoch_entries);
+  EXPECT_EQ(cache.evictions, 0u);
+  EXPECT_EQ(cache.resident_entries, second_epoch_entries);
+  EXPECT_EQ(stream.stats().cache_invalidations, first_epoch_entries);
 }
 
 // Appends `rows` one at a time, sealing after every row whose (1-based)
@@ -443,25 +442,19 @@ TEST_F(StreamingEngineTest, AppendRowsIsAllOrNothing) {
 }
 
 TEST_F(StreamingEngineTest, RetainWindowTrackingStaysBoundedAtZero) {
-  // retain_epochs == 0 must not track sealed epochs at all (the unbounded
-  // deque regression), while a positive window reports its actual size.
-  StreamingOptions keep_none;
-  keep_none.retain_epochs = 0;
-  StreamingPcorEngine packrat(testing_util::GridSchema(), detector_,
-                              keep_none);
-  StreamingOptions keep_two;
-  keep_two.retain_epochs = 2;
-  StreamingPcorEngine windowed(testing_util::GridSchema(), detector_,
-                               keep_two);
+  // Nothing sealed means nothing tracked; after that the tracked window
+  // reports its actual size and never grows past two epochs (the
+  // unbounded deque regression).
+  StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
+  EXPECT_EQ(stream.stats().retained_epochs, 0u);
+  ASSERT_TRUE(stream.Append({0, 1}, 100.0).ok());
+  EXPECT_EQ(stream.stats().retained_epochs, 0u);
   for (int seal = 0; seal < 20; ++seal) {
-    for (StreamingPcorEngine* s : {&packrat, &windowed}) {
-      ASSERT_TRUE(s->Append({uint32_t(seal) % 3, 1}, 100.0 + seal).ok());
-      s->SealEpoch();
-    }
-    EXPECT_EQ(packrat.stats().retained_epochs, 0u) << "seal " << seal;
-    EXPECT_LE(windowed.stats().retained_epochs, 2u) << "seal " << seal;
+    ASSERT_TRUE(stream.Append({uint32_t(seal) % 3, 1}, 100.0 + seal).ok());
+    stream.SealEpoch();
+    EXPECT_EQ(stream.stats().retained_epochs, seal == 0 ? 1u : 2u)
+        << "seal " << seal;
   }
-  EXPECT_EQ(windowed.stats().retained_epochs, 2u);
 }
 
 TEST_F(StreamingEngineTest, AppendsProgressWhileLargeSealInFlight) {

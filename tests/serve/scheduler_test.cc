@@ -60,10 +60,10 @@ TEST(WeightedFairQueueTest, ServesTenantsProportionallyToWeight) {
   queue.RegisterTenant("heavy", 10.0, 0);
   queue.RegisterTenant("light", 1.0, 0);
   for (int i = 0; i < 200; ++i) {
-    ASSERT_EQ(queue.TryPush("heavy", Item{"heavy", i}), QueueOp::kOk);
+    ASSERT_EQ(queue.Push("heavy", Item{"heavy", i}), QueueOp::kOk);
   }
   for (int i = 0; i < 18; ++i) {
-    ASSERT_EQ(queue.TryPush("light", Item{"light", i}), QueueOp::kOk);
+    ASSERT_EQ(queue.Push("light", Item{"light", i}), QueueOp::kOk);
   }
 
   const std::vector<Item> order = DrainAll(&queue);
@@ -85,8 +85,8 @@ TEST(WeightedFairQueueTest, FractionalWeightAccumulatesAcrossRounds) {
   queue.RegisterTenant("full", 1.0, 0);
   queue.RegisterTenant("quarter", 0.25, 0);
   for (int i = 0; i < 40; ++i) {
-    ASSERT_EQ(queue.TryPush("full", Item{"full", i}), QueueOp::kOk);
-    ASSERT_EQ(queue.TryPush("quarter", Item{"quarter", i}), QueueOp::kOk);
+    ASSERT_EQ(queue.Push("full", Item{"full", i}), QueueOp::kOk);
+    ASSERT_EQ(queue.Push("quarter", Item{"quarter", i}), QueueOp::kOk);
   }
   const std::vector<Item> order = DrainAll(&queue);
   // While both are backlogged the quarter-weight tenant is served once per
@@ -104,7 +104,7 @@ TEST(WeightedFairQueueTest, PerTenantOrderIsFifo) {
   queue.RegisterTenant("a", 5.0, 0);
   queue.RegisterTenant("b", 1.0, 0);
   for (int i = 0; i < 30; ++i) {
-    ASSERT_EQ(queue.TryPush(i % 2 ? "a" : "b", Item{i % 2 ? "a" : "b", i}),
+    ASSERT_EQ(queue.Push(i % 2 ? "a" : "b", Item{i % 2 ? "a" : "b", i}),
               QueueOp::kOk);
   }
   std::map<std::string, int> last_seen;
@@ -121,8 +121,8 @@ TEST(WeightedFairQueueTest, PerTenantOrderIsFifo) {
 TEST(WeightedFairQueueTest, UnregisteredTenantsDefaultToWeightOne) {
   WeightedFairQueue<Item> queue(512);
   for (int i = 0; i < 20; ++i) {
-    ASSERT_EQ(queue.TryPush("x", Item{"x", i}), QueueOp::kOk);
-    ASSERT_EQ(queue.TryPush("y", Item{"y", i}), QueueOp::kOk);
+    ASSERT_EQ(queue.Push("x", Item{"x", i}), QueueOp::kOk);
+    ASSERT_EQ(queue.Push("y", Item{"y", i}), QueueOp::kOk);
   }
   const std::vector<Item> order = DrainAll(&queue);
   // Equal default weights alternate one-for-one while both are backlogged.
@@ -138,12 +138,9 @@ TEST(WeightedFairQueueTest, TenantDepthBoundRejectsImmediately) {
   queue.RegisterTenant("bounded", 1.0, 2);
   ASSERT_EQ(queue.Push("bounded", Item{"bounded", 0}), QueueOp::kOk);
   ASSERT_EQ(queue.Push("bounded", Item{"bounded", 1}), QueueOp::kOk);
-  // Both the blocking and non-blocking push fail fast with the typed
-  // per-tenant code: a tenant at its depth bound must never block.
+  // The push fails fast with the typed per-tenant code: a tenant at its
+  // depth bound must never block.
   EXPECT_EQ(queue.Push("bounded", Item{"bounded", 2}), QueueOp::kTenantFull);
-  Item rejected{"bounded", 3};
-  EXPECT_EQ(queue.TryPush("bounded", std::move(rejected)),
-            QueueOp::kTenantFull);
   // Other tenants are unaffected by the bounded tenant's backlog.
   EXPECT_EQ(queue.Push("free", Item{"free", 0}), QueueOp::kOk);
   // Draining one element reopens the bounded tenant's window.
@@ -155,12 +152,10 @@ TEST(WeightedFairQueueTest, TenantDepthBoundRejectsImmediately) {
 
 TEST(WeightedFairQueueTest, GlobalCapacityStillBoundsEveryone) {
   WeightedFairQueue<Item> queue(2);
-  ASSERT_EQ(queue.TryPush("a", Item{"a", 0}), QueueOp::kOk);
-  ASSERT_EQ(queue.TryPush("b", Item{"b", 0}), QueueOp::kOk);
-  Item overflow{"c", 0};
-  EXPECT_EQ(queue.TryPush("c", std::move(overflow)), QueueOp::kFull);
+  ASSERT_EQ(queue.Push("a", Item{"a", 0}), QueueOp::kOk);
+  ASSERT_EQ(queue.Push("b", Item{"b", 0}), QueueOp::kOk);
 
-  // A blocking push waits for space instead of failing.
+  // A push past the global capacity waits for space instead of failing.
   std::atomic<bool> pushed{false};
   std::thread pusher([&] {
     EXPECT_EQ(queue.Push("c", Item{"c", 1}), QueueOp::kOk);
@@ -192,7 +187,7 @@ TEST(WeightedFairQueueTest, TryPopReportsEmptyOnAnOpenEmptyQueue) {
   WeightedFairQueue<Item> queue(8);
   Item item;
   EXPECT_EQ(queue.TryPop(&item), QueueOp::kEmpty);
-  ASSERT_EQ(queue.TryPush("a", Item{"a", 0}), QueueOp::kOk);
+  ASSERT_EQ(queue.Push("a", Item{"a", 0}), QueueOp::kOk);
   EXPECT_EQ(queue.TryPop(&item), QueueOp::kOk);
   EXPECT_EQ(item, (Item{"a", 0}));
   EXPECT_EQ(queue.TryPop(&item), QueueOp::kEmpty);
@@ -201,7 +196,7 @@ TEST(WeightedFairQueueTest, TryPopReportsEmptyOnAnOpenEmptyQueue) {
 
 TEST(WeightedFairQueueTest, TryPopReportsClosedOnceClosedAndDrained) {
   WeightedFairQueue<Item> queue(8);
-  ASSERT_EQ(queue.TryPush("a", Item{"a", 0}), QueueOp::kOk);
+  ASSERT_EQ(queue.Push("a", Item{"a", 0}), QueueOp::kOk);
   queue.Close();
   Item item;
   EXPECT_EQ(queue.TryPop(&item), QueueOp::kOk);
@@ -219,9 +214,9 @@ TEST(WeightedFairQueueTest, TryPopPicksInTheSameOrderAsPop) {
     for (int i = 0; i < 12; ++i) {
       const char* tenant = (i % 3 == 0) ? "light" : "heavy";
       const double cost = (i % 4 == 0) ? 0.8 : 0.2;
-      ASSERT_EQ(queue->TryPush(tenant, Item{tenant, i}, cost), QueueOp::kOk);
+      ASSERT_EQ(queue->Push(tenant, Item{tenant, i}, cost), QueueOp::kOk);
     }
-    ASSERT_EQ(queue->TryPush("other", Item{"other", 12}), QueueOp::kOk);
+    ASSERT_EQ(queue->Push("other", Item{"other", 12}), QueueOp::kOk);
   }
   std::vector<Item> try_order;
   Item item;
@@ -239,8 +234,8 @@ TEST(WeightedFairQueueTest, PathologicallySmallWeightsServeWithoutSpinning) {
   queue.RegisterTenant("tiny", 1e-9, 0);
   queue.RegisterTenant("twice", 2e-9, 0);
   for (int i = 0; i < 30; ++i) {
-    ASSERT_EQ(queue.TryPush("tiny", Item{"tiny", i}), QueueOp::kOk);
-    ASSERT_EQ(queue.TryPush("twice", Item{"twice", i}), QueueOp::kOk);
+    ASSERT_EQ(queue.Push("tiny", Item{"tiny", i}), QueueOp::kOk);
+    ASSERT_EQ(queue.Push("twice", Item{"twice", i}), QueueOp::kOk);
   }
   const std::vector<Item> order = DrainAll(&queue);
   ASSERT_EQ(order.size(), 60u);
@@ -255,7 +250,7 @@ TEST(WeightedFairQueueTest, PathologicallySmallWeightsServeWithoutSpinning) {
   // to) also returns promptly.
   WeightedFairQueue<Item> solo(8);
   solo.RegisterTenant("alone", 1e-12, 0);
-  ASSERT_EQ(solo.TryPush("alone", Item{"alone", 0}), QueueOp::kOk);
+  ASSERT_EQ(solo.Push("alone", Item{"alone", 0}), QueueOp::kOk);
   Item item;
   EXPECT_EQ(solo.Pop(&item), QueueOp::kOk);
   EXPECT_EQ(item.second, 0);
@@ -271,10 +266,10 @@ TEST(WeightedFairQueueTest, EpsilonCostsEqualizePrivacyBudgetShare) {
   queue.RegisterTenant("cheap", 1.0, 0);
   queue.RegisterTenant("dear", 1.0, 0);
   for (int i = 0; i < 80; ++i) {
-    ASSERT_EQ(queue.TryPush("cheap", Item{"cheap", i}, 0.5), QueueOp::kOk);
+    ASSERT_EQ(queue.Push("cheap", Item{"cheap", i}, 0.5), QueueOp::kOk);
   }
   for (int i = 0; i < 20; ++i) {
-    ASSERT_EQ(queue.TryPush("dear", Item{"dear", i}, 2.0), QueueOp::kOk);
+    ASSERT_EQ(queue.Push("dear", Item{"dear", i}, 2.0), QueueOp::kOk);
   }
 
   const std::vector<Item> order = DrainAll(&queue);
@@ -310,10 +305,10 @@ TEST(WeightedFairQueueTest, EpsilonCostsComposeWithWeights) {
   queue.RegisterTenant("big", 3.0, 0);
   queue.RegisterTenant("small", 1.0, 0);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_EQ(queue.TryPush("big", Item{"big", i}, 3.0), QueueOp::kOk);
+    ASSERT_EQ(queue.Push("big", Item{"big", i}, 3.0), QueueOp::kOk);
   }
   for (int i = 0; i < 30; ++i) {
-    ASSERT_EQ(queue.TryPush("small", Item{"small", i}, 1.0), QueueOp::kOk);
+    ASSERT_EQ(queue.Push("small", Item{"small", i}, 1.0), QueueOp::kOk);
   }
   const std::vector<Item> order = DrainAll(&queue);
   ASSERT_EQ(order.size(), 40u);
@@ -339,8 +334,8 @@ TEST(WeightedFairQueueTest, ExpensiveFrontRequestDoesNotSpinOrStarve) {
   // iteration spin; afterwards cheap requests flow normally.
   WeightedFairQueue<Item> queue(8);
   queue.RegisterTenant("t", 0.001, 0);
-  ASSERT_EQ(queue.TryPush("t", Item{"t", 0}, 1.0), QueueOp::kOk);
-  ASSERT_EQ(queue.TryPush("t", Item{"t", 1}, 0.001), QueueOp::kOk);
+  ASSERT_EQ(queue.Push("t", Item{"t", 0}, 1.0), QueueOp::kOk);
+  ASSERT_EQ(queue.Push("t", Item{"t", 1}, 0.001), QueueOp::kOk);
   const std::vector<Item> order = DrainAll(&queue);
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0].second, 0);
@@ -352,8 +347,8 @@ TEST(WeightedFairQueueTest, ReweightingAppliesFromTheNextRound) {
   queue.RegisterTenant("t", 1.0, 0);
   queue.RegisterTenant("u", 1.0, 0);
   for (int i = 0; i < 12; ++i) {
-    ASSERT_EQ(queue.TryPush("t", Item{"t", i}), QueueOp::kOk);
-    ASSERT_EQ(queue.TryPush("u", Item{"u", i}), QueueOp::kOk);
+    ASSERT_EQ(queue.Push("t", Item{"t", i}), QueueOp::kOk);
+    ASSERT_EQ(queue.Push("u", Item{"u", i}), QueueOp::kOk);
   }
   queue.RegisterTenant("t", 3.0, 0);  // upsert: same queues, new weight
   const std::vector<Item> order = DrainAll(&queue);

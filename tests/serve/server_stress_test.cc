@@ -1,7 +1,7 @@
 // Failure-path hardening for the serving front-end: shutdown with pending
-// work (drain and abort), queue-full backpressure under both policies,
-// exception propagation through futures, admission after shutdown, the
-// charge a failed release keeps, and the queue high-water mark.
+// work (drain and abort), submitters blocked on a full queue, exception
+// propagation through futures, admission after shutdown, the charge a
+// failed release keeps, and the queue high-water mark.
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -179,56 +179,73 @@ TEST_F(ServerStressTest, SubmitAfterShutdownIsUnavailable) {
   EXPECT_DOUBLE_EQ(server.accountant().SpentBy("latecomer"), 0.0);
 }
 
-TEST_F(ServerStressTest, RejectPolicyReturnsResourceExhaustedWhenFull) {
-  std::atomic<bool> gate_open{false};
-  std::atomic<size_t> batches_started{0};
+TEST_F(ServerStressTest, ShutdownWakesASubmitterBlockedOnAFullQueue) {
+  // The door-rejection rollback for the global queue: a submitter charged
+  // at admission and then blocked on a full queue is woken by Shutdown. It
+  // gets kUnavailable, its charge is refunded and it counts as one queue
+  // rejection, while the work already queued drains and keeps its charge.
+  testing_util::DispatchGate gate;
   ServeOptions options = BaseOptions();
   options.queue_capacity = 2;
-  options.backpressure = BackpressurePolicy::kReject;
-  options.max_batch = 1;  // the dispatcher holds exactly one in flight
-  options.pre_batch_hook = [&](std::span<const BatchRequest>) {
-    batches_started.fetch_add(1);
-    while (!gate_open.load()) std::this_thread::sleep_for(milliseconds(1));
-  };
+  options.max_batch = 1;
+  options.pre_batch_hook = gate.Hook();
   PcorServer server(engine_, options);
+  Future<BatchEntry> held = HoldDispatcher(&server, &gate);
 
+  // Two more fill the queue to capacity behind the parked dispatcher.
   std::vector<Future<BatchEntry>> futures;
-  // First submission is popped by the dispatcher, which then blocks on the
-  // gate inside the hook — the queue itself is empty again.
-  auto first = server.SubmitAsync(OutlierRequest(), "pusher");
-  ASSERT_TRUE(first.ok());
-  futures.push_back(std::move(*first));
-  while (batches_started.load() == 0) {
-    std::this_thread::sleep_for(milliseconds(1));
-  }
-  // Two more fill the queue to capacity; they are never rejected.
   for (size_t i = 0; i < 2; ++i) {
     auto future = server.SubmitAsync(OutlierRequest(), "pusher");
     ASSERT_TRUE(future.ok());
     futures.push_back(std::move(*future));
   }
-  const double spent_before = server.accountant().SpentBy("pusher");
-  // The queue is full and the dispatcher is gated: reject, typed.
-  auto rejected = server.SubmitAsync(OutlierRequest(), "pusher");
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_TRUE(rejected.status().IsResourceExhausted())
-      << rejected.status().ToString();
-  // The rejected admission's charge was rolled back.
-  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("pusher"), spent_before);
-  EXPECT_EQ(server.stats().rejected_queue, 1u);
+  const double queued_charge = server.accountant().SpentBy("pusher");
+  ASSERT_EQ(server.stats().queue_high_water, 2u);
 
-  gate_open.store(true);
-  for (auto& future : futures) {
-    EXPECT_TRUE(future.Get().status.ok());
+  std::atomic<bool> returned{false};
+  Status blocked_status;
+  std::thread blocked([&] {
+    blocked_status = server.SubmitAsync(OutlierRequest(), "pusher").status();
+    returned.store(true);
+  });
+  // Its charge lands before it blocks in the queue.
+  while (server.accountant().SpentBy("pusher") == queued_charge) {
+    std::this_thread::yield();
   }
-  server.Shutdown();
+  std::this_thread::sleep_for(milliseconds(20));
+  EXPECT_FALSE(returned.load()) << "a submit into a full queue must block";
+
+  // Shutdown closes the queue before it joins the parked dispatcher, so the
+  // blocked submitter must return while the gate is still shut.
+  std::thread stopper([&server] { server.Shutdown(/*drain=*/true); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!returned.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  const bool woken_by_shutdown = returned.load();
+  const double spent_after_wake = server.accountant().SpentBy("pusher");
+  gate.Open();
+  blocked.join();
+  stopper.join();
+
+  EXPECT_TRUE(woken_by_shutdown) << "Shutdown did not wake the submitter";
+  EXPECT_TRUE(blocked_status.IsUnavailable()) << blocked_status.ToString();
+  EXPECT_NEAR(spent_after_wake, queued_charge, 1e-12);
+  EXPECT_TRUE(held.Get().status.ok());
+  for (auto& future : futures) EXPECT_TRUE(future.Get().status.ok());
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.rejected_queue, 1u);
+  EXPECT_EQ(stats.submitted, 3u);  // the gate request and the two queued
+  EXPECT_EQ(stats.released, 3u);
+  EXPECT_NEAR(server.accountant().SpentBy("pusher"), queued_charge, 1e-12);
 }
 
 TEST_F(ServerStressTest, TenantDepthRejectionRefundsLikeOtherDoorRejections) {
   // A tenant at its max_queue_depth is a *door* rejection: the request
   // never touched the data, so its admission charge must be rolled back —
-  // exactly like queue-full and shutdown rejections, and unlike
-  // data-touching failures which keep their charge.
+  // exactly like shutdown rejections, and unlike data-touching failures
+  // which keep their charge.
   std::atomic<bool> gate_open{false};
   std::atomic<size_t> batches_started{0};
   ServeOptions options = BaseOptions();
@@ -285,7 +302,6 @@ TEST_F(ServerStressTest, TenantDepthRejectionRefundsLikeOtherDoorRejections) {
 TEST_F(ServerStressTest, BlockPolicyNeverRejectsUnderPressure) {
   ServeOptions options = BaseOptions();
   options.queue_capacity = 2;  // tiny buffer, heavy concurrent pressure
-  options.backpressure = BackpressurePolicy::kBlock;
   options.max_batch = 4;
   PcorServer server(engine_, options);
 
@@ -317,7 +333,6 @@ TEST_F(ServerStressTest, QueueHighWaterStaysWithinCapacityUnderFlood) {
   // capacity (nor wrap around to SIZE_MAX).
   ServeOptions options = BaseOptions();
   options.queue_capacity = 4;
-  options.backpressure = BackpressurePolicy::kBlock;
   options.max_batch = 4;
   PcorServer server(engine_, options);
 

@@ -250,7 +250,7 @@ void ExpectDispatchOfQueuedBacklog(const PcorEngine& engine, uint32_t v_row,
     futures.push_back(std::move(*future));
     const uint64_t seed =
         PcorServer::RequestSeed(kServerSeed, tenant, next_k[tenant]++);
-    ASSERT_EQ(oracle.TryPush(tenant, uint64_t{seed}, kCost), QueueOp::kOk);
+    ASSERT_EQ(oracle.Push(tenant, uint64_t{seed}, kCost), QueueOp::kOk);
   }
   gate.Open();
   EXPECT_TRUE(held->Get().status.ok());

@@ -220,23 +220,24 @@ TEST_F(StreamingServerTest, BudgetRejectionReturnsTheStreamSlot) {
 
 TEST_F(StreamingServerTest, ConcurrentAdmissionsChargeEachReleaseOnce) {
   // Hammer admissions for ONE tenant from several threads against a tiny
-  // rejecting queue: door rejections race later slot claims, so some
-  // slots burn. The one admission path must still leave the ledger at
-  // exactly 0.4 per admitted release (every door rejection refunded) and
-  // never hand two admitted releases the same Rng stream — on a classic
-  // and on a streaming server alike.
+  // per-tenant depth bound: door rejections (kTenantFull) race later slot
+  // claims, so some slots burn. The one admission path must still leave
+  // the ledger at exactly 0.4 per admitted release (every door rejection
+  // refunded) and never hand two admitted releases the same Rng stream —
+  // on a classic and on a streaming server alike.
   constexpr int kThreads = 4;
   constexpr int kPerThread = 40;
   ServeOptions options = Options();
-  options.queue_capacity = 2;
   options.max_batch = 2;
-  options.backpressure = BackpressurePolicy::kReject;
   options.pre_batch_hook = [](std::span<const BatchRequest>) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   };
+  TenantConfig bounded;
+  bounded.max_queue_depth = 2;
   BatchRequest request;
   request.v_row = grid_.v_row;
   auto hammer = [&](PcorServer& server) {
+    ASSERT_TRUE(server.RegisterTenant("hammer", bounded).ok());
     std::mutex futures_mu;
     std::vector<Future<BatchEntry>> futures;
     std::vector<std::thread> threads;
