@@ -121,10 +121,10 @@ inline Result<ExperimentResult> RunConfig(const Setup& setup,
                                           UtilityKind utility,
                                           double epsilon, size_t num_samples) {
   TrialConfig config;
-  config.sampler = sampler;
-  config.utility = utility;
-  config.total_epsilon = epsilon;
-  config.num_samples = num_samples;
+  config.release.sampler = sampler;
+  config.release.utility = utility;
+  config.release.total_epsilon = epsilon;
+  config.release.num_samples = num_samples;
   config.trials = env.reps;
   config.seed = env.seed;
   config.threads = env.threads;

@@ -12,7 +12,7 @@
 //     the memo invalidation count and the ledger's epsilon spent.
 //   * `streaming_seal` — seals/s at PCOR_STREAM_SEAL_EPOCHS (default 64)
 //     evenly-sized epochs, segmented (default compaction) vs copy-on-seal
-//     (CompactionOptions::max_segments = 1), timing SealEpoch calls only;
+//     (max_segments = 1), timing SealEpoch calls only;
 //     one line per mode plus the speedup.
 //
 // Enforced acceptance bars (exit non-zero on violation):
@@ -165,8 +165,8 @@ int main() {
       spent, simd::ActiveBackendName()));
 
   // Phase 3: seal cost, segmented vs copy-on-seal. Same rows, same epoch
-  // boundaries, same everything except the compaction policy's
-  // max_segments (copy-on-seal is max_segments = 1);
+  // boundaries, same everything except max_segments (copy-on-seal is
+  // max_segments = 1);
   // only the SealEpoch calls are timed. The equivalence gate then demands
   // bit-identical releases from both tips — never relaxed.
   const size_t seal_epochs = std::max<size_t>(
@@ -180,9 +180,9 @@ int main() {
   std::shared_ptr<const EpochSnapshot> tip_by_mode[2];
   uint64_t seals_done = 0;
   for (const bool segmented : {true, false}) {
-    StreamingOptions mode_options;
-    if (!segmented) mode_options.compaction.max_segments = 1;
-    StreamingPcorEngine sealer(full.schema(), *setup->detector, mode_options);
+    StreamingPcorEngine sealer(
+        full.schema(), *setup->detector,
+        segmented ? StreamingPcorEngine::kDefaultMaxSegments : 1);
     double seal_wall = 0.0;
     seals_done = 0;
     std::vector<uint32_t> codes(full.num_attributes());

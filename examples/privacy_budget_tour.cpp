@@ -6,7 +6,6 @@
 //   ./build/examples/privacy_budget_tour
 #include <cstdio>
 
-#include "src/dp/laplace.h"
 #include "src/dp/mechanism.h"
 #include "src/exp/workloads.h"
 #include "src/outlier/iqr.h"
@@ -79,15 +78,6 @@ int main() {
                 budget.cap());
   }
 
-  std::printf("\n== 4. Composing with a Laplace count release ==\n");
-  if (budget.Charge(kOwner, 0.1).ok()) {
-    ++charged;
-    LaplaceMechanism laplace(/*epsilon=*/0.1, /*sensitivity=*/1.0);
-    const size_t true_count = workload->data.dataset.num_rows();
-    const double noisy = laplace.NoisyCount(true_count, &rng);
-    std::printf("noisy dataset size: %.0f (true %zu), eps 0.1 charged\n",
-                noisy, true_count);
-  }
   std::printf("final budget: %.2f spent of %.2f across %zu releases\n",
               budget.SpentBy(kOwner), budget.cap(), charged);
   return 0;

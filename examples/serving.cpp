@@ -11,9 +11,11 @@
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/example_serving
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/string_util.h"
 #include "src/outlier/zscore.h"
 #include "src/serve/server.h"
 
@@ -84,8 +86,10 @@ int main() {
       "three tenants, 7 submissions each; tenant-0's raised cap admits all "
       "7 at\neps=0.2, tenant-1 submits eps=0.1 overrides (all 7 fit its "
       "1.0 cap),\ntenant-2's default cap admits 5 and rejects 2:\n\n");
+  // Each tenant thread collects its own lines; they print after the join
+  // in tenant order, so the output does not depend on thread timing.
   std::vector<std::thread> tenants;
-  std::mutex print_mu;
+  std::vector<std::vector<std::string>> lines(3);
   for (int t = 0; t < 3; ++t) {
     tenants.emplace_back([&, t] {
       const std::string tenant = "tenant-" + std::to_string(t);
@@ -95,34 +99,39 @@ int main() {
         if (t == 1) request.options = cheap;
         auto future = server.SubmitAsync(request, tenant);
         if (!future.ok()) {
-          std::unique_lock<std::mutex> lock(print_mu);
-          std::printf("%-9s #%d REJECTED: %s\n", tenant.c_str(), k,
-                      future.status().ToString().c_str());
+          lines[t].push_back(strings::Format(
+              "%-9s #%d REJECTED: %s", tenant.c_str(), k,
+              future.status().ToString().c_str()));
           continue;
         }
         BatchEntry entry = future->Get();
-        std::unique_lock<std::mutex> lock(print_mu);
         if (entry.status.ok()) {
-          std::printf("%-9s #%d released %-28s eps=%.2f (seed %016llx)\n",
-                      tenant.c_str(), k, entry.release.description.c_str(),
-                      entry.release.epsilon_spent,
-                      static_cast<unsigned long long>(entry.rng_seed));
+          lines[t].push_back(strings::Format(
+              "%-9s #%d released %-28s eps=%.2f (seed %016llx)",
+              tenant.c_str(), k, entry.release.description.c_str(),
+              entry.release.epsilon_spent,
+              static_cast<unsigned long long>(entry.rng_seed)));
         } else {
-          std::printf("%-9s #%d failed: %s\n", tenant.c_str(), k,
-                      entry.status.ToString().c_str());
+          lines[t].push_back(strings::Format("%-9s #%d failed: %s",
+                                             tenant.c_str(), k,
+                                             entry.status.ToString().c_str()));
         }
       }
     });
   }
   for (auto& t : tenants) t.join();
   server.Shutdown();
+  for (const auto& tenant_lines : lines) {
+    for (const std::string& line : tenant_lines) {
+      std::printf("%s\n", line.c_str());
+    }
+  }
 
   const ServerStats stats = server.stats();
   std::printf(
-      "\nserver: %zu released, %zu budget rejections, %zu micro-batches "
-      "(largest %zu), eps ledger total %.2f\n",
-      stats.released, stats.rejected_budget, stats.batches,
-      stats.max_coalesced, stats.epsilon_spent);
+      "\nserver: %zu released, %zu budget rejections, eps ledger total "
+      "%.2f\n",
+      stats.released, stats.rejected_budget, stats.epsilon_spent);
   std::printf(
       "ledgers: tenant-0 %.2f/2.00, tenant-1 %.2f/1.00, tenant-2 "
       "%.2f/1.00\n",

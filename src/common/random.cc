@@ -94,12 +94,6 @@ double Rng::NextGaussian() {
   return r * std::cos(theta);
 }
 
-double Rng::NextLaplace(double scale) {
-  PCOR_CHECK(scale > 0) << "Laplace scale must be positive";
-  double u = NextDouble() - 0.5;
-  return -scale * std::copysign(std::log(1.0 - 2.0 * std::abs(u)), u);
-}
-
 double Rng::NextExponential(double rate) {
   PCOR_CHECK(rate > 0) << "Exponential rate must be positive";
   return -std::log(NextDoublePositive()) / rate;

@@ -51,9 +51,6 @@ class Rng {
   /// \brief Standard normal via Box-Muller.
   double NextGaussian();
 
-  /// \brief Laplace(0, scale) draw via inverse CDF.
-  double NextLaplace(double scale);
-
   /// \brief Exponential(rate) draw.
   double NextExponential(double rate);
 

@@ -63,8 +63,8 @@ Backend SetBackendForTest(Backend backend);
 /// \brief Stable lower-case name: "scalar", "sse2", "avx2" or "avx512".
 const char* BackendName(Backend backend);
 
-/// \brief BackendName(ActiveBackend()) — recorded in release metadata so
-/// every PcorRelease / BENCH_JSON line says which kernel path produced it.
+/// \brief BackendName(ActiveBackend()) — every BENCH_JSON line records it
+/// (`kernel_backend`) so each bench record says which kernel path ran.
 const char* ActiveBackendName();
 
 /// \brief Lane-canonical sum of `values`.

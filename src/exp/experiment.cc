@@ -40,7 +40,8 @@ Result<ExperimentResult> RunPcorExperiment(
       setups.push_back(std::move(setup));  // unusable
       continue;
     }
-    setup.utility = MakeUtility(config.utility, engine.verifier(), *start);
+    setup.utility =
+        MakeUtility(config.release.utility, engine.verifier(), *start);
     setup.max_utility = reference.MaxUtility(row, *setup.utility);
     setup.usable = setup.max_utility >
                    -std::numeric_limits<double>::infinity();
@@ -56,13 +57,6 @@ Result<ExperimentResult> RunPcorExperiment(
         "no query outlier has a usable reference entry");
   }
 
-  PcorOptions options;
-  options.sampler = config.sampler;
-  options.num_samples = config.num_samples;
-  options.total_epsilon = config.total_epsilon;
-  options.utility = config.utility;
-  options.max_probes = config.max_probes;
-
   // Trials rotate round-robin over the usable rows; each trial pins its
   // row's fixed utility. The batch engine fans the trials out over its
   // ThreadPool with per-trial Rng streams derived from (seed, trial) — the
@@ -76,15 +70,11 @@ Result<ExperimentResult> RunPcorExperiment(
     max_utilities[trial] = setup.max_utility;
   }
   const BatchReleaseReport report = engine.ReleaseBatch(
-      std::span<const BatchRequest>(requests), options, config.seed,
+      std::span<const BatchRequest>(requests), config.release, config.seed,
       std::max<size_t>(config.threads, 1));
 
   ExperimentResult compact;
   compact.failures = report.failures;
-  compact.kernel_backend = report.kernel_backend;
-  compact.f_evaluations = report.total_f_evaluations;
-  compact.cache_hits = report.cache_hits;
-  compact.cache_evictions = report.cache_evictions;
   for (size_t trial = 0; trial < report.entries.size(); ++trial) {
     const BatchEntry& entry = report.entries[trial];
     if (!entry.status.ok()) continue;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/common/logging.h"
-#include "src/common/simd.h"
 #include "src/common/string_util.h"
 #include "src/common/threading.h"
 #include "src/common/timer.h"
@@ -23,6 +22,17 @@ Status ValidatePcorOptions(const PcorOptions& options) {
   }
   if (options.max_probes == 0) {
     return Status::InvalidArgument("max_probes must be at least 1");
+  }
+  // The engine draws with eps1, not total_epsilon: a tiny total can split
+  // into a subnormal or zero eps1 (DFS/BFS divide by 2n+2), which the
+  // mechanism's invariant check would abort on.
+  const double eps1 = Epsilon1ForTotal(options.sampler, options.total_epsilon,
+                                       options.num_samples);
+  if (!std::isnormal(eps1)) {
+    return Status::InvalidArgument(strings::Format(
+        "total_epsilon %g gives a per-draw epsilon1 of %g, which is not a "
+        "positive normal double",
+        options.total_epsilon, eps1));
   }
   return Status::OK();
 }
@@ -45,11 +55,9 @@ std::shared_ptr<const PopulationProbe> CheckedProbe(
 
 PcorEngine::PcorEngine(std::shared_ptr<const PopulationProbe> probe,
                        const OutlierDetector& detector,
-                       std::shared_ptr<VerifierMemo> memo, uint64_t epoch,
-                       VerifierOptions verifier_options)
+                       std::shared_ptr<VerifierMemo> memo, uint64_t epoch)
     : probe_(CheckedProbe(std::move(probe))),
-      verifier_(*probe_, detector, std::move(memo), epoch,
-                verifier_options) {}
+      verifier_(*probe_, detector, std::move(memo), epoch) {}
 
 Result<PcorRelease> PcorEngine::Release(uint32_t v_row,
                                         const PcorOptions& options,
@@ -166,11 +174,6 @@ BatchReleaseReport PcorEngine::ReleaseBatch(
       pool == nullptr ? 1 : std::min(report.threads, pool->num_threads() + 1);
   report.entries.resize(requests.size());
 
-  // Batch-level counter deltas against the persistent shared verifier; its
-  // cache is intentionally NOT dropped between batches — a warm cache is
-  // the point of keeping it on the engine.
-  const VerifierStats stats_before = verifier_.Stats();
-
   // Entry i's Rng stream depends only on (seed, i), never on which thread
   // runs it, so scheduling cannot perturb the released contexts. Entries
   // carrying their own PcorOptions resolve them here — a heterogeneous
@@ -205,23 +208,8 @@ BatchReleaseReport PcorEngine::ReleaseBatch(
   }
 
   for (const BatchEntry& entry : report.entries) {
-    if (!entry.status.ok()) {
-      ++report.failures;
-      continue;
-    }
-    report.total_probes += entry.release.probes;
-    report.total_epsilon_spent += entry.release.epsilon_spent;
-    if (entry.release.hit_probe_cap) ++report.hit_probe_cap;
+    if (!entry.status.ok()) ++report.failures;
   }
-  report.kernel_backend = simd::ActiveBackendName();
-  report.epoch = verifier_.epoch();
-  report.verifier_stats = verifier_.Stats();
-  report.total_f_evaluations =
-      report.verifier_stats.evaluations - stats_before.evaluations;
-  report.cache_hits =
-      report.verifier_stats.cache_hits - stats_before.cache_hits;
-  report.cache_evictions =
-      report.verifier_stats.cache_evictions - stats_before.cache_evictions;
   report.seconds = timer.ElapsedSeconds();
   return report;
 }

@@ -43,8 +43,10 @@ struct PcorOptions {
 };
 
 /// \brief Checks a PcorOptions for values no release can run under:
-/// `num_samples == 0`, a non-finite or non-positive `total_epsilon`, or
-/// `max_probes == 0`. Returns kInvalidArgument naming the offending field.
+/// `num_samples == 0`, a non-finite or non-positive `total_epsilon`,
+/// `max_probes == 0`, or a `total_epsilon` whose per-draw eps1
+/// (Epsilon1ForTotal) is not a positive normal double. Returns
+/// kInvalidArgument naming the offending field.
 ///
 /// Release/ReleaseWithUtility apply it on entry, and the serving front-end
 /// applies it at admission so a bad per-request override is rejected
@@ -119,29 +121,14 @@ struct BatchEntry {
 
 /// \brief Aggregated outcome of ReleaseBatch. Entries keep input order.
 ///
-/// `total_f_evaluations` / `cache_hits` / `cache_evictions` are exact
-/// batch-level deltas of the shared verifier's counters, and
-/// `kernel_backend` names the detector kernel path; the per-entry
-/// `release.f_evaluations` is only an attribution estimate when the batch
-/// runs multi-threaded.
+/// Work counters live where they are kept: per entry on its PcorRelease,
+/// and for the shared verifier memo in verifier().Stats(), whose deltas
+/// around a call are exact only while no other batch runs on the engine.
 struct BatchReleaseReport {
   std::vector<BatchEntry> entries;
   size_t threads = 1;             ///< parallelism cap, caller included
   size_t failures = 0;            ///< entries whose status is not OK
-  size_t total_probes = 0;        ///< candidate contexts examined
-  size_t total_f_evaluations = 0; ///< detector runs (verifier cache misses)
-  size_t cache_hits = 0;          ///< verifier cache hits during the batch
-  size_t cache_evictions = 0;     ///< LRU evictions during the batch
-  /// End-of-batch snapshot of the shared verifier; the cache is persistent
-  /// across batches, so resident_bytes/entries carry over to the next one.
-  VerifierStats verifier_stats;
-  double total_epsilon_spent = 0.0;  ///< sum over successful releases
-  size_t hit_probe_cap = 0;       ///< successful entries that hit max_probes
   double seconds = 0.0;           ///< wall time of the whole batch
-  std::string kernel_backend;     ///< detector kernel path of the batch
-  /// Epoch every entry of this batch executed against (batches never
-  /// straddle epochs — the streaming layer pins one snapshot per batch).
-  uint64_t epoch = 0;
 
   size_t num_released() const { return entries.size() - failures; }
 };
@@ -173,8 +160,7 @@ class PcorEngine {
   /// sharing contract.
   PcorEngine(std::shared_ptr<const PopulationProbe> probe,
              const OutlierDetector& detector,
-             std::shared_ptr<VerifierMemo> memo, uint64_t epoch,
-             VerifierOptions verifier_options = {});
+             std::shared_ptr<VerifierMemo> memo, uint64_t epoch);
 
   /// \brief Releases a private valid context for row `v_row`.
   ///

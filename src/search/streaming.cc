@@ -10,26 +10,25 @@ namespace pcor {
 
 namespace {
 
-/// \brief Applies the on-seal compaction policy to `*segments`, returning
-/// the number of merges performed. Deterministic: depends only on the
-/// segment row counts, never on timing.
-uint64_t CompactSegments(SegmentList* segments,
-                         const CompactionOptions& policy) {
+/// \brief Applies the on-seal compaction rules (see StreamingPcorEngine)
+/// to `*segments`, returning the number of merges performed.
+/// Deterministic: depends only on the segment row counts, never on timing.
+uint64_t CompactSegments(SegmentList* segments, size_t max_segments) {
+  constexpr size_t kMinRows = StreamingPcorEngine::kMinSegmentRows;
   uint64_t merges = 0;
   // Rule 1 (doubling): merge the maximal trailing run of small segments,
-  // but only once its combined rows reach min_segment_rows — the merged
-  // result then leaves the "small" class, so each sealed row is re-copied
+  // but only once its combined rows reach kMinRows — the merged result
+  // then leaves the "small" class, so each sealed row is re-copied
   // O(log total) times overall instead of once per subsequent seal.
-  if (policy.min_segment_rows > 0 && segments->size() >= 2) {
+  if (segments->size() >= 2) {
     size_t run_begin = segments->size();
     size_t run_rows = 0;
     while (run_begin > 0 &&
-           (*segments)[run_begin - 1]->num_rows() < policy.min_segment_rows) {
+           (*segments)[run_begin - 1]->num_rows() < kMinRows) {
       --run_begin;
       run_rows += (*segments)[run_begin]->num_rows();
     }
-    if (segments->size() - run_begin >= 2 &&
-        run_rows >= policy.min_segment_rows) {
+    if (segments->size() - run_begin >= 2 && run_rows >= kMinRows) {
       MergeSegments(segments, run_begin, segments->size());
       ++merges;
     }
@@ -37,21 +36,19 @@ uint64_t CompactSegments(SegmentList* segments,
   // Rule 2 (fan-out bound): smallest-adjacent-pair merges until the list
   // fits. Pair sizes roughly double as merges cascade, so the amortized
   // per-row cost stays logarithmic here too.
-  if (policy.max_segments > 0) {
-    while (segments->size() > policy.max_segments) {
-      size_t best = 0;
-      size_t best_rows = std::numeric_limits<size_t>::max();
-      for (size_t s = 0; s + 1 < segments->size(); ++s) {
-        const size_t rows =
-            (*segments)[s]->num_rows() + (*segments)[s + 1]->num_rows();
-        if (rows < best_rows) {
-          best = s;
-          best_rows = rows;
-        }
+  while (segments->size() > max_segments) {
+    size_t best = 0;
+    size_t best_rows = std::numeric_limits<size_t>::max();
+    for (size_t s = 0; s + 1 < segments->size(); ++s) {
+      const size_t rows =
+          (*segments)[s]->num_rows() + (*segments)[s + 1]->num_rows();
+      if (rows < best_rows) {
+        best = s;
+        best_rows = rows;
       }
-      MergeSegments(segments, best, best + 2);
-      ++merges;
     }
+    MergeSegments(segments, best, best + 2);
+    ++merges;
   }
   return merges;
 }
@@ -70,12 +67,13 @@ Row EpochSnapshot::RowAt(uint32_t row) const {
 
 StreamingPcorEngine::StreamingPcorEngine(Schema schema,
                                          const OutlierDetector& detector,
-                                         StreamingOptions options)
+                                         size_t max_segments)
     : schema_(std::move(schema)),
       detector_(&detector),
-      options_(options),
-      memo_(std::make_shared<VerifierMemo>(options.verifier)),
+      max_segments_(max_segments),
+      memo_(std::make_shared<VerifierMemo>(VerifierOptions{})),
       pool_(std::make_shared<ThreadPool>(DefaultThreadCount())) {
+  PCOR_CHECK(max_segments_ >= 1) << "max_segments must be at least 1";
   // Epoch 0: an empty sealed view — no segments, no probe, no engine.
   // Pin() is still total; its engine is null until the first seal.
   snapshot_ = std::make_shared<EpochSnapshot>();
@@ -149,11 +147,11 @@ uint64_t StreamingPcorEngine::SealEpoch() {
   // Structural sharing: the new list copies shared_ptrs, never segments.
   SegmentList segments = base->probe ? base->probe->segments() : SegmentList{};
   segments.push_back(MakeSegment(std::move(tail_rows)));
-  compactions_ += CompactSegments(&segments, options_.compaction);
+  compactions_ += CompactSegments(&segments, max_segments_);
   next->probe = std::make_shared<const ShardedPopulationIndex>(
       schema_, std::move(segments), pool_);
-  next->engine = std::make_shared<const PcorEngine>(
-      next->probe, *detector_, memo_, next->epoch, options_.verifier);
+  next->engine = std::make_shared<const PcorEngine>(next->probe, *detector_,
+                                                    memo_, next->epoch);
 
   {
     std::lock_guard<std::mutex> lock(mu_);

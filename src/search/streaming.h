@@ -12,34 +12,6 @@
 
 namespace pcor {
 
-/// \brief On-seal segment compaction policy. Compaction runs inside
-/// SealEpoch, outside the append lock, and only ever replaces segments in
-/// the *new* snapshot's list — pinned snapshots keep their own segment
-/// vectors untouched (structural sharing means their segments stay alive
-/// regardless of later merges).
-struct CompactionOptions {
-  /// A maximal trailing run of segments each smaller than this merges
-  /// into one once the run's combined rows reach it — LSM-style doubling
-  /// that keeps seal cost amortized O(log total) per sealed row even at
-  /// seal-per-append cadence. 0 disables the rule.
-  size_t min_segment_rows = 1024;
-  /// Hard bound on probe fan-out: while the list exceeds this, the
-  /// adjacent pair with the fewest combined rows merges (leftmost on
-  /// ties). 0 disables the bound; 1 is copy-on-seal — every seal rebuilds
-  /// one flat segment over the whole sealed prefix, O(history), the
-  /// baseline the seal-cost bench compares against.
-  size_t max_segments = 64;
-};
-
-/// \brief Construction knobs for StreamingPcorEngine.
-struct StreamingOptions {
-  /// Verifier memo configuration (byte budget, shards, ...). One memo is
-  /// shared by every epoch's verifier, keyed by (epoch, context).
-  VerifierOptions verifier;
-  /// Segment compaction policy.
-  CompactionOptions compaction;
-};
-
 /// \brief One immutable, versioned view of the stream: everything sealed
 /// as of `epoch` (= the sealed row count, so epoch ids are totally ordered
 /// and self-describing). Pinning a snapshot (holding the shared_ptr) keeps
@@ -87,7 +59,7 @@ struct StreamingStats {
 ///   - **Snapshot consistency.** A release (or batch) pinned to epoch k is
 ///     bit-identical to the same release against a fresh load-once engine
 ///     over exactly the k sealed rows — for any shard count and
-///     thread count, any seal cadence, any compaction policy, and
+///     thread count, any seal cadence, any `max_segments`, and
 ///     regardless of appends/seals racing the release.
 ///   - **Determinism.** Epochs are content-addressed (epoch id = sealed
 ///     row count) and seeds travel with requests, so identical
@@ -100,11 +72,21 @@ struct StreamingStats {
 ///
 /// Costs, stated plainly: SealEpoch indexes only the tail rows into a new
 /// immutable segment — O(tail), plus amortized O(log total) per row of
-/// on-seal compaction (CompactionOptions) that keeps probe fan-out
-/// bounded. Earlier segments are shared with the previous snapshot, never
-/// copied. Copy-on-seal (O(history) per seal) is the compaction policy
-/// max_segments = 1; the streaming_seal bench enforces the default
-/// policy's advantage over it. Appends are O(1) buffered.
+/// on-seal compaction that keeps probe fan-out bounded. Compaction runs
+/// inside SealEpoch, outside the append lock, and replaces segments only
+/// in the *new* snapshot's list, so pinned snapshots keep theirs. Two
+/// deterministic rules, both depending only on segment row counts:
+///   - **Doubling.** A maximal trailing run of segments each smaller than
+///     kMinSegmentRows merges into one once the run's combined rows reach
+///     it, so each sealed row is re-copied O(log total) times overall even
+///     at seal-per-append cadence.
+///   - **Fan-out bound.** While the list exceeds `max_segments`, the
+///     adjacent pair with the fewest combined rows merges (leftmost on
+///     ties).
+/// Earlier segments are shared with the previous snapshot, never copied.
+/// Copy-on-seal (O(history) per seal) is max_segments = 1; the
+/// streaming_seal bench enforces the default's advantage over it. Appends
+/// are O(1) buffered.
 ///
 /// One ThreadPool, created with the engine, serves every epoch: each
 /// snapshot's probe scatters on it and its engine fans batches out on it.
@@ -118,9 +100,15 @@ struct StreamingStats {
 /// reflects that window honestly.
 class StreamingPcorEngine {
  public:
-  /// \brief The detector must outlive the engine.
+  /// \brief Trailing segments smaller than this merge once they reach it
+  /// together (the doubling rule; see the class comment).
+  static constexpr size_t kMinSegmentRows = 1024;
+  static constexpr size_t kDefaultMaxSegments = 64;
+
+  /// \brief The detector must outlive the engine. `max_segments` (>= 1)
+  /// bounds each snapshot's segment fan-out; 1 is copy-on-seal.
   StreamingPcorEngine(Schema schema, const OutlierDetector& detector,
-                      StreamingOptions options = {});
+                      size_t max_segments = kDefaultMaxSegments);
 
   const Schema& schema() const { return schema_; }
 
@@ -165,7 +153,7 @@ class StreamingPcorEngine {
 
   Schema schema_;
   const OutlierDetector* detector_;
-  StreamingOptions options_;
+  size_t max_segments_;
   std::shared_ptr<VerifierMemo> memo_;
   std::shared_ptr<ThreadPool> pool_;
 

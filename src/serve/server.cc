@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/random.h"
+#include "src/common/string_util.h"
 
 namespace pcor {
 
@@ -61,6 +62,17 @@ Result<Future<BatchEntry>> PcorServer::SubmitAsync(
   const PcorOptions& effective =
       request.options ? *request.options : options_.release;
   Status valid = ValidatePcorOptions(effective);
+  // The server default's sizes are ceilings: an override may lower them
+  // but not buy a longer hold on the dispatcher than the owner allows.
+  if (valid.ok() && request.options &&
+      (effective.max_probes > options_.release.max_probes ||
+       effective.num_samples > options_.release.num_samples)) {
+    valid = Status::InvalidArgument(strings::Format(
+        "override max_probes %zu / num_samples %zu exceeds the server's "
+        "%zu / %zu",
+        effective.max_probes, effective.num_samples,
+        options_.release.max_probes, options_.release.num_samples));
+  }
   if (!valid.ok()) {
     std::unique_lock<std::mutex> stats_lock(stats_mu_);
     ++stats_.rejected_invalid;
@@ -291,9 +303,13 @@ void PcorServer::ExecuteBatch(std::vector<Pending> batch) {
       std::unique_lock<std::mutex> stats_lock(stats_mu_);
       ++stats_.batches;
       stats_.max_coalesced = std::max(stats_.max_coalesced, batch.size());
-      stats_.released += report.entries.size() - report.failures;
+      stats_.released += report.num_released();
       stats_.failed += report.failures;
-      stats_.hit_probe_cap += report.hit_probe_cap;
+      for (const BatchEntry& entry : report.entries) {
+        if (entry.status.ok() && entry.release.hit_probe_cap) {
+          ++stats_.hit_probe_cap;
+        }
+      }
     }
     for (size_t i = 0; i < batch.size(); ++i) {
       batch[i].promise.Set(std::move(report.entries[i]));

@@ -45,7 +45,8 @@ class ServeError : public std::exception {
 /// \brief Serving front-end configuration.
 struct ServeOptions {
   /// Default release configuration (sampler, epsilon, n, ...) for requests
-  /// that do not carry their own BatchRequest::options override.
+  /// that do not carry their own BatchRequest::options override. Its
+  /// max_probes and num_samples are also ceilings for every override.
   PcorOptions release;
   /// Largest micro-batch one dispatch executes. The dispatcher never waits
   /// to fill a batch: it takes whatever is queued when it becomes free, up
@@ -180,7 +181,8 @@ class PcorServer {
   /// \brief Admits one request for `client_id`. Returns the future that
   /// completes with the request's BatchEntry, or a typed error:
   /// kInvalidArgument (the effective options — the per-request override,
-  /// else ServeOptions::release — fail ValidatePcorOptions; nothing
+  /// else ServeOptions::release — fail ValidatePcorOptions, or an override
+  /// raises max_probes or num_samples above ServeOptions::release's; nothing
   /// charged), kPrivacyBudgetExceeded (cap), kResourceExhausted (tenant
   /// depth bound), kUnavailable (shutting down, including a submission
   /// blocked on a full queue when Shutdown lands; its charge is refunded).

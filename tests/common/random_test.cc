@@ -93,20 +93,6 @@ TEST(RngTest, GumbelMeanIsEulerMascheroni) {
   EXPECT_NEAR(sum / n, 0.5772156649, 0.02);
 }
 
-TEST(RngTest, LaplaceHasZeroMeanAndTwoBSquaredVariance) {
-  Rng rng(23);
-  const double b = 2.0;
-  const size_t n = 200000;
-  double sum = 0, sq = 0;
-  for (size_t i = 0; i < n; ++i) {
-    double l = rng.NextLaplace(b);
-    sum += l;
-    sq += l * l;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.05);
-  EXPECT_NEAR(sq / n, 2.0 * b * b, 0.3);
-}
-
 TEST(RngTest, ExponentialMeanIsInverseRate) {
   Rng rng(29);
   const size_t n = 100000;

@@ -26,8 +26,8 @@ class ExperimentTest : public ::testing::Test {
 
 TEST_F(ExperimentTest, RunsRequestedTrials) {
   TrialConfig config;
-  config.sampler = SamplerKind::kBfs;
-  config.num_samples = 8;
+  config.release.sampler = SamplerKind::kBfs;
+  config.release.num_samples = 8;
   config.trials = 12;
   config.threads = 1;
   auto result = RunPcorExperiment(engine_, {grid_.v_row}, reference_, config);
@@ -39,8 +39,8 @@ TEST_F(ExperimentTest, RunsRequestedTrials) {
 
 TEST_F(ExperimentTest, UtilityRatiosAreNormalized) {
   TrialConfig config;
-  config.sampler = SamplerKind::kBfs;
-  config.num_samples = 8;
+  config.release.sampler = SamplerKind::kBfs;
+  config.release.num_samples = 8;
   config.trials = 20;
   config.threads = 2;
   auto result = RunPcorExperiment(engine_, {grid_.v_row}, reference_, config);
@@ -57,8 +57,8 @@ TEST_F(ExperimentTest, UtilityRatiosAreNormalized) {
 
 TEST_F(ExperimentTest, ParallelAndSerialAgreeStatistically) {
   TrialConfig config;
-  config.sampler = SamplerKind::kRandomWalk;
-  config.num_samples = 8;
+  config.release.sampler = SamplerKind::kRandomWalk;
+  config.release.num_samples = 8;
   config.trials = 16;
   config.seed = 5;
   config.threads = 1;
@@ -78,7 +78,7 @@ TEST_F(ExperimentTest, ParallelAndSerialAgreeStatistically) {
 
 TEST_F(ExperimentTest, RuntimeSummaryIsPopulated) {
   TrialConfig config;
-  config.sampler = SamplerKind::kDirect;
+  config.release.sampler = SamplerKind::kDirect;
   config.trials = 4;
   auto result = RunPcorExperiment(engine_, {grid_.v_row}, reference_, config);
   ASSERT_TRUE(result.ok());
@@ -106,9 +106,9 @@ TEST_F(ExperimentTest, InlierOnlyPoolFails) {
 
 TEST_F(ExperimentTest, OverlapUtilityExperimentRuns) {
   TrialConfig config;
-  config.sampler = SamplerKind::kBfs;
-  config.utility = UtilityKind::kOverlapWithStart;
-  config.num_samples = 8;
+  config.release.sampler = SamplerKind::kBfs;
+  config.release.utility = UtilityKind::kOverlapWithStart;
+  config.release.num_samples = 8;
   config.trials = 8;
   auto result = RunPcorExperiment(engine_, {grid_.v_row}, reference_, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();

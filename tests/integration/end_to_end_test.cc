@@ -64,11 +64,11 @@ TEST_F(EndToEndTest, EverySamplerReleasesValidContexts) {
   for (SamplerKind kind : {SamplerKind::kUniform, SamplerKind::kRandomWalk,
                            SamplerKind::kDfs, SamplerKind::kBfs}) {
     TrialConfig config;
-    config.sampler = kind;
-    config.num_samples = 20;
+    config.release.sampler = kind;
+    config.release.num_samples = 20;
     config.trials = 6;
     config.threads = 6;
-    config.max_probes = 2'000'000;
+    config.release.max_probes = 2'000'000;
     auto result =
         RunPcorExperiment(*engine_, *outliers_, *reference_, config);
     ASSERT_TRUE(result.ok())
@@ -86,7 +86,7 @@ TEST_F(EndToEndTest, DirectedSearchBeatsRandomWalkOnUtility) {
   // At test scale we assert the weaker, stable version: BFS mean utility is
   // at least the random-walk mean.
   TrialConfig config;
-  config.num_samples = 20;
+  config.release.num_samples = 20;
   config.trials = 10;
   config.threads = 8;
   config.seed = 3;
@@ -94,12 +94,12 @@ TEST_F(EndToEndTest, DirectedSearchBeatsRandomWalkOnUtility) {
   // internal Exponential-mechanism draws to be directed; at this test's
   // tiny populations that requires a larger budget than the paper's 0.2
   // (where |D_C| is in the tens of thousands). Same comparison, scaled.
-  config.total_epsilon = 2.0;
+  config.release.total_epsilon = 2.0;
 
-  config.sampler = SamplerKind::kRandomWalk;
+  config.release.sampler = SamplerKind::kRandomWalk;
   auto rwalk = RunPcorExperiment(*engine_, *outliers_, *reference_, config);
   ASSERT_TRUE(rwalk.ok());
-  config.sampler = SamplerKind::kBfs;
+  config.release.sampler = SamplerKind::kBfs;
   auto bfs = RunPcorExperiment(*engine_, *outliers_, *reference_, config);
   ASSERT_TRUE(bfs.ok());
 
@@ -110,15 +110,15 @@ TEST_F(EndToEndTest, HigherEpsilonDoesNotHurtUtility) {
   // Table 9's trend, asserted loosely: eps=1.0 mean utility should not be
   // materially below eps=0.01 mean utility.
   TrialConfig config;
-  config.sampler = SamplerKind::kBfs;
-  config.num_samples = 20;
+  config.release.sampler = SamplerKind::kBfs;
+  config.release.num_samples = 20;
   config.trials = 10;
   config.threads = 8;
   config.seed = 17;
 
-  config.total_epsilon = 0.01;
+  config.release.total_epsilon = 0.01;
   auto low = RunPcorExperiment(*engine_, *outliers_, *reference_, config);
-  config.total_epsilon = 1.0;
+  config.release.total_epsilon = 1.0;
   auto high = RunPcorExperiment(*engine_, *outliers_, *reference_, config);
   ASSERT_TRUE(low.ok());
   ASSERT_TRUE(high.ok());

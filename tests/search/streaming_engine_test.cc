@@ -300,26 +300,28 @@ TEST_F(StreamingEngineTest, SegmentedSealsBitIdenticalAcrossCadences) {
       std::span<const uint32_t>(targets), BfsOptions(), /*seed=*/41, 1);
   ASSERT_EQ(want.failures, 0u);
 
+  // The grid has fewer rows than kMinSegmentRows, so the doubling rule
+  // never fires here: a bound of one segment per row leaves every seal its
+  // own segment.
+  ASSERT_LT(rows.size(), StreamingPcorEngine::kMinSegmentRows);
   for (const auto& [cadence_name, seal_after] : cadences) {
-    const std::vector<std::pair<const char*, CompactionOptions>> policies =
-        {{"raw", {0, 0}},  // disabled: one segment per seal
-         {"compacted", {/*min_segment_rows=*/8, /*max_segments=*/4}},
-         {"copy_on_seal", {0, 1}}};  // one flat segment, rebuilt per seal
-    for (const auto& [policy_name, policy] : policies) {
+    const std::vector<std::pair<const char*, size_t>> policies = {
+        {"raw", rows.size()},  // one segment per seal
+        {"compacted", 4},
+        {"copy_on_seal", 1}};  // one flat segment, rebuilt per seal
+    for (const auto& [policy_name, max_segments] : policies) {
       SCOPED_TRACE(::testing::Message() << cadence_name << " " << policy_name);
-      StreamingOptions options;
-      options.compaction = policy;
       StreamingPcorEngine stream(testing_util::GridSchema(), detector_,
-                                 options);
+                                 max_segments);
       const uint64_t seals = StreamWithCadence(&stream, rows, seal_after);
       ASSERT_EQ(stream.current_epoch(), rows.size());
       const StreamingStats stats = stream.stats();
       EXPECT_EQ(stats.seals, seals);
-      if (policy.max_segments == 0) {
+      if (max_segments == rows.size()) {
         // No compaction: the segment layout IS the seal cadence.
         EXPECT_EQ(stats.segments, seals);
         EXPECT_EQ(stats.compactions, 0u);
-      } else if (policy.max_segments == 1) {
+      } else if (max_segments == 1) {
         EXPECT_EQ(stats.segments, 1u);
       }
       const BatchReleaseReport got = stream.Pin()->engine->ReleaseBatch(
@@ -341,9 +343,8 @@ TEST_F(StreamingEngineTest, CompactionBoundsFanOutWithoutChangingAnswers) {
   // batch fan-out — runs on the pool the stream created, across seals and
   // compactions alike.
   const std::vector<Row> rows = RowsOf(grid_.dataset);
-  StreamingOptions options;
-  options.compaction = {/*min_segment_rows=*/4, /*max_segments=*/3};
-  StreamingPcorEngine stream(testing_util::GridSchema(), detector_, options);
+  StreamingPcorEngine stream(testing_util::GridSchema(), detector_,
+                             /*max_segments=*/3);
   ThreadPool* const pool = [&] {
     stream.Append(rows[0]).CheckOK();
     stream.SealEpoch();
@@ -369,14 +370,83 @@ TEST_F(StreamingEngineTest, CompactionBoundsFanOutWithoutChangingAnswers) {
   }
 }
 
+TEST_F(StreamingEngineTest, DoublingRuleMergesSmallSealsAtMinSegmentRows) {
+  // A stream of a few thousand rows sealed in uneven ~100-row epochs, far
+  // fewer seals than the default fan-out bound: every compaction here is
+  // the doubling rule's. It must not fire while fewer than
+  // kMinSegmentRows rows are sealed, must fold the whole small run into
+  // one segment at the first seal that reaches them, and must keep the
+  // segment count logarithmic-ish after that — without moving a release.
+  const testing_util::GridData big =
+      testing_util::MakeSpreadGridDataset(/*per_group=*/250);
+  std::vector<Row> rows = RowsOf(big.dataset);
+  // Interleave the groups so every epoch mixes contexts; V keeps its row.
+  const Row v = rows[big.v_row];
+  rows.erase(rows.begin() + big.v_row);
+  Rng shuffle_rng(29);
+  for (size_t i = rows.size(); i > 1; --i) {
+    std::swap(rows[i - 1], rows[shuffle_rng.NextBounded(i)]);
+  }
+  const uint32_t v_row = static_cast<uint32_t>(rows.size() / 2);
+  rows.insert(rows.begin() + v_row, v);
+  ASSERT_GT(rows.size(), 3 * StreamingPcorEngine::kMinSegmentRows);
+
+  constexpr size_t kMinRows = StreamingPcorEngine::kMinSegmentRows;
+  constexpr size_t kMinEpochRows = 60;
+  StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
+  Rng epoch_rng(31);
+  size_t next = 0;
+  bool fired = false;
+  while (next < rows.size()) {
+    const size_t take = std::min(
+        rows.size() - next, kMinEpochRows + epoch_rng.NextBounded(81));
+    ASSERT_TRUE(stream
+                    .AppendRows(std::span<const Row>(rows).subspan(next, take))
+                    .ok());
+    next += take;
+    const uint64_t epoch = stream.SealEpoch();
+    const StreamingStats stats = stream.stats();
+    SCOPED_TRACE(::testing::Message() << "epoch " << epoch);
+    ASSERT_LT(stats.seals, StreamingPcorEngine::kDefaultMaxSegments);
+    if (epoch < kMinRows) {
+      EXPECT_EQ(stats.compactions, 0u);
+      EXPECT_EQ(stats.segments, stats.seals);
+    } else if (!fired) {
+      fired = true;
+      EXPECT_EQ(stats.compactions, 1u);
+      EXPECT_EQ(stats.segments, 1u);
+    }
+    // Every merged segment holds >= kMinRows rows, and the trailing small
+    // run holds < kMinRows rows in epochs of >= kMinEpochRows.
+    EXPECT_LE(stats.segments, epoch / kMinRows + kMinRows / kMinEpochRows + 1);
+  }
+  const StreamingStats stats = stream.stats();
+  EXPECT_GE(stats.compactions, 2u);
+  EXPECT_LT(stats.segments, stats.seals);
+
+  Dataset loaded(testing_util::GridSchema());
+  for (const Row& row : rows) loaded.AppendRow(row).CheckOK();
+  PcorEngine fresh(loaded, detector_);
+  std::vector<uint32_t> targets(8, v_row);
+  const BatchReleaseReport want = fresh.ReleaseBatch(
+      std::span<const uint32_t>(targets), BfsOptions(), /*seed=*/47, 1);
+  const BatchReleaseReport got = stream.Pin()->engine->ReleaseBatch(
+      std::span<const uint32_t>(targets), BfsOptions(), /*seed=*/47, 4);
+  ASSERT_EQ(want.failures, 0u);
+  ASSERT_EQ(got.failures, 0u);
+  for (size_t i = 0; i < targets.size(); ++i) {
+    SCOPED_TRACE(i);
+    ExpectSameRelease(got.entries[i].release, want.entries[i].release);
+  }
+}
+
 TEST_F(StreamingEngineTest, PinnedSnapshotSurvivesLaterCompactions) {
   // Pin an epoch, then keep sealing per-row under a policy that merges
   // constantly: structural sharing means the pin's segment list — and its
   // releases — must be exactly what they were at pin time.
   const std::vector<Row> rows = RowsOf(grid_.dataset);
-  StreamingOptions options;
-  options.compaction = {/*min_segment_rows=*/4, /*max_segments=*/2};
-  StreamingPcorEngine stream(testing_util::GridSchema(), detector_, options);
+  StreamingPcorEngine stream(testing_util::GridSchema(), detector_,
+                             /*max_segments=*/2);
   for (const Row& row : rows) {
     stream.Append(row).CheckOK();
     stream.SealEpoch();
@@ -473,10 +543,8 @@ TEST_F(StreamingEngineTest, AppendsProgressWhileLargeSealInFlight) {
   ASSERT_TRUE(generated.ok());
   const std::vector<Row> rows = RowsOf(generated->dataset);
 
-  StreamingOptions options;
-  options.compaction.max_segments = 1;  // copy-on-seal: O(history) seal
   StreamingPcorEngine stream(generated->dataset.schema(), detector_,
-                             options);
+                             /*max_segments=*/1);  // copy-on-seal
   ASSERT_TRUE(stream.AppendRows(rows).ok());
   ASSERT_EQ(stream.SealEpoch(), rows.size());
   // Buffer a second large tail; sealing it re-merges all 120k rows.

@@ -367,6 +367,9 @@ TEST_F(ServerDeterminismTest, SerialAndRacedSchedulingAreBitIdentical) {
     ResultMap& results = *out;
     ServeOptions options;
     options.release = ReleaseOptions();
+    // The server's num_samples caps every override's, so it admits
+    // wide_bfs's.
+    options.release.num_samples = wide_bfs.num_samples;
     options.seed = kServerSeed;
     options.release_threads = release_threads;
     options.max_batch = raced ? 6 : 1;
@@ -463,6 +466,86 @@ TEST_F(ServerDeterminismTest, InvalidPerRequestOptionsRejectedAtAdmission) {
   EXPECT_EQ(entry.rng_seed,
             PcorServer::RequestSeed(kServerSeed, "validator", 0));
   EXPECT_TRUE(entry.status.ok()) << entry.status.ToString();
+}
+
+TEST_F(ServerDeterminismTest, TinyEpsilonOverrideRejectedBeforeAnyCharge) {
+  // 4.9e-324 is positive and finite, but the eps1 it splits into is 0 for
+  // DFS (/(2n+2)) and for direct (/2). Admitted, it would be charged and
+  // then abort the dispatcher in the mechanism's invariant check.
+  ServeOptions options;
+  options.release = ReleaseOptions();
+  options.seed = kServerSeed;
+  PcorServer server(engine_, options);
+
+  for (SamplerKind sampler : {SamplerKind::kDfs, SamplerKind::kDirect}) {
+    SCOPED_TRACE(SamplerKindName(sampler));
+    BatchRequest tiny;
+    tiny.v_row = grid_.v_row;
+    tiny.options = ReleaseOptions();
+    tiny.options->sampler = sampler;
+    tiny.options->total_epsilon = 4.9e-324;
+    auto rejected = server.SubmitAsync(tiny, "tiny");
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_TRUE(rejected.status().IsInvalidArgument())
+        << rejected.status().ToString();
+  }
+  EXPECT_EQ(server.stats().rejected_invalid, 2u);
+  EXPECT_EQ(server.accountant().SpentBy("tiny"), 0.0);
+
+  // The server is still up, and the tenant's next request is its k=0.
+  BatchRequest plain;
+  plain.v_row = grid_.v_row;
+  auto future = server.SubmitAsync(plain, "tiny");
+  ASSERT_TRUE(future.ok()) << future.status().ToString();
+  BatchEntry entry = future->Get();
+  EXPECT_TRUE(entry.status.ok()) << entry.status.ToString();
+  EXPECT_EQ(entry.rng_seed, PcorServer::RequestSeed(kServerSeed, "tiny", 0));
+  EXPECT_DOUBLE_EQ(server.accountant().SpentBy("tiny"), 0.4);
+}
+
+TEST_F(ServerDeterminismTest, OverrideMayLowerButNotRaiseServerSizes) {
+  // ServeOptions::release's max_probes and num_samples are ceilings: an
+  // override above either is refused like an invalid one, so no tenant
+  // can hold the dispatcher longer than the owner's default allows.
+  ServeOptions options;
+  options.release = ReleaseOptions();
+  options.release.max_probes = 1'000'000;
+  options.seed = kServerSeed;
+  PcorServer server(engine_, options);
+
+  BatchRequest wider;
+  wider.v_row = grid_.v_row;
+  wider.options = options.release;
+  wider.options->num_samples = options.release.num_samples + 1;
+  BatchRequest longer = wider;
+  longer.options = options.release;
+  longer.options->max_probes = options.release.max_probes + 1;
+  for (const BatchRequest* request : {&wider, &longer}) {
+    auto rejected = server.SubmitAsync(*request, "greedy");
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_TRUE(rejected.status().IsInvalidArgument())
+        << rejected.status().ToString();
+  }
+  EXPECT_EQ(server.stats().rejected_invalid, 2u);
+  EXPECT_EQ(server.accountant().SpentBy("greedy"), 0.0);
+
+  // Equal and lower values are admitted, on the tenant's first slots.
+  BatchRequest equal;
+  equal.v_row = grid_.v_row;
+  equal.options = options.release;
+  BatchRequest lower = equal;
+  lower.options->num_samples = 4;
+  lower.options->max_probes = 200'000;
+  size_t k = 0;
+  for (const BatchRequest* request : {&equal, &lower}) {
+    auto future = server.SubmitAsync(*request, "greedy");
+    ASSERT_TRUE(future.ok()) << future.status().ToString();
+    BatchEntry entry = future->Get();
+    EXPECT_TRUE(entry.status.ok()) << entry.status.ToString();
+    EXPECT_EQ(entry.rng_seed,
+              PcorServer::RequestSeed(kServerSeed, "greedy", k++));
+  }
+  EXPECT_EQ(server.stats().rejected_invalid, 2u);
 }
 
 TEST_F(ServerDeterminismTest, InvalidServerDefaultRejectedAtAdmission) {
