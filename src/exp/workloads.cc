@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/threading.h"
 #include "src/context/starting_context.h"
 #include "src/data/homicide_generator.h"
 #include "src/data/salary_generator.h"
@@ -61,13 +62,33 @@ std::vector<uint32_t> SelectQueryOutliers(
     const std::vector<uint32_t>& candidates, size_t max_outliers, Rng* rng) {
   std::vector<uint32_t> shuffled = candidates;
   rng->Shuffle(&shuffled);
+  ThreadPool* pool = verifier.index().probe_pool();
   StartingContextOptions options;  // no fields: the start search is fixed
   std::vector<uint32_t> selected;
-  for (uint32_t row : shuffled) {
-    if (selected.size() >= max_outliers) break;
-    Rng probe = rng->Fork();
-    auto start = FindStartingContext(verifier, row, options, &probe);
-    if (start.ok()) selected.push_back(row);
+  size_t next = 0;
+  // A wave never holds more candidates than the quota has room for, so
+  // the serial loop (fork, search, stop at the quota) would have searched
+  // every one of them, with these streams, in this order.
+  while (next < shuffled.size() && selected.size() < max_outliers) {
+    const size_t wave = std::min(shuffled.size() - next,
+                                 max_outliers - selected.size());
+    std::vector<Rng> streams;
+    for (size_t i = 0; i < wave; ++i) streams.push_back(rng->Fork());
+    std::vector<char> valid(wave, 0);  // not vector<bool>: a slot per thread
+    const auto search = [&](size_t i) {
+      valid[i] = FindStartingContext(verifier, shuffled[next + i], options,
+                                     &streams[i])
+                     .ok();
+    };
+    if (pool == nullptr) {
+      for (size_t i = 0; i < wave; ++i) search(i);
+    } else {
+      pool->ParallelFor(wave, /*max_parallel=*/0, search);
+    }
+    for (size_t i = 0; i < wave; ++i) {
+      if (valid[i]) selected.push_back(shuffled[next + i]);
+    }
+    next += wave;
   }
   std::sort(selected.begin(), selected.end());
   return selected;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <memory>
+
+#include "src/common/threading.h"
+#include "src/context/sharded_population_index.h"
 #include "src/context/starting_context.h"
 #include "src/outlier/lof.h"
 
@@ -62,6 +68,89 @@ TEST(WorkloadsTest, SelectQueryOutliersReturnsVerifiedOutliers) {
     auto start = FindStartingContext(verifier, row, options, &probe);
     EXPECT_TRUE(start.ok()) << row;
   }
+}
+
+// The start searches run in waves on the probe's pool; the selection and
+// the state the caller's Rng is left in must equal the serial run's, and
+// the one-candidate-at-a-time loop's.
+TEST(WorkloadsTest, SelectQueryOutliersIsIdenticalOnThePoolAndSerially) {
+  auto workload = MakeReducedSalaryWorkload(/*scale=*/0.1);
+  ASSERT_TRUE(workload.ok());
+  const Dataset& dataset = workload->data.dataset;
+  // Planted rows plus inliers, so that quota-sized waves find too few
+  // outliers and repeat.
+  std::vector<uint32_t> candidates = workload->data.planted_outlier_rows;
+  for (uint32_t row = 0; row < 40; ++row) {
+    if (std::find(candidates.begin(), candidates.end(), row) ==
+        candidates.end()) {
+      candidates.push_back(row);
+    }
+  }
+  LofOptions lof_options;
+  lof_options.k = 10;
+  LofDetector detector(lof_options);
+
+  PopulationIndex bare(dataset);
+  ASSERT_EQ(bare.probe_pool(), nullptr);
+  ShardedIndexOptions index_options;
+  index_options.shard_count = 3;
+  index_options.pool = std::make_shared<ThreadPool>(3);
+  ShardedPopulationIndex sharded(dataset, index_options);
+  ASSERT_EQ(sharded.probe_pool(), index_options.pool.get());
+
+  // The serial loop SelectQueryOutliers replaces: fork, search, stop at
+  // the quota.
+  const auto one_at_a_time = [&](size_t quota, Rng* rng) {
+    OutlierVerifier verifier(bare, detector);
+    std::vector<uint32_t> shuffled = candidates;
+    rng->Shuffle(&shuffled);
+    std::vector<uint32_t> selected;
+    for (uint32_t row : shuffled) {
+      if (selected.size() >= quota) break;
+      Rng probe = rng->Fork();
+      if (FindStartingContext(verifier, row, StartingContextOptions{}, &probe)
+              .ok()) {
+        selected.push_back(row);
+      }
+    }
+    std::sort(selected.begin(), selected.end());
+    return selected;
+  };
+
+  std::vector<uint32_t> all_valid;
+  for (size_t quota :
+       {size_t{1}, size_t{5}, std::numeric_limits<size_t>::max()}) {
+    SCOPED_TRACE(quota);
+    Rng reference_rng(11);
+    const std::vector<uint32_t> reference =
+        one_at_a_time(quota, &reference_rng);
+    OutlierVerifier serial_verifier(bare, detector);
+    Rng serial_rng(11);
+    const std::vector<uint32_t> serial =
+        SelectQueryOutliers(serial_verifier, candidates, quota, &serial_rng);
+    OutlierVerifier pooled_verifier(sharded, detector);
+    Rng pooled_rng(11);
+    const std::vector<uint32_t> pooled =
+        SelectQueryOutliers(pooled_verifier, candidates, quota, &pooled_rng);
+
+    EXPECT_EQ(serial, reference);
+    EXPECT_EQ(pooled, reference);
+    EXPECT_LE(reference.size(), quota);
+    const uint64_t next = reference_rng.Next();
+    EXPECT_EQ(serial_rng.Next(), next);
+    EXPECT_EQ(pooled_rng.Next(), next);
+    all_valid = reference;  // the unbounded quota's run comes last
+  }
+  // An inlier is among the first five shuffled candidates, so the quota-5
+  // selection took more than one wave.
+  ASSERT_GT(all_valid.size(), 5u);
+  std::vector<uint32_t> shuffled = candidates;
+  Rng(11).Shuffle(&shuffled);
+  const size_t valid_in_first_wave = static_cast<size_t>(
+      std::count_if(shuffled.begin(), shuffled.begin() + 5, [&](uint32_t r) {
+        return std::binary_search(all_valid.begin(), all_valid.end(), r);
+      }));
+  EXPECT_LT(valid_in_first_wave, 5u);
 }
 
 }  // namespace

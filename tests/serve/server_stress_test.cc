@@ -1,9 +1,12 @@
 // Failure-path hardening for the serving front-end: shutdown with pending
 // work (drain and abort), submitters blocked on a full queue, exception
 // propagation through futures, admission after shutdown, the charge a
-// failed release keeps, and the queue high-water mark.
+// failed release keeps, the queue high-water mark, and requests at the
+// extremes admission lets through.
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -11,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/string_util.h"
 #include "src/search/streaming.h"
 #include "src/serve/server.h"
 #include "tests/testing_util.h"
@@ -177,6 +181,92 @@ TEST_F(ServerStressTest, SubmitAfterShutdownIsUnavailable) {
   ASSERT_FALSE(future.ok());
   EXPECT_TRUE(future.status().IsUnavailable());
   EXPECT_DOUBLE_EQ(server.accountant().SpentBy("latecomer"), 0.0);
+}
+
+// The smallest total_epsilon ValidatePcorOptions admits for `sampler` at
+// `num_samples`: admission is monotone in the total, and positive doubles
+// order like their bit patterns, so bisect over the bits below 1.0.
+double SmallestAdmittedEpsilon(SamplerKind sampler, size_t num_samples) {
+  PcorOptions options;
+  options.sampler = sampler;
+  options.num_samples = num_samples;
+  const auto admitted = [&](uint64_t bits) {
+    options.total_epsilon = std::bit_cast<double>(bits);
+    return ValidatePcorOptions(options).ok();
+  };
+  uint64_t rejected = 0;                        // +0.0
+  uint64_t accepted = std::bit_cast<uint64_t>(1.0);
+  while (accepted - rejected > 1) {
+    const uint64_t mid = rejected + (accepted - rejected) / 2;
+    (admitted(mid) ? accepted : rejected) = mid;
+  }
+  return std::bit_cast<double>(accepted);
+}
+
+TEST_F(ServerStressTest, AdmittedExtremesCompleteWithATypedStatus) {
+  // Every sampler x utility at the edges admission lets through: the
+  // server's num_samples and max_probes ceilings and 1, the smallest
+  // admitted total_epsilon and 1e300. Each request must be admitted and
+  // complete, released or failed with a typed status, and the server must
+  // keep serving afterwards.
+  constexpr size_t kMaxSamples = size_t{1} << 20;
+  constexpr size_t kMaxProbes = 10'000;
+  ServeOptions options = BaseOptions();
+  options.release.num_samples = kMaxSamples;
+  options.release.max_probes = kMaxProbes;
+  PcorServer server(engine_, options);
+
+  size_t cases = 0;
+  std::vector<std::pair<std::string, Future<BatchEntry>>> futures;
+  for (SamplerKind sampler :
+       {SamplerKind::kDirect, SamplerKind::kUniform, SamplerKind::kRandomWalk,
+        SamplerKind::kDfs, SamplerKind::kBfs}) {
+    for (UtilityKind utility :
+         {UtilityKind::kPopulationSize, UtilityKind::kOverlapWithStart}) {
+      for (size_t num_samples : {size_t{1}, kMaxSamples}) {
+        const double smallest =
+            SmallestAdmittedEpsilon(sampler, num_samples);
+        for (size_t max_probes : {size_t{1}, kMaxProbes}) {
+          for (double epsilon : {smallest, 1e300}) {
+            BatchRequest request = OutlierRequest();
+            request.options = options.release;
+            request.options->sampler = sampler;
+            request.options->utility = utility;
+            request.options->num_samples = num_samples;
+            request.options->max_probes = max_probes;
+            request.options->total_epsilon = epsilon;
+            const std::string name = strings::Format(
+                "%s/%s n=%zu probes=%zu eps=%g",
+                SamplerKindName(sampler).c_str(),
+                UtilityKindName(utility).c_str(), num_samples, max_probes,
+                epsilon);
+            auto future = server.SubmitAsync(request, "extremes");
+            ASSERT_TRUE(future.ok()) << name << ": "
+                                     << future.status().ToString();
+            futures.emplace_back(name, std::move(*future));
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 80u);
+  for (auto& [name, future] : futures) {
+    const BatchEntry entry = future.Get();
+    const StatusCode code = entry.status.code();
+    EXPECT_TRUE(code == StatusCode::kOk ||
+                code == StatusCode::kFailedPrecondition ||
+                code == StatusCode::kNoValidContext)
+        << name << ": " << entry.status.ToString();
+  }
+  EXPECT_EQ(server.stats().rejected_invalid, 0u);
+
+  BatchRequest plain = OutlierRequest();
+  plain.options = BaseOptions().release;
+  plain.options->max_probes = kMaxProbes;
+  auto after = server.SubmitAsync(plain, "after");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_TRUE(after->Get().status.ok());
 }
 
 TEST_F(ServerStressTest, ShutdownWakesASubmitterBlockedOnAFullQueue) {
