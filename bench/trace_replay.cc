@@ -107,8 +107,8 @@ bool CheckInvariants(const char* section, const TraceReplayResult& r) {
       ok = false;
     }
   }
-  const size_t terminal = r.released + r.failed + r.exceptions +
-                          r.rejected_budget + r.rejected_other;
+  const size_t terminal =
+      r.released + r.failed + r.rejected_budget + r.rejected_other;
   if (terminal != r.releases || r.scheduled.count() != r.releases ||
       r.submitted.count() != r.releases) {
     std::printf(

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -14,8 +13,10 @@
 namespace pcor {
 
 /// \brief Thrown by Future<T>::Get when its Promise was destroyed without
-/// delivering a value — the async analogue of a dangling reference, always
-/// a server bug, never a client-visible failure mode.
+/// delivering a value — the async analogue of a dangling reference. Get()
+/// constructs it on the calling thread, so no exception object ever
+/// crosses threads. A served request's failures arrive as values (a
+/// BatchEntry's status); this means only that the producer vanished.
 class BrokenPromise : public std::runtime_error {
  public:
   BrokenPromise() : std::runtime_error("promise abandoned without a value") {}
@@ -27,16 +28,14 @@ template <typename T>
 struct SharedState {
   std::mutex mu;
   std::condition_variable ready_cv;
-  std::optional<T> value;
-  std::exception_ptr error;
+  std::optional<T> value;  // empty once ready: the promise was abandoned
   bool ready = false;
 
-  void Deliver(std::optional<T> v, std::exception_ptr e) {
+  void Deliver(std::optional<T> v) {
     {
       std::unique_lock<std::mutex> lock(mu);
       PCOR_CHECK(!ready) << "promise fulfilled twice";
       value = std::move(v);
-      error = std::move(e);
       ready = true;
     }
     ready_cv.notify_all();
@@ -48,10 +47,9 @@ struct SharedState {
 /// \brief Single-shot value consumer paired with a Promise<T>.
 ///
 /// Deliberately smaller than std::future: movable, one Get() that blocks
-/// and consumes, timed readiness probing, and exception propagation from
-/// the producer side (a worker that threw surfaces its exception at the
-/// submitting client's Get(), not inside the server). The serving
-/// front-end completes one of these per accepted request.
+/// and consumes, and timed readiness probing. It carries values only: the
+/// serving front-end completes one of these per accepted request, failed
+/// or not, with a BatchEntry whose status says how it went.
 template <typename T>
 class Future {
  public:
@@ -66,7 +64,7 @@ class Future {
 
   bool valid() const { return state_ != nullptr; }
 
-  /// \brief True once a value or an exception has been delivered.
+  /// \brief True once a value was delivered or the promise abandoned.
   bool Ready() const {
     PCOR_CHECK(valid()) << "Ready() on an invalid Future";
     std::unique_lock<std::mutex> lock(state_->mu);
@@ -89,27 +87,15 @@ class Future {
                                      [this] { return state_->ready; });
   }
 
-  /// \brief Blocks until delivery, then returns the value — or rethrows
-  /// the producer's exception (BrokenPromise when the producer vanished).
-  /// Consumes the future: valid() is false afterwards.
-  ///
-  /// The error is MOVED out of the shared state before rethrowing: once
-  /// delivered, the exception object's remaining lifetime belongs to this
-  /// thread alone. (exception_ptr refcounting lives in the uninstrumented
-  /// C++ runtime, so cross-thread teardown of a shared exception has no
-  /// TSan-visible synchronization — keeping it single-threaded sidesteps
-  /// the whole class of reports.)
+  /// \brief Blocks until delivery, then returns the value; throws
+  /// BrokenPromise when the promise was abandoned instead. Consumes the
+  /// future: valid() is false afterwards.
   T Get() {
     PCOR_CHECK(valid()) << "Get() on an invalid Future";
     std::shared_ptr<future_detail::SharedState<T>> state = std::move(state_);
     std::unique_lock<std::mutex> lock(state->mu);
     state->ready_cv.wait(lock, [&state] { return state->ready; });
-    if (state->error) {
-      std::exception_ptr error = std::move(state->error);
-      state->error = nullptr;
-      lock.unlock();
-      std::rethrow_exception(std::move(error));
-    }
+    if (!state->value) throw BrokenPromise();
     return std::move(*state->value);
   }
 
@@ -123,8 +109,8 @@ class Future {
 };
 
 /// \brief Single-shot value producer. Destroying an unfulfilled promise
-/// whose future is still alive delivers BrokenPromise, so a crashed or
-/// early-exiting worker can never strand a waiting client.
+/// marks its state abandoned, so the future's Get() throws BrokenPromise
+/// instead of blocking forever.
 template <typename T>
 class Promise {
  public:
@@ -152,14 +138,7 @@ class Promise {
 
   void Set(T value) {
     PCOR_CHECK(state_ != nullptr) << "Set() on a moved-from Promise";
-    state_->Deliver(std::move(value), nullptr);
-  }
-
-  void SetException(std::exception_ptr error) {
-    PCOR_CHECK(state_ != nullptr)
-        << "SetException() on a moved-from Promise";
-    PCOR_CHECK(error != nullptr) << "SetException(nullptr)";
-    state_->Deliver(std::nullopt, std::move(error));
+    state_->Deliver(std::move(value));
   }
 
  private:
@@ -168,10 +147,7 @@ class Promise {
     std::unique_lock<std::mutex> lock(state_->mu);
     const bool pending = !state_->ready;
     lock.unlock();
-    if (pending) {
-      state_->Deliver(std::nullopt,
-                      std::make_exception_ptr(BrokenPromise()));
-    }
+    if (pending) state_->Deliver(std::nullopt);
     state_.reset();
   }
 

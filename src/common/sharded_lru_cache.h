@@ -7,9 +7,10 @@
 #include <functional>
 #include <limits>
 #include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
+
+#include "src/common/threading.h"
 
 namespace pcor {
 
@@ -351,9 +352,7 @@ class ShardedLruCache {
     if (n == 0) {
       // Auto: one shard per hardware thread, capped — explicit requests
       // are honored beyond the cap.
-      n = static_cast<size_t>(std::thread::hardware_concurrency());
-      if (n == 0) n = 1;
-      if (n > 64) n = 64;
+      n = std::min<size_t>(DefaultThreadCount(), 64);
     }
     size_t pow2 = 1;
     while (pow2 < n) pow2 <<= 1;

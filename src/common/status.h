@@ -10,6 +10,8 @@ namespace pcor {
 ///
 /// The library does not throw exceptions: fallible operations return a
 /// Status (or a Result<T>, see result.h) in the style of RocksDB/Arrow.
+/// PcorServer keeps this at its boundary too: a micro-batch that throws
+/// completes every future of the batch with a kInternal entry.
 enum class StatusCode : int {
   kOk = 0,
   kInvalidArgument = 1,

@@ -10,8 +10,8 @@
 
 namespace pcor {
 
-/// \brief Fixed-size worker pool for embarrassingly parallel experiment
-/// trials (the paper repeats every configuration 200 times).
+/// \brief Fixed-size worker pool: the one executor for segment probes,
+/// batch fan-out, query-outlier selection and reference builds.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);

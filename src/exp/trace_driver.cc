@@ -101,7 +101,6 @@ struct TenantAccum {
   LatencyHistogram submitted;
   size_t released = 0;
   size_t failed = 0;
-  size_t exceptions = 0;
 };
 
 }  // namespace
@@ -199,23 +198,16 @@ Result<TraceReplayResult> ReplayTrace(PcorServer& server,
       InFlight item;
       while (completions.Pop(&item) == QueueOp::kOk) {
         TenantAccum& accum = accums[item.tenant];
-        uint64_t digest = 0;
-        try {
-          BatchEntry entry = item.future.Get();
-          digest = DigestBatchEntry(entry);
-          if (entry.status.ok()) {
-            ++accum.released;
-          } else {
-            ++accum.failed;
-          }
-        } catch (const std::exception&) {
-          ++accum.exceptions;
-          digest = Fold(0xdead, 1);
+        const BatchEntry entry = item.future.Get();
+        if (entry.status.ok()) {
+          ++accum.released;
+        } else {
+          ++accum.failed;
         }
         const int64_t done_us = clock->NowMicros();
         accum.scheduled.Record(done_us - item.scheduled_us);
         accum.submitted.Record(done_us - item.submitted_us);
-        digest_slots[item.slot] = digest;
+        digest_slots[item.slot] = DigestBatchEntry(entry);
         {
           std::lock_guard<std::mutex> lock(outstanding_mu);
           --outstanding;
@@ -333,13 +325,11 @@ Result<TraceReplayResult> ReplayTrace(PcorServer& server,
       out.submitted.Merge(accum.submitted);
       out.released += accum.released;
       out.failed += accum.failed;
-      out.exceptions += accum.exceptions;
     }
     result.scheduled.Merge(out.scheduled);
     result.submitted.Merge(out.submitted);
     result.released += out.released;
     result.failed += out.failed;
-    result.exceptions += out.exceptions;
   }
 
   uint64_t digest = 0x9e3779b97f4a7c15ULL;

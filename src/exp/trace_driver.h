@@ -81,7 +81,6 @@ struct TenantReplayStats {
   size_t failed = 0;           ///< entries completed with an error status
   size_t rejected_budget = 0;  ///< admissions refused: budget cap
   size_t rejected_other = 0;   ///< every other admission refusal
-  size_t exceptions = 0;       ///< futures that rethrew a worker error
 };
 
 /// \brief ReplayTrace configuration.
@@ -116,7 +115,6 @@ struct TraceReplayResult {
   size_t failed = 0;            ///< entries completed with error status
   size_t rejected_budget = 0;   ///< admissions refused: budget cap
   size_t rejected_other = 0;    ///< every other admission refusal
-  size_t exceptions = 0;        ///< futures that rethrew a worker error
   size_t appends = 0;           ///< rows buffered via SubmitAppend
   size_t append_errors = 0;     ///< rows the stream refused
   size_t seals = 0;             ///< Seal events dispatched

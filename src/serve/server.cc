@@ -1,6 +1,7 @@
 #include "src/serve/server.h"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 
 #include "src/common/random.h"
@@ -230,18 +231,10 @@ void PcorServer::DispatcherLoop() {
     }
 
     if (abort_pending_.load(std::memory_order_relaxed)) {
-      // Abort-mode shutdown: complete undispatched work with a typed
-      // kUnavailable entry and return the untouched budget charges.
-      for (Pending& pending : batch) {
-        BatchEntry entry;
-        entry.v_row = pending.request.v_row;
-        entry.rng_seed = pending.request.rng_seed;
-        entry.status = Status::Unavailable("server shut down before dispatch");
-        accountant_.Refund(pending.client_id, pending.cost);
-        pending.promise.Set(std::move(entry));
-      }
-      std::unique_lock<std::mutex> stats_lock(stats_mu_);
-      stats_.failed += batch.size();
+      // Abort-mode shutdown: undispatched work fails typed and is refunded.
+      FailBatch(&batch,
+                Status::Unavailable("server shut down before dispatch"),
+                /*dispatched=*/false);
       continue;
     }
     ExecuteBatch(std::move(batch));
@@ -265,78 +258,82 @@ void PcorServer::ExecuteBatch(std::vector<Pending> batch) {
     snapshot = stream_->Pin();
     engine = snapshot->engine.get();
     if (engine == nullptr) {
-      for (Pending& pending : batch) {
-        BatchEntry entry;
-        entry.v_row = pending.request.v_row;
-        entry.rng_seed = pending.request.rng_seed;
-        entry.status = Status::FailedPrecondition(
-            "no sealed epoch yet: append rows and SealEpoch before "
-            "releasing");
-        pending.promise.Set(std::move(entry));
-      }
-      std::unique_lock<std::mutex> stats_lock(stats_mu_);
-      ++stats_.batches;
-      stats_.max_coalesced = std::max(stats_.max_coalesced, batch.size());
-      stats_.failed += batch.size();
+      FailBatch(&batch,
+                Status::FailedPrecondition(
+                    "no sealed epoch yet: append rows and SealEpoch before "
+                    "releasing"),
+                /*dispatched=*/true);
       return;
     }
   }
 
+  // The engine reports every failure as an entry status; only the hook,
+  // or a bug below us, can throw. That must fail this batch's requests
+  // with a typed status, not kill the dispatcher. Nothing is completed
+  // inside the try, so no promise is set when the failure path runs.
+  BatchReleaseReport report;
   try {
     if (options_.pre_batch_hook) {
       options_.pre_batch_hook(std::span<const BatchRequest>(requests));
     }
-    BatchReleaseReport report = engine->ReleaseBatch(
-        std::span<const BatchRequest>(requests), options_.release,
-        options_.seed, options_.release_threads);
-    if (stream_ != nullptr) {
-      // Annotate entries with their stream position (the engine stamped
-      // the epoch already). Failed entries carry no release to annotate.
-      for (size_t i = 0; i < batch.size(); ++i) {
-        BatchEntry& entry = report.entries[i];
-        if (entry.status.ok()) {
-          entry.release.stream_release_index = batch[i].stream_index;
-        }
-      }
-    }
-    {
-      std::unique_lock<std::mutex> stats_lock(stats_mu_);
-      ++stats_.batches;
-      stats_.max_coalesced = std::max(stats_.max_coalesced, batch.size());
-      stats_.released += report.num_released();
-      stats_.failed += report.failures;
-      for (const BatchEntry& entry : report.entries) {
-        if (entry.status.ok() && entry.release.hit_probe_cap) {
-          ++stats_.hit_probe_cap;
-        }
-      }
-    }
-    for (size_t i = 0; i < batch.size(); ++i) {
-      batch[i].promise.Set(std::move(report.entries[i]));
-    }
+    report = engine->ReleaseBatch(std::span<const BatchRequest>(requests),
+                                  options_.release, options_.seed,
+                                  options_.release_threads);
   } catch (const std::exception& e) {
-    FailBatchWith(&batch, e.what());
+    FailBatch(&batch, Status::Internal(e.what()), /*dispatched=*/true);
+    return;
   } catch (...) {
-    FailBatchWith(&batch, "non-std exception during micro-batch execution");
+    FailBatch(&batch,
+              Status::Internal(
+                  "non-std exception during micro-batch execution"),
+              /*dispatched=*/true);
+    return;
   }
-}
-
-void PcorServer::FailBatchWith(std::vector<Pending>* batch,
-                               const char* what) {
-  // The engine itself is Status-based and should never throw; a throwing
-  // pre_batch_hook (or a bug below us) must surface at every waiting
-  // client rather than kill the dispatcher. Every future gets its OWN
-  // self-contained ServeError — never one shared refcounted exception
-  // object (or a shared COW message buffer), whose teardown would then
-  // race across the consumer threads (see ServeError and Future::Get).
+  if (stream_ != nullptr) {
+    // Annotate entries with their stream position (the engine stamped the
+    // epoch already). Failed entries carry no release to annotate.
+    for (size_t i = 0; i < batch.size(); ++i) {
+      BatchEntry& entry = report.entries[i];
+      if (entry.status.ok()) {
+        entry.release.stream_release_index = batch[i].stream_index;
+      }
+    }
+  }
   {
     std::unique_lock<std::mutex> stats_lock(stats_mu_);
     ++stats_.batches;
-    stats_.max_coalesced = std::max(stats_.max_coalesced, batch->size());
+    stats_.max_coalesced = std::max(stats_.max_coalesced, batch.size());
+    stats_.released += report.num_released();
+    stats_.failed += report.failures;
+    for (const BatchEntry& entry : report.entries) {
+      if (entry.status.ok() && entry.release.hit_probe_cap) {
+        ++stats_.hit_probe_cap;
+      }
+    }
+  }
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i].promise.Set(std::move(report.entries[i]));
+  }
+}
+
+void PcorServer::FailBatch(std::vector<Pending>* batch, const Status& status,
+                           bool dispatched) {
+  {
+    std::unique_lock<std::mutex> stats_lock(stats_mu_);
+    if (dispatched) {
+      ++stats_.batches;
+      stats_.max_coalesced = std::max(stats_.max_coalesced, batch->size());
+    }
     stats_.failed += batch->size();
   }
   for (Pending& pending : *batch) {
-    pending.promise.SetException(std::make_exception_ptr(ServeError(what)));
+    // Undispatched work never touched the data: its charge is returned.
+    if (!dispatched) accountant_.Refund(pending.client_id, pending.cost);
+    BatchEntry entry;
+    entry.v_row = pending.request.v_row;
+    entry.rng_seed = pending.request.rng_seed;
+    entry.status = status;
+    pending.promise.Set(std::move(entry));
   }
 }
 

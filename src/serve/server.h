@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <exception>
 #include <functional>
 #include <limits>
 #include <mutex>
@@ -22,25 +20,6 @@
 #include "src/serve/scheduler.h"
 
 namespace pcor {
-
-/// \brief Exception delivered to every future of a micro-batch whose
-/// execution threw (e.g. a poisoned pre_batch_hook). Carries the original
-/// what() in a fixed inline buffer — deliberately NOT std::runtime_error:
-/// its heap message string is refcount-shared on copy under the COW string
-/// ABI, and those refcounts live in the uninstrumented C++ runtime, so a
-/// message crossing from the dispatcher to client threads would tear down
-/// without any TSan-visible synchronization. A self-contained char array
-/// copies by value and shares nothing.
-class ServeError : public std::exception {
- public:
-  explicit ServeError(const char* what) {
-    std::snprintf(what_, sizeof(what_), "%s", what);
-  }
-  const char* what() const noexcept override { return what_; }
-
- private:
-  char what_[256];
-};
 
 /// \brief Serving front-end configuration.
 struct ServeOptions {
@@ -68,11 +47,10 @@ struct ServeOptions {
   /// Per-client cumulative epsilon cap (infinity = unlimited).
   double per_client_epsilon_cap = std::numeric_limits<double>::infinity();
   /// Test/instrumentation hook run by the dispatcher immediately before
-  /// each micro-batch executes. An exception thrown here propagates to
-  /// every future in that batch as a ServeError carrying the original
-  /// what() (one fresh exception per future; see FailBatchWith) — the
-  /// stress suite uses this to prove that a worker-side crash surfaces at
-  /// clients instead of hanging them.
+  /// each micro-batch executes. If it (or ReleaseBatch) throws, every
+  /// future of that batch completes with a kInternal entry whose message
+  /// is the exception's what(); the charges are kept and the dispatcher
+  /// goes on to the next batch.
   std::function<void(std::span<const BatchRequest>)> pre_batch_hook;
 };
 
@@ -136,7 +114,8 @@ struct ServerStats {
 /// which doubles as its Rng stream index, so identical
 /// append/seal/submit interleavings at epoch granularity are
 /// bit-identical at any thread count. Once dispatched, charges stick —
-/// including entries failed for lack of a sealed epoch.
+/// including entries failed for lack of a sealed epoch or by a micro-batch
+/// that threw.
 ///
 /// Admission rollback (both modes): a door rejection after the charge
 /// (tenant depth, or a submitter blocked on a full queue and woken by
@@ -250,10 +229,11 @@ class PcorServer {
 
   void DispatcherLoop();
   void ExecuteBatch(std::vector<Pending> batch);
-  /// \brief Fails every future in `batch` with its own ServeError carrying
-  /// `what` (worker exceptions are rewrapped per future — the message
-  /// survives, the concrete type intentionally does not; see ServeError).
-  void FailBatchWith(std::vector<Pending>* batch, const char* what);
+  /// \brief Completes every future in `batch` with an entry carrying
+  /// `status`. A dispatched batch counts as a batch and keeps its charges;
+  /// an undispatched one (abort-mode shutdown) is refunded instead.
+  void FailBatch(std::vector<Pending>* batch, const Status& status,
+                 bool dispatched);
 
   const PcorEngine* engine_;          // null in streaming mode
   StreamingPcorEngine* stream_;       // null in classic mode

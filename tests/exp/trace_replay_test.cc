@@ -1,12 +1,12 @@
 // ReplayTrace contract tests, all on VirtualClocks (zero wall-clock
 // sleeps in the dispatch loop): classic replays account every terminal
 // outcome and hold the scheduled>=submitted dominance, budget-capped
-// traces reject with exact arithmetic, worker exceptions are tallied
-// rather than terminating a collector, concurrent replays against one
-// server keep exact per-replay counts, and — the determinism satellite —
-// a mixed Release/Append/Seal streaming trace replayed at 1 and 16
-// collector threads produces bit-identical release digests and epoch
-// numbering.
+// traces reject with exact arithmetic, a micro-batch that throws comes
+// back as failed entries like any other failure, concurrent replays
+// against one server keep exact per-replay counts, and — the determinism
+// satellite — a mixed Release/Append/Seal streaming trace replayed at 1
+// and 16 collector threads produces bit-identical release digests and
+// epoch numbering.
 #include "src/exp/trace_driver.h"
 
 #include <span>
@@ -79,7 +79,6 @@ TEST_F(ClassicReplayTest, AccountsEveryTerminalOutcome) {
   EXPECT_EQ(result->failed, 0u);
   EXPECT_EQ(result->rejected_budget, 0u);
   EXPECT_EQ(result->rejected_other, 0u);
-  EXPECT_EQ(result->exceptions, 0u);
   EXPECT_EQ(result->driver.dispatched, 8u);
   // Every terminal outcome lands in BOTH histogram families.
   EXPECT_EQ(result->scheduled.count(), 8u);
@@ -191,9 +190,9 @@ TEST_F(ClassicReplayTest, FailsFastOnImpossibleTraces) {
 }
 
 TEST_F(ClassicReplayTest, ContainsWorkerExceptionsInsteadOfTerminating) {
-  // Every micro-batch is poisoned: each Get() rethrows inside a collector
-  // thread, which must tally the exception rather than let it escape the
-  // thread body and std::terminate the process.
+  // Every micro-batch is poisoned: the server completes each of its
+  // futures with a kInternal entry, which the collectors count and digest
+  // as failed like any other failure.
   std::vector<TraceEvent> trace;
   for (int i = 0; i < 6; ++i) trace.push_back(Release(i * 10, "poisoned"));
   ServeOptions options = Options();
@@ -211,15 +210,14 @@ TEST_F(ClassicReplayTest, ContainsWorkerExceptionsInsteadOfTerminating) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   EXPECT_EQ(result->releases, 6u);
-  EXPECT_EQ(result->exceptions, 6u);
+  EXPECT_EQ(result->failed, 6u);
   EXPECT_EQ(result->released, 0u);
-  EXPECT_EQ(result->failed, 0u);
-  // An exception is a terminal outcome like any other: both families
+  // A failure is a terminal outcome like any other: both families
   // record it.
   EXPECT_EQ(result->scheduled.count(), 6u);
   EXPECT_EQ(result->submitted.count(), 6u);
   ASSERT_EQ(result->tenants.size(), 1u);
-  EXPECT_EQ(result->tenants[0].exceptions, 6u);
+  EXPECT_EQ(result->tenants[0].failed, 6u);
 }
 
 TEST_F(ClassicReplayTest, ConcurrentReplaysOnOneServerKeepExactCounts) {
@@ -272,7 +270,6 @@ TEST_F(ClassicReplayTest, ConcurrentReplaysOnOneServerKeepExactCounts) {
     EXPECT_EQ(result.failed, 0u);
     EXPECT_EQ(result.rejected_budget, 0u);
     EXPECT_EQ(result.rejected_other, 0u);
-    EXPECT_EQ(result.exceptions, 0u);
     EXPECT_EQ(result.scheduled.count(), releases);
     EXPECT_EQ(result.submitted.count(), releases);
     ASSERT_EQ(result.tenants.size(), 1u);
@@ -344,9 +341,9 @@ TEST(StreamingReplayTest, MixedTraceIsBitIdenticalAcrossCollectorThreads) {
   // epoch covers every appended row.
   EXPECT_EQ(one.final_epoch, 2u * 3u * 16u);
   EXPECT_EQ(one.releases, 8u);
-  EXPECT_EQ(one.released + one.failed + one.rejected_budget +
-                one.rejected_other + one.exceptions,
-            8u);
+  EXPECT_EQ(
+      one.released + one.failed + one.rejected_budget + one.rejected_other,
+      8u);
   EXPECT_EQ(one.scheduled.count(), 8u);
   EXPECT_EQ(one.submitted.count(), 8u);
 }

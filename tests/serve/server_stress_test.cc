@@ -1,8 +1,9 @@
 // Failure-path hardening for the serving front-end: shutdown with pending
-// work (drain and abort), submitters blocked on a full queue, exception
-// propagation through futures, admission after shutdown, the charge a
-// failed release keeps, the queue high-water mark, and requests at the
-// extremes admission lets through.
+// work (drain and abort), submitters blocked on a full queue, a micro-batch
+// that throws completing every future with a typed kInternal status,
+// admission after shutdown, the charge a failed release or a thrown batch
+// keeps, the queue high-water mark, and requests at the extremes admission
+// lets through.
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -139,14 +140,22 @@ TEST_F(ServerStressTest, ShutdownAbortFailsPendingWithTypedStatusAndRefunds) {
 
   // The gate request was already executing when Shutdown landed.
   EXPECT_TRUE(held.Get().status.ok());
-  for (auto& future : futures) {
-    BatchEntry entry = future.Get();
+  for (size_t k = 0; k < futures.size(); ++k) {
+    BatchEntry entry = futures[k].Get();
     EXPECT_TRUE(entry.status.IsUnavailable()) << entry.status.ToString();
+    EXPECT_EQ(entry.v_row, grid_.v_row);
+    EXPECT_EQ(entry.rng_seed, PcorServer::RequestSeed(7, "aborted", k));
   }
   // Aborted work never touched the data: every charge is returned (up to
   // the accumulation residue of ten 0.2 add/subtract round trips).
   EXPECT_NEAR(server.accountant().SpentBy("aborted"), 0.0, 1e-12);
-  EXPECT_EQ(server.stats().released, 1u);  // the gate request alone
+  // An aborted batch never executed: it counts as failed entries but not
+  // as a batch, so only the gate request's batch is counted.
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.released, 1u);  // the gate request alone
+  EXPECT_EQ(stats.failed, 10u);
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.max_coalesced, 1u);
 }
 
 TEST_F(ServerStressTest, FailedReleaseKeepsItsChargeInBothModes) {
@@ -171,6 +180,44 @@ TEST_F(ServerStressTest, FailedReleaseKeepsItsChargeInBothModes) {
     EXPECT_DOUBLE_EQ(server->accountant().SpentBy("prober"),
                      BaseOptions().release.total_epsilon);
     EXPECT_EQ(server->stats().failed, 1u);
+  }
+}
+
+TEST_F(ServerStressTest, ThrownBatchKeepsItsChargeInBothModes) {
+  // Refund table: a micro-batch that throws keeps every admission charge,
+  // because the server cannot tell how far ReleaseBatch got.
+  StreamingPcorEngine stream(testing_util::GridSchema(), detector_);
+  ASSERT_TRUE(stream.AppendRows(testing_util::RowsOf(grid_.dataset)).ok());
+  ASSERT_EQ(stream.SealEpoch(), grid_.dataset.num_rows());
+  // The classic hook throws a std::exception, the streaming one does not:
+  // both catch clauses complete the batch with kInternal.
+  ServeOptions classic_options = BaseOptions();
+  classic_options.pre_batch_hook = [](std::span<const BatchRequest>) {
+    throw std::runtime_error("poisoned batch");
+  };
+  ServeOptions streaming_options = BaseOptions();
+  streaming_options.pre_batch_hook = [](std::span<const BatchRequest>) {
+    throw 7;
+  };
+  PcorServer classic(engine_, classic_options);
+  PcorServer streaming(stream, streaming_options);
+  for (PcorServer* server : {&classic, &streaming}) {
+    SCOPED_TRACE(server->streaming() ? "streaming" : "classic");
+    auto submitted = server->SubmitAsync(OutlierRequest(), "thrown");
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    const BatchEntry entry = submitted->Get();
+    EXPECT_TRUE(entry.status.IsInternal()) << entry.status.ToString();
+    EXPECT_EQ(entry.status.message(),
+              server->streaming()
+                  ? "non-std exception during micro-batch execution"
+                  : "poisoned batch");
+    server->Shutdown(/*drain=*/true);
+    EXPECT_DOUBLE_EQ(server->accountant().SpentBy("thrown"),
+                     BaseOptions().release.total_epsilon);
+    const ServerStats stats = server->stats();
+    EXPECT_EQ(stats.failed, 1u);
+    EXPECT_EQ(stats.released, 0u);
+    EXPECT_EQ(stats.batches, 1u);
   }
 }
 
@@ -495,19 +542,20 @@ TEST_F(ServerStressTest, HookExceptionPropagatesToEveryFutureInTheBatch) {
   }
   gate.Open();
   EXPECT_TRUE(held.Get().status.ok());
-  size_t threw = 0;
-  for (auto& future : futures) {
-    try {
-      (void)future.Get();
-    } catch (const ServeError& e) {
-      // Rewrapped per future (see ServeError): type changes, message
-      // survives verbatim.
-      EXPECT_STREQ(e.what(), "verifier backend disappeared mid-batch");
-      ++threw;
-    }
+  for (size_t k = 0; k < futures.size(); ++k) {
+    const BatchEntry entry = futures[k].Get();
+    EXPECT_TRUE(entry.status.IsInternal()) << entry.status.ToString();
+    EXPECT_EQ(entry.status.message(),
+              "verifier backend disappeared mid-batch");
+    EXPECT_EQ(entry.v_row, grid_.v_row);
+    EXPECT_EQ(entry.rng_seed, PcorServer::RequestSeed(7, "doomed", k));
   }
-  EXPECT_EQ(threw, futures.size())
-      << "every future of the poisoned batch must observe the exception";
+  // The thrown batch counts as a batch of four failed entries.
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.released, 1u);
+  EXPECT_EQ(stats.failed, 4u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.max_coalesced, 4u);
 
   // The dispatcher survived: a second full wave completes normally.
   std::vector<Future<BatchEntry>> wave2;
@@ -519,7 +567,12 @@ TEST_F(ServerStressTest, HookExceptionPropagatesToEveryFutureInTheBatch) {
   for (auto& future : wave2) {
     EXPECT_TRUE(future.Get().status.ok());
   }
-  EXPECT_GE(server.stats().failed, 4u);
+  server.Shutdown();
+  stats = server.stats();
+  EXPECT_EQ(stats.released, 5u);
+  EXPECT_GE(stats.failed, 4u);
+  EXPECT_GE(stats.batches, 3u);
+  EXPECT_EQ(stats.max_coalesced, 4u);
 }
 
 TEST_F(ServerStressTest, DestructorDrainsOutstandingWork) {

@@ -141,9 +141,19 @@ TEST_F(StreamingServerTest, RequestsBeforeFirstSealFailTypedAndCharged) {
   const BatchEntry entry = submitted->Get();
   EXPECT_TRUE(entry.status.IsFailedPrecondition())
       << entry.status.ToString();
+  EXPECT_EQ(entry.v_row, 0u);
+  EXPECT_EQ(entry.rng_seed,
+            PcorServer::RequestSeed(Options().seed, "early", 0));
   // Dispatched work keeps its admission charge (over-charging is the
   // safe direction).
   EXPECT_DOUBLE_EQ(server.accountant().SpentBy("early"), 0.4);
+  // It was dispatched, so it counts as a batch of one failed entry.
+  server.Shutdown();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.released, 0u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.max_coalesced, 1u);
 }
 
 TEST_F(StreamingServerTest, CapAdmitsTheSameReleasesAsClassic) {
