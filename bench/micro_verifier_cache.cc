@@ -7,10 +7,13 @@
 // Besides the ASCII table, every configuration emits one machine-readable
 // `BENCH_JSON {...}` line so CI can start tracking the hot path over time.
 //
-// A last section times the warm hit itself: ns per OutlierPopulation call
-// on a fully warm memo (mode "warm_hit"), median and quartiles over
-// repetitions — the per-probe cost of a graph walk whose f_M is all hits.
+// A last section times the warm hit itself on a fully warm memo, median
+// and quartiles over repetitions: ns per OutlierPopulation call (mode
+// "warm_hit"), and ns per neighbour when each walk step's neighbours go
+// through one batched OutlierPopulations call (mode "warm_step") — the
+// per-probe cost of a graph walk whose f_M is all hits, both ways.
 #include <cinttypes>
+#include <optional>
 #include <utility>
 
 #include "bench/bench_json.h"
@@ -41,16 +44,21 @@ double HitRate(const VerifierStats& stats) {
 
 struct WarmHits {
   size_t lookups = 0;  // distinct probes in one pass
+  size_t steps = 0;    // walk steps (one batched lookup each) in one pass
   size_t passes = 0;   // passes per repetition
-  std::vector<double> ns_per_hit;
+  std::vector<double> ns_per_hit;   // one OutlierPopulation call per probe
+  std::vector<double> ns_per_step;  // per probe, one batched call per step
   bool all_hits = false;
   size_t checksum = 0;
 };
 
-// Times OutlierPopulation on a warm, unbounded 4-shard memo. The probes are
-// each released context and its Hamming-1 neighbours that still contain
-// the released row: the contexts a walk around that release looks up.
+// Times f_M lookups on a warm, unbounded 4-shard memo. The probes are each
+// released context and its Hamming-1 neighbours that still contain the
+// released row: the contexts one walk step around that release looks up.
 // Probes without the row stop at the row precheck, so they are left out.
+// Each repetition times the probes once as single OutlierPopulation calls
+// ("warm_hit") and once as one OutlierPopulations call per step
+// ("warm_step"), interleaved so both see the same machine state.
 WarmHits MeasureWarmHits(const Setup& setup, const std::vector<uint32_t>& rows,
                          const std::vector<ContextVec>& releases) {
   constexpr size_t kReps = 15;
@@ -61,36 +69,53 @@ WarmHits MeasureWarmHits(const Setup& setup, const std::vector<uint32_t>& rows,
   PcorEngine engine(setup.workload.data.dataset, *setup.detector, options);
   const OutlierVerifier& verifier = engine.verifier();
 
-  std::vector<std::pair<ContextVec, uint32_t>> probes;
+  std::vector<std::vector<ContextVec>> steps(releases.size());
+  WarmHits out;
   for (size_t i = 0; i < releases.size(); ++i) {
     ContextVec c = releases[i];
     for (size_t bit = 0; bit <= c.num_bits(); ++bit) {
       if (bit < c.num_bits()) c.Flip(bit);
-      if (verifier.index().ContextContainsRow(c, rows[i])) {
-        probes.emplace_back(c, rows[i]);
+      if (c.Covers(verifier.index().ExactContextOf(rows[i]))) {
+        steps[i].push_back(c);
       }
       if (bit < c.num_bits()) c.Flip(bit);
     }
+    out.lookups += steps[i].size();
   }
-  WarmHits out;
-  out.lookups = probes.size();
-  if (probes.empty()) return out;
-  for (const auto& [c, row] : probes) verifier.OutlierPopulation(c, row);
+  out.steps = steps.size();
+  if (out.lookups == 0) return out;
+  std::vector<std::optional<size_t>> populations;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    for (const ContextVec& c : steps[i]) verifier.OutlierPopulation(c, rows[i]);
+  }
 
-  out.passes = std::max<size_t>(1, kLookupsPerRep / probes.size());
+  out.passes = std::max<size_t>(1, kLookupsPerRep / out.lookups);
+  const double timed_per_rep = static_cast<double>(out.passes * out.lookups);
   const VerifierStats before = verifier.Stats();
   for (size_t r = 0; r < kReps; ++r) {
-    WallTimer timer;
+    WallTimer single;
     for (size_t pass = 0; pass < out.passes; ++pass) {
-      for (const auto& [c, row] : probes) {
-        out.checksum += verifier.OutlierPopulation(c, row).value_or(1);
+      for (size_t i = 0; i < steps.size(); ++i) {
+        for (const ContextVec& c : steps[i]) {
+          out.checksum += verifier.OutlierPopulation(c, rows[i]).value_or(1);
+        }
       }
     }
-    out.ns_per_hit.push_back(timer.ElapsedSeconds() * 1e9 /
-                             static_cast<double>(out.passes * probes.size()));
+    out.ns_per_hit.push_back(single.ElapsedSeconds() * 1e9 / timed_per_rep);
+    WallTimer batched;
+    for (size_t pass = 0; pass < out.passes; ++pass) {
+      for (size_t i = 0; i < steps.size(); ++i) {
+        populations.resize(steps[i].size());
+        verifier.OutlierPopulations(steps[i], rows[i], populations);
+        for (const std::optional<size_t>& p : populations) {
+          out.checksum += p.value_or(1);
+        }
+      }
+    }
+    out.ns_per_step.push_back(batched.ElapsedSeconds() * 1e9 / timed_per_rep);
   }
   const VerifierStats after = verifier.Stats();
-  const size_t timed = kReps * out.passes * probes.size();
+  const size_t timed = 2 * kReps * out.passes * out.lookups;
   out.all_hits = after.cache_misses == before.cache_misses &&
                  after.cache_hits - before.cache_hits == timed;
   return out;
@@ -214,12 +239,19 @@ int main() {
   const double warm_p50 = Percentile(warm.ns_per_hit, 0.5);
   const double warm_q1 = Percentile(warm.ns_per_hit, 0.25);
   const double warm_q3 = Percentile(warm.ns_per_hit, 0.75);
+  const double step_p50 = Percentile(warm.ns_per_step, 0.5);
+  const double step_q1 = Percentile(warm.ns_per_step, 0.25);
+  const double step_q3 = Percentile(warm.ns_per_step, 0.75);
   report::SectionHeader("warm f_M hit (unbounded sharded LRU, 4 shards)");
   std::printf(
-      "%zu probes x %zu passes x %zu reps: %.1f ns/hit [%.1f, %.1f] "
-      "(median [quartiles]); every lookup a hit: %s (checksum %zu)\n",
-      warm.lookups, warm.passes, warm.ns_per_hit.size(), warm_p50, warm_q1,
-      warm_q3, warm.all_hits ? "yes" : "NO", warm.checksum);
+      "%zu probes in %zu steps x %zu passes x %zu reps (median "
+      "[quartiles]):\n"
+      "  one lookup per probe:   %.1f ns/hit [%.1f, %.1f]\n"
+      "  one batch per step:     %.1f ns/hit [%.1f, %.1f]\n"
+      "every lookup a hit: %s (checksum %zu)\n",
+      warm.lookups, warm.steps, warm.passes, warm.ns_per_hit.size(), warm_p50,
+      warm_q1, warm_q3, step_p50, step_q1, step_q3,
+      warm.all_hits ? "yes" : "NO", warm.checksum);
   emitter.Emit(strings::Format(
       "{\"bench\":\"micro_verifier_cache\",\"mode\":\"warm_hit\","
       "\"lookups\":%zu,\"reps\":%zu,\"ns_per_hit\":%.3f,"
@@ -227,6 +259,15 @@ int main() {
       "\"kernel_backend\":\"%s\"}",
       warm.lookups * warm.passes, warm.ns_per_hit.size(), warm_p50, warm_q1,
       warm_q3, simd::ActiveBackendName()));
+  emitter.Emit(strings::Format(
+      "{\"bench\":\"micro_verifier_cache\",\"mode\":\"warm_step\","
+      "\"lookups\":%zu,\"steps\":%zu,\"reps\":%zu,"
+      "\"ns_per_neighbour\":%.3f,\"ns_per_neighbour_q1\":%.3f,"
+      "\"ns_per_neighbour_q3\":%.3f,\"single_ns_per_neighbour\":%.3f,"
+      "\"kernel_backend\":\"%s\"}",
+      warm.lookups * warm.passes, warm.steps * warm.passes,
+      warm.ns_per_step.size(), step_p50, step_q1, step_q3, warm_p50,
+      simd::ActiveBackendName()));
 
   // Acceptance: at equal budget, sharded LRU must not lose to wholesale
   // clears, and must win outright somewhere.

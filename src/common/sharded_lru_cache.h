@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -48,8 +50,9 @@ struct LruCacheStats {
 /// holding each slot's recency tick, charged bytes and a hash tag (0 marks
 /// an empty slot). Linear probing compares tags before keys, and erasure
 /// shifts the rest of the probe chain back, so there are no tombstones. A
-/// hit takes one shard mutex, reads the tags, compares one key and stamps
-/// one tick; distinct shards never contend.
+/// hit reads the tags, compares one key and stamps one tick under its
+/// shard's mutex, which a batch of keys takes once per shard; distinct
+/// shards never contend.
 ///
 /// Eviction is exact LRU by tick, in batches: while a shard is over its
 /// slice of the byte budget, the coldest max(1, size/8) entries go.
@@ -60,8 +63,8 @@ struct LruCacheStats {
 /// K and V must be default-constructible and movable; an empty slot holds
 /// K{} and V{}. V is returned by copy from Get(), so it should be cheap to
 /// copy — a shared_ptr, an index, a small POD — or read in place with
-/// Visit(). The cache is a pure memo: dropping any entry at any time must
-/// be answer-invariant for the caller.
+/// VisitEach(). The cache is a pure memo: dropping any entry at any time
+/// must be answer-invariant for the caller.
 template <typename K, typename V, typename Hash = std::hash<K>>
 class ShardedLruCache {
  public:
@@ -81,26 +84,62 @@ class ShardedLruCache {
   /// \brief Looks up `key`; on a hit copies the value into `*value`,
   /// refreshes the entry's recency, and returns true.
   bool Get(const K& key, V* value) {
-    return Visit(key, [value](const V& cached) { *value = cached; });
+    const auto copy = [value](size_t, const V& cached) { *value = cached; };
+    return VisitEach(std::span<const K>(&key, 1), copy) == 1;
   }
 
-  /// \brief Like Get, but calls `fn(const V&)` on the resident value under
-  /// the shard lock instead of copying it out — for values that are large
-  /// or move-only. `fn` must not touch this cache.
+  /// \brief Looks up each of `keys`, which must be distinct. For every
+  /// resident one, refreshes its recency and calls `fn(i, const V&)` with
+  /// its position in `keys` and its value, read in place under the shard
+  /// lock (for values that are large or move-only). Returns how many were
+  /// resident. `fn` must not touch this cache.
+  ///
+  /// Every key is hashed first. Then each touched shard is locked once per
+  /// run of up to 64 keys, its keys' home slots are prefetched, and the
+  /// keys are found and stamped in input order. Ticks are per shard, so
+  /// hits, misses, recency and every later eviction are exactly those of
+  /// one lookup per key in turn.
   template <typename Fn>
-  bool Visit(const K& key, Fn&& fn) {
-    const uint64_t h = Mix(key);
-    Shard& shard = shards_[ShardIndex(h)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const size_t i = shard.Find(key, TagOf(h));
-    if (i == kNotFound) {
-      Bump(&shard.misses, 1);
-      return false;
+  size_t VisitEach(std::span<const K> keys, Fn&& fn) {
+    size_t hits = 0;
+    for (size_t base = 0; base < keys.size(); base += kRunKeys) {
+      const size_t n = std::min(kRunKeys, keys.size() - base);
+      uint64_t hashes[kRunKeys];
+      for (size_t j = 0; j < n; ++j) hashes[j] = Mix(keys[base + j]);
+      uint64_t pending = n == kRunKeys ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+      while (pending != 0) {
+        // The lowest pending key's shard, and all its pending keys in order.
+        const size_t s = ShardIndex(hashes[std::countr_zero(pending)]);
+        uint8_t mine[kRunKeys];
+        size_t count = 0;
+        for (uint64_t rest = pending; rest != 0; rest &= rest - 1) {
+          const int j = std::countr_zero(rest);
+          if (ShardIndex(hashes[j]) != s) continue;
+          mine[count++] = static_cast<uint8_t>(j);
+          pending &= ~(uint64_t{1} << j);
+        }
+        Shard& shard = shards_[s];
+        std::lock_guard<std::mutex> lock(shard.mu);
+        size_t shard_hits = 0;
+        if (shard.size != 0) {
+          for (size_t k = 0; k < count; ++k) {
+            shard.PrefetchHome(TagOf(hashes[mine[k]]));
+          }
+          for (size_t k = 0; k < count; ++k) {
+            const size_t j = mine[k];
+            const size_t i = shard.Find(keys[base + j], TagOf(hashes[j]));
+            if (i == kNotFound) continue;
+            ++shard_hits;
+            shard.meta[i].tick = ++shard.clock;
+            fn(base + j, static_cast<const V&>(shard.slots[i].value));
+          }
+        }
+        Bump(&shard.hits, shard_hits);
+        Bump(&shard.misses, count - shard_hits);
+        hits += shard_hits;
+      }
     }
-    Bump(&shard.hits, 1);
-    shard.meta[i].tick = ++shard.clock;
-    fn(static_cast<const V&>(shard.slots[i].value));
-    return true;
+    return hits;
   }
 
   /// \brief Inserts or refreshes `key`. `cost_bytes` is the caller's
@@ -189,6 +228,8 @@ class ShardedLruCache {
   // slot, so a table holds at most 2^31 slots.
   static constexpr uint32_t kOccupied = 0x80000000u;
   static constexpr size_t kMinCapacity = 16;
+  // VisitEach groups keys by shard in runs of this many (one bit each).
+  static constexpr size_t kRunKeys = 64;
 
   // A slot the size of a cache line is aligned to one, so a hit reads one
   // line of keys and values.
@@ -224,6 +265,12 @@ class ShardedLruCache {
     std::atomic<size_t> misses{0};
     std::atomic<size_t> evictions{0};
     std::atomic<size_t> invalidations{0};
+
+    void PrefetchHome(uint32_t tag) const {
+      const size_t i = tag & mask;
+      __builtin_prefetch(&meta[i]);
+      __builtin_prefetch(&slots[i]);
+    }
 
     size_t Find(const K& key, uint32_t tag) const {
       if (size == 0) return kNotFound;

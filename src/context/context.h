@@ -42,6 +42,15 @@ class ContextVec {
   /// \brief Hamming distance to another context of the same length.
   size_t HammingDistance(const ContextVec& other) const;
 
+  /// \brief True iff every bit set in `other` (of the same length) is set
+  /// here too.
+  bool Covers(const ContextVec& other) const {
+    for (size_t w = 0; w < kWords; ++w) {
+      if ((other.words_[w] & ~words_[w]) != 0) return false;
+    }
+    return true;
+  }
+
   /// \brief True iff the two contexts are connected in the context graph.
   bool IsConnectedTo(const ContextVec& other) const {
     return HammingDistance(other) == 1;

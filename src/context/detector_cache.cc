@@ -1,8 +1,9 @@
 #include "src/context/detector_cache.h"
 
 #include <algorithm>
-#include <type_traits>
 #include <utility>
+
+#include "src/common/logging.h"
 
 namespace pcor {
 
@@ -50,19 +51,26 @@ OutlierVerifier::OutlierVerifier(const PopulationProbe& index,
       epoch_(epoch) {}
 
 template <typename Read>
-auto OutlierVerifier::ReadEntry(const ContextVec& c, Read read) const {
-  if (!options_.enable_cache) return read(Compute(c));
-  const VerifierCacheKey key{epoch_, c};
-  std::invoke_result_t<Read&, const VerifierEntry&> result{};
-  if (memo_->cache_.Visit(
-          key, [&](const VerifierEntry& entry) { result = read(entry); })) {
-    return result;
+void OutlierVerifier::ReadEntries(std::span<const VerifierCacheKey> keys,
+                                  Read read) const {
+  if (!options_.enable_cache) {
+    for (size_t i = 0; i < keys.size(); ++i) read(i, Compute(keys[i].context));
+    return;
   }
-  VerifierEntry computed = Compute(c);
-  result = read(computed);
-  const size_t bytes = ApproxResultBytes(computed);
-  memo_->cache_.Put(key, std::move(computed), bytes);
-  return result;
+  thread_local std::vector<uint8_t> resident;
+  resident.assign(keys.size(), 0);
+  const size_t hits = memo_->cache_.VisitEach(
+      keys, [&](size_t i, const VerifierEntry& entry) {
+        resident[i] = 1;
+        read(i, entry);
+      });
+  for (size_t i = 0; hits < keys.size() && i < keys.size(); ++i) {
+    if (resident[i]) continue;
+    VerifierEntry computed = Compute(keys[i].context);
+    read(i, computed);
+    const size_t bytes = ApproxResultBytes(computed);
+    memo_->cache_.Put(keys[i], std::move(computed), bytes);
+  }
 }
 
 bool OutlierVerifier::IsOutlierInContext(const ContextVec& c,
@@ -72,23 +80,51 @@ bool OutlierVerifier::IsOutlierInContext(const ContextVec& c,
 
 std::optional<size_t> OutlierVerifier::OutlierPopulation(
     const ContextVec& c, uint32_t v_row) const {
-  // Fast precheck: V must belong to D_C at all (one bit test per attribute).
-  if (!index_->ContextContainsRow(c, v_row)) return std::nullopt;
-  return ReadEntry(c, [v_row](const VerifierEntry& entry) {
+  std::optional<size_t> population;
+  OutlierPopulations(std::span<const ContextVec>(&c, 1), v_row,
+                     std::span<std::optional<size_t>>(&population, 1));
+  return population;
+}
+
+void OutlierVerifier::OutlierPopulations(
+    std::span<const ContextVec> contexts, uint32_t v_row,
+    std::span<std::optional<size_t>> populations) const {
+  PCOR_CHECK(populations.size() == contexts.size())
+      << "OutlierPopulations needs one output per context";
+  // f_M contract: a row outside D_C is never an outlier in it. D_C holds
+  // the row iff C covers the row's exact context, a few word tests per
+  // context; the others never reach the memo. keys[k] answers
+  // populations[at[k]].
+  const ContextVec v_exact = index_->ExactContextOf(v_row);
+  thread_local std::vector<VerifierCacheKey> keys;
+  thread_local std::vector<size_t> at;
+  keys.clear();
+  at.clear();
+  for (size_t i = 0; i < contexts.size(); ++i) {
+    populations[i] = std::nullopt;
+    if (!contexts[i].Covers(v_exact)) continue;
+    keys.push_back(VerifierCacheKey{epoch_, contexts[i]});
+    at.push_back(i);
+  }
+  ReadEntries(keys, [&](size_t k, const VerifierEntry& entry) {
     const std::span<const uint32_t> ids = entry.outlier_ids();
-    return std::binary_search(ids.begin(), ids.end(), v_row)
-               ? std::optional<size_t>(entry.population)
-               : std::nullopt;
+    if (std::binary_search(ids.begin(), ids.end(), v_row)) {
+      populations[at[k]] = entry.population;
+    }
   });
 }
 
 std::shared_ptr<const std::vector<uint32_t>>
 OutlierVerifier::OutliersInContext(const ContextVec& c) const {
-  return ReadEntry(c, [](const VerifierEntry& entry) {
-    const std::span<const uint32_t> ids = entry.outlier_ids();
-    return std::make_shared<const std::vector<uint32_t>>(ids.begin(),
-                                                         ids.end());
-  });
+  const VerifierCacheKey key{epoch_, c};
+  std::shared_ptr<const std::vector<uint32_t>> outliers;
+  ReadEntries(std::span<const VerifierCacheKey>(&key, 1),
+              [&](size_t, const VerifierEntry& entry) {
+                const std::span<const uint32_t> ids = entry.outlier_ids();
+                outliers = std::make_shared<const std::vector<uint32_t>>(
+                    ids.begin(), ids.end());
+              });
+  return outliers;
 }
 
 VerifierEntry OutlierVerifier::Compute(const ContextVec& c) const {

@@ -178,8 +178,19 @@ class OutlierVerifier {
 
   /// \brief |D_C| when f_M(D_C, V) holds, std::nullopt otherwise — the
   /// population-size utility in one memo lookup, with no population probe.
+  /// A one-context OutlierPopulations call.
   std::optional<size_t> OutlierPopulation(const ContextVec& c,
                                           uint32_t v_row) const;
+
+  /// \brief OutlierPopulation for each of `contexts`, which must be
+  /// distinct, into the same position of `populations` (of equal size).
+  /// The contexts that contain `v_row` go through one batched memo visit,
+  /// which locks each touched shard once; the misses are then computed and
+  /// memoized in input order. A graph walk resolves one step's neighbours
+  /// this way, with the same verdicts, memo counters and f_M evaluations
+  /// as one OutlierPopulation call per context in turn.
+  void OutlierPopulations(std::span<const ContextVec> contexts, uint32_t v_row,
+                          std::span<std::optional<size_t>> populations) const;
 
   /// \brief Row ids of all outliers in D_C, ascending: a copy of the memo
   /// entry's ids (tests and benches; releases never call it).
@@ -213,10 +224,12 @@ class OutlierVerifier {
   void ClearCache() const;
 
  private:
-  /// \brief Returns `read(entry)` for the memo entry of `c`, computing and
-  /// memoizing the entry on a miss.
+  /// \brief Calls `read(i, entry)` with the memo entry of each of `keys`,
+  /// which must be distinct and carry this verifier's epoch: the resident
+  /// ones during one batched memo visit, then each miss as it is computed
+  /// and memoized, in input order. Without the cache, computes every entry.
   template <typename Read>
-  auto ReadEntry(const ContextVec& c, Read read) const;
+  void ReadEntries(std::span<const VerifierCacheKey> keys, Read read) const;
   VerifierEntry Compute(const ContextVec& c) const;
 
   const PopulationProbe* index_;

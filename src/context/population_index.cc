@@ -30,15 +30,6 @@ ContextVec PopulationProbe::ExactContextOf(uint32_t row) const {
   return c;
 }
 
-bool PopulationProbe::ContextContainsRow(const ContextVec& c,
-                                         uint32_t row) const {
-  const Schema& s = schema();
-  for (size_t a = 0; a < s.num_attributes(); ++a) {
-    if (!c.Test(s.value_offset(a) + RowCode(row, a))) return false;
-  }
-  return true;
-}
-
 PopulationView PopulationProbe::ViewOf(const ContextVec& c,
                                        PopulationScratch* scratch) const {
   PopulationInto(c, &scratch->population, &scratch->attr_union);

@@ -133,10 +133,8 @@ class PopulationProbe {
   /// \brief The exact context of local row `row` — one chosen value per
   /// attribute, the row's own codes (context_ops::ExactContext lifted to
   /// the probe so it works for composed probes too).
+  /// Context `c` selects the row iff `c.Covers(ExactContextOf(row))`.
   ContextVec ExactContextOf(uint32_t row) const;
-
-  /// \brief Whether context `c` selects local row `row`.
-  bool ContextContainsRow(const ContextVec& c, uint32_t row) const;
 
   /// \brief Materializes D_C (bitmap, row ids, metric values) into
   /// `*scratch` and returns a view over it — the zero-allocation probe.

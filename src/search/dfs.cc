@@ -1,16 +1,13 @@
 #include "src/search/dfs.h"
 
-#include <optional>
-#include <unordered_set>
-
 #include "src/dp/mechanism.h"
+#include "src/search/walk_state.h"
 
 namespace pcor {
 
 Result<SamplerOutcome> DfsSampler::Sample(const SamplerRequest& request,
                                           Rng* rng) const {
   const OutlierVerifier& verifier = *request.verifier;
-  const size_t t = verifier.index().schema().total_values();
 
   if (!verifier.IsOutlierInContext(request.start_context, request.v_row)) {
     return Status::InvalidArgument(
@@ -24,36 +21,28 @@ Result<SamplerOutcome> DfsSampler::Sample(const SamplerRequest& request,
 
   SamplerOutcome out;
   std::vector<ContextVec> stack{request.start_context};
-  std::unordered_set<ContextVec, ContextVecHash> visited;
+  // The walk table marks the visited contexts.
+  WalkState& walk = WalkState::Begin(verifier, request.v_row);
+  std::vector<ContextVec>& children = walk.candidates();
+  std::vector<double>& scores = walk.scores();
+  // Children: matching, unvisited neighbors of the stack top, from one
+  // lookup each that gives both the f_M verdict and |D_C| for the score.
+  auto add_child = [&](const ContextVec& neighbour, size_t population) {
+    children.push_back(neighbour);
+    scores.push_back(
+        request.utility->ScoreMatch(neighbour, request.v_row, population));
+  };
 
-  while (visited.size() < request.num_samples && !stack.empty()) {
+  while (out.samples.size() < request.num_samples && !stack.empty()) {
     if (out.probes >= request.max_probes) {
       out.hit_probe_cap = true;
       break;
     }
-    ContextVec current = stack.back();
-    if (visited.insert(current).second) {
-      out.samples.push_back(current);
-    }
-
-    // Children: matching, unvisited neighbors of the stack top.
-    std::vector<ContextVec> children;
-    std::vector<double> scores;
-    ContextVec neighbor = current;
-    for (size_t bit = 0; bit < t; ++bit) {
-      neighbor.Flip(bit);
-      ++out.probes;
-      // One memo lookup gives both the f_M verdict and |D_C| for the score.
-      if (!visited.count(neighbor)) {
-        if (const std::optional<size_t> population =
-                verifier.OutlierPopulation(neighbor, request.v_row)) {
-          children.push_back(neighbor);
-          scores.push_back(request.utility->ScoreMatch(
-              neighbor, request.v_row, *population));
-        }
-      }
-      neighbor.Flip(bit);
-    }
+    const ContextVec current = stack.back();
+    if (walk.Mark(current)) out.samples.push_back(current);
+    children.clear();
+    scores.clear();
+    walk.Expand(current, &out.probes, add_child);
 
     if (children.empty()) {
       stack.pop_back();

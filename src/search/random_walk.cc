@@ -18,6 +18,7 @@ Result<SamplerOutcome> RandomWalkSampler::Sample(
   out.samples.push_back(request.start_context);  // C_M = [C_V]
 
   ContextVec current = request.start_context;
+  std::vector<size_t> untried;
   while (out.samples.size() < request.num_samples) {
     if (out.probes >= request.max_probes) {
       out.hit_probe_cap = true;
@@ -25,7 +26,7 @@ Result<SamplerOutcome> RandomWalkSampler::Sample(
     }
     // Untried neighbor bits of the current vertex, consumed without
     // replacement (the paper removes failed candidates from C_conn).
-    std::vector<size_t> untried(t);
+    untried.resize(t);
     std::iota(untried.begin(), untried.end(), 0);
     bool moved = false;
     while (!untried.empty()) {

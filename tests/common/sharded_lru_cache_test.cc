@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -467,14 +468,35 @@ TEST(ShardedLruCacheTest, MatchesReferenceLruUnderRandomOperations) {
           ASSERT_EQ(value, *want);
         }
       } else if (kind < 950) {
-        int seen = -1;
-        const bool hit =
-            cache.Visit(ModelKey{id}, [&](const int& v) { seen = v; });
-        const std::optional<int> want = reference.Get(id);
-        ASSERT_EQ(hit, want.has_value());
-        if (hit) {
-          ASSERT_EQ(seen, *want);
+        // One batched visit of distinct keys is one lookup per key in
+        // turn: values, counters, recency and so every later eviction.
+        // Mostly a walk step's handful of keys; a quarter of the batches
+        // reach past 64 keys, the cache's run of one shard grouping.
+        const size_t most = rng.NextBounded(4) == 0
+                                ? std::min<size_t>(config.key_space, 80)
+                                : 8;
+        const size_t count = 1 + rng.NextBounded(most);
+        std::vector<ModelKey> keys{ModelKey{id}};
+        std::set<uint32_t> chosen{id};
+        while (keys.size() < count) {
+          const uint32_t other =
+              static_cast<uint32_t>(rng.NextBounded(config.key_space));
+          if (chosen.insert(other).second) keys.push_back(ModelKey{other});
         }
+        // Every value the visit reported, per key.
+        std::vector<std::vector<int>> seen(keys.size());
+        auto record = [&](size_t i, const int& v) { seen.at(i).push_back(v); };
+        const size_t hits =
+            cache.VisitEach(std::span<const ModelKey>(keys), record);
+        size_t want_hits = 0;
+        for (size_t i = 0; i < keys.size(); ++i) {
+          const std::optional<int> want = reference.Get(keys[i].id);
+          const std::vector<int> expected =
+              want ? std::vector<int>{*want} : std::vector<int>{};
+          ASSERT_EQ(seen[i], expected) << "key " << keys[i].id;
+          want_hits += want.has_value() ? 1 : 0;
+        }
+        ASSERT_EQ(hits, want_hits);
       } else if (kind < 998) {
         const uint32_t modulus = 2 + static_cast<uint32_t>(rng.NextBounded(5));
         const uint32_t residue = id % modulus;
@@ -535,7 +557,7 @@ TEST(ShardedLruCacheTest, ConcurrentHammerKeepsValuesConsistent) {
             static_cast<size_t>(8) * kOpsPerThread);
 
   // Again from an empty, unbounded cache over a wider key space: every
-  // shard's table grows while readers Visit it and a sweeper keeps erasing
+  // shard's table grows while readers look it up and a sweeper keeps erasing
   // a rotating residue class (backward shifts under the same locks).
   LruCacheOptions unbounded;
   unbounded.num_shards = 4;
@@ -555,10 +577,12 @@ TEST(ShardedLruCacheTest, ConcurrentHammerKeepsValuesConsistent) {
       for (int op = 0; op < kOpsPerThread; ++op) {
         state = state * 6364136223846793005ULL + 1442695040888963407ULL;
         const int key = static_cast<int>((state >> 33) % kGrowKeys);
-        const bool hit = growing.Visit(key, [&](const int& value) {
-          if (value != key * 3) bad.fetch_add(1);
-        });
-        if (!hit) growing.Put(key, key * 3, 8);
+        int value = -1;
+        if (!growing.Get(key, &value)) {
+          growing.Put(key, key * 3, 8);
+        } else if (value != key * 3) {
+          bad.fetch_add(1);
+        }
       }
     });
   }
@@ -578,6 +602,73 @@ TEST(ShardedLruCacheTest, ConcurrentHammerKeepsValuesConsistent) {
       EXPECT_EQ(value, key * 3) << key;
     }
   }
+}
+
+TEST(ShardedLruCacheTest, BatchedVisitsRacePutsAndSweeps) {
+  // Readers look up batches of distinct keys spread over every shard and
+  // Put their misses, while a writer refreshes keys and a sweeper erases a
+  // rotating residue class, all on the same four shards. A budget tight
+  // enough to evict keeps backward shifts and regrowth racing the visits.
+  // Values are a pure function of the key, so any hit must return f(key).
+  LruCacheOptions options;
+  options.num_shards = 4;
+  options.max_bytes = 16 << 10;
+  ShardedLruCache<int, int> cache(options);
+  constexpr int kKeys = 2048;
+  constexpr int kBatch = 24;
+  constexpr int kBatchesPerThread = 2'000;
+  std::atomic<int> bad{0};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int key = 0; !done.load(std::memory_order_relaxed);
+         key = (key + 7) % kKeys) {
+      cache.Put(key, key * 3, 16);
+    }
+  });
+  std::thread sweeper([&] {
+    for (int round = 0; !done.load(std::memory_order_relaxed); ++round) {
+      cache.EraseIf([round](int key) { return key % 5 == round % 5; });
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      uint64_t state = 0x9e3779b97f4a7c15ULL * (t + 1);
+      std::vector<int> keys(kBatch);
+      std::vector<uint8_t> hit(kBatch);
+      for (int batch = 0; batch < kBatchesPerThread; ++batch) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        const int base = static_cast<int>((state >> 33) % kKeys);
+        // Distinct keys, a stride apart so they scatter over the shards.
+        for (int i = 0; i < kBatch; ++i) keys[i] = (base + 37 * i) % kKeys;
+        std::fill(hit.begin(), hit.end(), 0);
+        auto check = [&](size_t i, const int& value) {
+          if (hit[i]++ != 0 || value != keys[i] * 3) bad.fetch_add(1);
+        };
+        const size_t hits = cache.VisitEach(std::span<const int>(keys), check);
+        size_t marked = 0;
+        for (int i = 0; i < kBatch; ++i) {
+          if (hit[i]) {
+            ++marked;
+          } else {
+            cache.Put(keys[i], keys[i] * 3, 16);
+          }
+        }
+        if (marked != hits) bad.fetch_add(1);
+      }
+    });
+  }
+  for (auto& reader : readers) reader.join();
+  done.store(true, std::memory_order_relaxed);
+  writer.join();
+  sweeper.join();
+  EXPECT_EQ(bad.load(), 0);
+  const LruCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.hits + stats.misses,
+            static_cast<size_t>(3) * kBatchesPerThread * kBatch);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.invalidations, 0u);
 }
 
 }  // namespace

@@ -9,13 +9,13 @@
 //     serially and on an 8-worker pool.
 // Every probe (PopulationInto, PopulationCount, OverlapCount, RowIdsOf,
 // MetricOf, MetricWithTarget, ViewOf, ValueBitmap) plus the probe-level row
-// accessors (RowCode, RowMetric, ExactContextOf, ContextContainsRow,
-// GatherMetrics) must be bit-identical, and every population must equal
-// the naive row scan. Random contexts are joined by the degenerate shapes
-// (empty context, full context, one empty attribute, all-singleton exact
-// contexts) whose populations straddle every boundary of the 80k-row
-// salary datasets — large enough (>= kMinRowsPerShard) that sub-probes
-// scatter over the pool.
+// accessors (RowCode, RowMetric, ExactContextOf, GatherMetrics) must be
+// bit-identical, ExactContextOf must answer the row-membership test, and
+// every population must equal the naive row scan. Random contexts are
+// joined by the degenerate shapes (empty context, full context, one empty
+// attribute, all-singleton exact contexts) whose populations straddle
+// every boundary of the 80k-row salary datasets — large enough
+// (>= kMinRowsPerShard) that sub-probes scatter over the pool.
 // MergeSegments (compaction's primitive) must preserve all of it. The
 // gather is also driven directly on hand-built bitmaps at segment edges
 // (GatherMetricsTest), against a per-row RowMetric oracle.
@@ -104,8 +104,9 @@ void ExpectEveryProbeAgrees(const Dataset& dataset,
     }
     EXPECT_EQ(probe.RowMetric(row), dataset.metric(row));
     EXPECT_EQ(probe.ExactContextOf(row), reference.ExactContextOf(row));
-    EXPECT_EQ(probe.ContextContainsRow(contexts.back(), row),
-              reference.ContextContainsRow(contexts.back(), row));
+    EXPECT_EQ(contexts.back().Covers(probe.ExactContextOf(row)),
+              context_ops::ContainsRow(dataset.schema(), dataset, row,
+                                       contexts.back()));
     size_t ref_pos = 0, probe_pos = 0;
     const bool ref_found =
         reference.MetricWithTarget(full, row, &ref_metric, &ref_pos);

@@ -260,7 +260,7 @@ TEST_F(SamplersTest, BfsMakesOneMemoLookupPerUnseenNeighbourContainingV) {
       for (size_t bit = 0; bit < neighbor.num_bits(); ++bit) {
         neighbor.Flip(bit);
         if (!seen.count(neighbor) &&
-            index_.ContextContainsRow(neighbor, grid_.v_row)) {
+            neighbor.Covers(index_.ExactContextOf(grid_.v_row))) {
           ++expected;
           if (verifier_.IsOutlierInContext(neighbor, grid_.v_row)) {
             seen.insert(neighbor);
@@ -308,7 +308,7 @@ TEST_F(SamplersTest, DfsMakesOneMemoLookupPerUnseenNeighbourContainingV) {
       for (size_t bit = 0; bit < neighbor.num_bits(); ++bit) {
         neighbor.Flip(bit);
         if (!visited.count(neighbor) &&
-            index_.ContextContainsRow(neighbor, grid_.v_row)) {
+            neighbor.Covers(index_.ExactContextOf(grid_.v_row))) {
           ++expected;
           if (verifier_.IsOutlierInContext(neighbor, grid_.v_row)) {
             children.push_back(neighbor);
